@@ -178,7 +178,7 @@ def measure() -> dict:
         t0 = time.perf_counter()
         run_graph_trials_fast(
             csrs[:AGENT_SAMPLE_TRIALS], colors, seeds[:AGENT_SAMPLE_TRIALS],
-            gamma=GAMMA, faulty=sub_faulty, engine="agent", parallel=False,
+            gamma=GAMMA, faulty=sub_faulty, engine="agent",
         )
         dt = (time.perf_counter() - t0) / AGENT_SAMPLE_TRIALS
         samples[sc] = round(dt, 3)
@@ -202,7 +202,7 @@ def measure() -> dict:
     for sc, (csrs, faulty, seeds) in small.items():
         run_graph_trials_fast(
             csrs, small_colors, seeds, gamma=GAMMA, faulty=faulty,
-            engine="agent", parallel=False,
+            engine="agent",
         )
     small_agent_s = time.perf_counter() - t0
 
@@ -212,9 +212,7 @@ def measure() -> dict:
     run_async_trials_fast(ASYNC_N, async_seeds, engine="batch")
     async_batch_s = time.perf_counter() - t0
     t0 = time.perf_counter()
-    run_async_trials_fast(
-        ASYNC_N, async_seeds, engine="agent", parallel=False
-    )
+    run_async_trials_fast(ASYNC_N, async_seeds, engine="agent")
     async_scalar_s = time.perf_counter() - t0
 
     return {

@@ -54,7 +54,7 @@ WARM_SUBMISSIONS = 150
 CLIENTS = 16
 
 #: The cell template: tiny but real E1 runs (sync sweep, serial).
-CELL = dict(sizes=(16,), workloads=("balanced",), trials=6, parallel=False)
+CELL = dict(sizes=(16,), workloads=("balanced",), trials=6)
 BASE_SEED = 7100
 
 

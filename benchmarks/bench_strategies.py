@@ -78,7 +78,7 @@ def measure() -> dict:
         run_deviation_trials_fast(
             colors, list(range(AGENT_SAMPLE_TRIALS)), strategy,
             _members(colors, COALITION_SIZES[-1]), gamma=GAMMA,
-            engine="agent", parallel=False,
+            engine="agent",
         )
         dt = (time.perf_counter() - t0) / AGENT_SAMPLE_TRIALS
         samples[strategy] = round(dt, 3)
@@ -102,7 +102,7 @@ def measure() -> dict:
         run_deviation_trials_fast(
             small_colors, small_seeds, strategy,
             _members(small_colors, 2), gamma=GAMMA,
-            engine="agent", parallel=False,
+            engine="agent",
         )
     small_agent_s = time.perf_counter() - t0
 

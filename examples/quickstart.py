@@ -64,7 +64,7 @@ def structured_experiment(seed: int) -> None:
     print("=== Structured results (E1 fairness, tiny) ===")
     spec = get_experiment("e1")          # registry: options class + runner
     opts = spec.options_cls(sizes=(64,), workloads=("balanced", "skewed"),
-                            trials=100, seed=seed, parallel=False)
+                            trials=100, seed=seed)
     result = spec.run(opts)              # ExperimentResult, not printed text
 
     print(f"experiment          : {result.experiment}  ({result.title})")

@@ -37,14 +37,14 @@ from repro.study import Study, StudyJournal  # noqa: E402
 # genuinely lands mid-sweep instead of after the study already finished.
 GRID = {"gamma": [1.5, 2.0, 3.0, 4.0]}
 BASE = dict(trials=3000, sizes=(64,), workloads=("balanced",),
-            engine="batch-parity", parallel=False)
+            engine="batch-parity")
 
 _CHILD = textwrap.dedent("""
     import sys
     from repro.study import Study
     Study("e1", {"gamma": [1.5, 2.0, 3.0, 4.0]}, trials=3000, sizes=(64,),
-          workloads=("balanced",), engine="batch-parity",
-          parallel=False).run(out_dir=sys.argv[1])
+          workloads=("balanced",),
+          engine="batch-parity").run(out_dir=sys.argv[1])
 """)
 
 

@@ -46,10 +46,9 @@ URL = f"http://127.0.0.1:{PORT}"
 
 # The smoke cell: small but a real sync sweep, two sizes.
 CELL = {"trials": 16, "sizes": [16, 32], "workloads": ["balanced"],
-        "seed": 901, "parallel": False}
+        "seed": 901}
 CELL_FLAGS = ["--set", "trials=16", "--set", "sizes=16,32",
-              "--set", "workloads=balanced", "--set", "seed=901",
-              "--set", "parallel=false"]
+              "--set", "workloads=balanced", "--set", "seed=901"]
 
 
 def _env() -> dict:

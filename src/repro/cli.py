@@ -34,7 +34,7 @@ Examples::
     python -m repro experiment e1 --trials 8 --format json --out results/ci
     python -m repro experiment e10 --jobs 4
     python -m repro experiment e10 --jobs 4 --shard-timeout 60 --max-retries 3
-    python -m repro experiment all --trials 20 --serial
+    python -m repro experiment all --trials 20
     python -m repro experiment all --jobs 4
     python -m repro list --json
     python -m repro serve --store results/repro-store.sqlite3 --port 8765
@@ -116,13 +116,10 @@ def build_parser() -> argparse.ArgumentParser:
     exp_p.add_argument("--trials", type=int, default=None,
                        help="override the default trial count "
                             "(same as --set trials=N)")
-    exp_p.add_argument("--serial", action="store_true",
-                       help="disable process parallelism "
-                            "(same as --set parallel=false)")
     exp_p.add_argument("--jobs", type=int, default=None, metavar="N",
                        help="worker processes for the parallel plan "
-                            "backend (same as --set jobs=N); the batched "
-                            "tiers shard trial blocks across N workers, "
+                            "backend (same as --set jobs=N); every tier "
+                            "shards its trials across N workers, "
                             "byte-identically to a serial run")
     exp_p.add_argument("--shard-timeout", default=None,
                        metavar="SECONDS",
@@ -296,10 +293,6 @@ def _parse_overrides(pairs: Sequence[str]) -> dict[str, str]:
     return out
 
 
-_TRUE = ("true", "yes", "on", "1")
-_FALSE = ("false", "no", "off", "0")
-
-
 def _coerce_value(text: str, hint: Any) -> Any:
     """Coerce an override string to an options field's declared type."""
     origin = typing.get_origin(hint)
@@ -319,13 +312,6 @@ def _coerce_value(text: str, hint: Any) -> Any:
         elem = args[0] if args else None
         items = [t.strip() for t in text.split(",") if t.strip() != ""]
         return tuple(_coerce_value(item, elem) for item in items)
-    if hint is bool:
-        low = text.strip().lower()
-        if low in _TRUE:
-            return True
-        if low in _FALSE:
-            return False
-        raise ValueError(f"expected a boolean, got {text!r}")
     if hint is int:
         return int(text)
     if hint is float:
@@ -430,18 +416,12 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             raise _OverrideError(
                 "conflicting --trials and --set trials=...; pick one"
             )
-        if args.serial and "parallel" in raw:
-            raise _OverrideError(
-                "conflicting --serial and --set parallel=...; pick one"
-            )
         if args.jobs is not None and "jobs" in raw:
             raise _OverrideError(
                 "conflicting --jobs and --set jobs=...; pick one"
             )
         if args.trials is not None:
             raw["trials"] = str(args.trials)
-        if args.serial:
-            raw["parallel"] = "false"
         if args.jobs is not None:
             raw["jobs"] = str(args.jobs)
         # Validate and build every options instance up front, so a bad

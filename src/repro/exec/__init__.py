@@ -8,15 +8,15 @@ One sharded, multi-core backend behind every fastpath front door:
 * :mod:`repro.exec.backends` — run a plan on the ``serial`` backend
   (bit-identical to the historical in-process behaviour) or the
   ``parallel`` backend (quantum-aligned trial shards over a process
-  pool, per-shard seeds sliced from the plan's spine, results merged by
-  streaming reducers).  ``run_plan`` output is byte-identical across
-  backends, worker counts and shard layouts.
-* :mod:`repro.exec.reducers` — shard-order merge of struct-of-arrays
-  batch results.
-* :mod:`repro.exec.pool` — the process-pool primitive shared by the
-  ``process`` tier and the parallel backend, plus the parked warm pool
-  reused across runs (and across the experiment service's jobs;
-  ``prewarm``/``warm_pool_stats``).
+  pool, per-shard seeds sliced from the plan's spine, results written
+  in place over shared memory).  ``run_plan`` output is byte-identical
+  across backends, worker counts and shard layouts, and ``jobs`` is
+  the only way a trial runs on more than one core.
+* :mod:`repro.exec.shm` / :mod:`repro.exec.reducers` — the zero-copy
+  shard transport and the shard-order merge of its scalar stubs.
+* :mod:`repro.exec.pool` — the process pool the parallel backend
+  shards over, parked and reused across runs (and across the
+  experiment service's jobs; ``prewarm``/``warm_pool_stats``).
 * :mod:`repro.exec.chaos` — deterministic fault injection (worker
   kills, shard delays, torn archive writes) exercising the recovery
   paths above; see DESIGN.md §10 for the fault-tolerance contract.
@@ -42,7 +42,6 @@ from repro.exec.backends import (
 from repro.exec.chaos import ChaosConfig, ShardChaos, chaos_enabled
 from repro.exec.plan import (
     AUTO_ENGINE,
-    BATCH_ENGINES,
     ENGINES,
     ExecutionPlan,
     compile_async_plan,
@@ -57,24 +56,20 @@ from repro.exec.pool import (
     default_workers,
     mp_context,
     prewarm,
-    run_trials,
     shutdown_warm_pool,
     warm_pool_stats,
 )
-from repro.exec.reducers import ShardReducer, merge_shards, merge_stubs
-from repro.exec.shm import shm_enabled
+from repro.exec.reducers import merge_stubs
 
 __all__ = [
     "AUTO_ENGINE",
     "BACKENDS",
-    "BATCH_ENGINES",
     "ENGINES",
     "ChaosConfig",
     "ExecRecord",
     "ExecutionPlan",
     "FaultPolicy",
     "ShardChaos",
-    "ShardReducer",
     "available_cpus",
     "chaos_enabled",
     "collect_execution",
@@ -85,7 +80,6 @@ __all__ = [
     "compile_honest_plan",
     "default_workers",
     "get_fault_policy",
-    "merge_shards",
     "merge_stubs",
     "mp_context",
     "parse_max_retries",
@@ -94,10 +88,8 @@ __all__ = [
     "resolve_backend",
     "resolve_engine",
     "run_plan",
-    "run_trials",
     "set_fault_policy",
     "shard_size_hint",
-    "shm_enabled",
     "shutdown_warm_pool",
     "warm_pool_stats",
 ]

@@ -21,11 +21,11 @@
 ``auto``
     ``parallel`` when ``jobs > 1``, else ``serial``.
 
-Only the batched tiers shard (:data:`~repro.exec.plan.BATCH_ENGINES`);
-the ``process`` tier keeps its own per-trial pool (``jobs`` caps its
-worker count) and ``agent`` stays inline by design.  A plan whose
-workload is smaller than one stream quantum falls back to serial — the
-engines' block streams cannot be cut finer without changing results.
+Every tier shards the same way, the per-trial ``agent`` tier at a
+quantum of one trial.  This is the only way a trial runs on more than
+one core.  A plan whose workload is smaller than one stream quantum
+falls back to serial — the engines' block streams cannot be cut finer
+without changing results.
 
 Every run is recorded with the telemetry collector
 (:func:`collect_execution`), which is how experiment metadata learns
@@ -74,17 +74,15 @@ from repro.exec import chaos
 from repro.exec import shm as shm_transport
 from repro.core.defenses import Defenses
 from repro.core.protocol import ProtocolConfig, run_protocol
-from repro.exec.plan import BATCH_ENGINES, ExecutionPlan, shard_size_hint
+from repro.exec.plan import ExecutionPlan, shard_size_hint
 from repro.exec.pool import (
     _new_pool,
     acquire_pool as _acquire_pool,
     default_workers,
     kill_pool as _kill_pool,
-    mp_context,
     release_pool as _release_pool,
-    run_trials,
 )
-from repro.exec.reducers import merge_shards, merge_stubs
+from repro.exec.reducers import merge_stubs
 from repro.extensions.async_gossip import (
     AsyncBatchResult,
     async_min_ticks,
@@ -100,7 +98,7 @@ from repro.fastpath.batch import (
     simulate_protocol_fast_batch,
 )
 from repro.fastpath.graphs import GraphBatchResult, simulate_graph_fast_batch
-from repro.fastpath.simulate import FastRunResult, simulate_protocol_fast
+from repro.fastpath.simulate import FastRunResult
 from repro.fastpath.strategies import (
     StrategyBatchResult,
     simulate_strategy_fast_batch,
@@ -148,9 +146,8 @@ class ExecRecord:
     that actually ran (capped by the shard count, 1 on the serial
     path) — benchmarks must archive the latter, or a 4-job run on a
     1-CPU box reads as a parallel measurement.  ``transport`` names
-    the shard-result channel: ``shm`` (zero-copy shared memory),
-    ``pickle`` (the fallback), or ``inline`` (no shard ever left the
-    process).
+    the shard-result channel: ``shm`` (zero-copy shared memory) or
+    ``inline`` (no shard ever left the process).
     """
 
     kind: str
@@ -390,18 +387,14 @@ def run_plan(
     *,
     backend: str = "auto",
     jobs: int | None = None,
-    parallel: bool = True,
-    max_workers: int | None = None,
     policy: FaultPolicy | None = None,
 ) -> Any:
     """Execute a compiled plan and return its engine's batch result.
 
-    ``parallel``/``max_workers`` are the per-trial tiers' legacy knobs
-    (the ``process`` engine's own pool); ``jobs`` is the plan-level
-    worker count; ``policy`` overrides the process-wide
-    :func:`get_fault_policy` for this run.  Results are deterministic
-    in the plan alone — no backend, job count, shard layout or fault
-    recovery leaks into them.
+    ``jobs`` is the worker count; ``policy`` overrides the
+    process-wide :func:`get_fault_policy` for this run.  Results are
+    deterministic in the plan alone — no backend, job count, shard
+    layout or fault recovery leaks into them.
     """
     backend, jobs = resolve_backend(backend, jobs)
     policy = policy if policy is not None else get_fault_policy()
@@ -410,20 +403,14 @@ def run_plan(
     workers = 1
     transport = "inline"
     recovery = _Recovery()
-    if (
-        backend == "parallel"
-        and jobs > 1
-        and plan.engine in BATCH_ENGINES
-        and plan.n_trials > plan.shard_quantum
-    ):
+    if backend == "parallel" and jobs > 1 \
+            and plan.n_trials > plan.shard_quantum:
         result, shards, recovery, workers, transport = _run_parallel(
             plan, jobs, policy
         )
         ran = "parallel" if shards > 1 else "serial"
     else:
-        if plan.engine == "process" and max_workers is None and jobs > 1:
-            max_workers = jobs
-        result = _compute(plan, parallel=parallel, max_workers=max_workers)
+        result = _compute(plan)
         ran = "serial"
     _record(ExecRecord(
         kind=plan.kind, engine=plan.engine, backend=ran, jobs=jobs,
@@ -469,10 +456,10 @@ def shard_bounds(
 
 
 # ---------------------------------------------------------------------------
-# Shard-result transports: how a shard's output reaches the parent
+# Shard-result transport: how a shard's output reaches the parent
 # ---------------------------------------------------------------------------
 
-#: The batch-result class each workload kind's batched tiers produce —
+#: The batch-result class every tier of each workload kind produces —
 #: what the shared-memory transport sizes its result segment from.
 _RESULT_TYPES: dict[str, type] = {
     "honest": FastBatchResult,
@@ -480,39 +467,6 @@ _RESULT_TYPES: dict[str, type] = {
     "graph": GraphBatchResult,
     "async": AsyncBatchResult,
 }
-
-
-class _PickleTransport:
-    """The legacy channel: shard results pickle through the pool pipe.
-
-    Kept as the ``REPRO_SHM=0`` escape hatch, the fallback when a
-    result type lacks the out-buffer protocol or shared memory cannot
-    be allocated, and the reference the zero-copy path is
-    byte-compared against in tests.
-    """
-
-    name = "pickle"
-
-    def __init__(self, bounds: list[tuple[int, int]],
-                 shard_plans: list[ExecutionPlan]) -> None:
-        self._shard_plans = shard_plans
-        self._results: dict[int, Any] = {}
-
-    def task(self, idx: int,
-             spec: "chaos.ShardChaos | None") -> tuple[Any, Any]:
-        return _compute_shard, (self._shard_plans[idx], spec)
-
-    def absorb(self, idx: int, value: Any) -> None:
-        self._results[idx] = value
-
-    def degrade(self, idx: int) -> None:
-        self._results[idx] = _compute(self._shard_plans[idx], parallel=False)
-
-    def finish(self, n_shards: int) -> Any:
-        return merge_shards(self._results[i] for i in range(n_shards))
-
-    def close(self) -> None:
-        pass
 
 
 class _ShmTransport:
@@ -567,7 +521,7 @@ class _ShmTransport:
         # The serial degradation path writes the shard's slice from the
         # parent itself — same views, same bytes, no pool involved.
         lo, hi = self._bounds[idx]
-        result = _compute(self._shard_plans[idx], parallel=False)
+        result = _compute(self._shard_plans[idx])
         shm_transport.export_batch(result, self._views, lo, hi)
         self._stubs[idx] = shm_transport.scalar_stub(result)
 
@@ -588,43 +542,6 @@ class _ShmTransport:
             self._closed = True
             self._ctrl.unlink()
             self._data.unlink()
-
-
-def _make_transport(
-    plan: ExecutionPlan, bounds: list[tuple[int, int]],
-    shard_plans: list[ExecutionPlan],
-) -> "_ShmTransport | _PickleTransport":
-    cls = _RESULT_TYPES.get(plan.kind)
-    if (
-        shm_transport.shm_enabled()
-        and cls is not None
-        and shm_transport.supports_buffers(cls)
-    ):
-        try:
-            return _ShmTransport(plan, bounds, shard_plans, cls)
-        except OSError:
-            pass  # no usable shared memory on this box: pickle instead
-    return _PickleTransport(bounds, shard_plans)
-
-
-def _compute_shard(
-    args: tuple[ExecutionPlan, "chaos.ShardChaos | None"]
-) -> Any:
-    """Pool worker (pickle transport): run one shard's sub-plan serially.
-
-    The second element is the shard's injected fault plan (``None``
-    outside chaos runs), applied before the computation so recovery
-    paths are exercised by deterministic schedules.  ``kill_mid_write``
-    has no in-place write to tear here; it degrades to dying after the
-    compute, before the result can be returned.
-    """
-    shard_plan, spec = args
-    if spec is not None:
-        spec.apply()
-    result = _compute(shard_plan, parallel=False)
-    if spec is not None and spec.kill_mid_write:
-        spec.die()
-    return result
 
 
 def _compute_shard_shm(
@@ -648,7 +565,7 @@ def _compute_shard_shm(
     )
     if spec is not None:
         spec.apply()
-    result = _compute(shard_plan, parallel=False)
+    result = _compute(shard_plan)
     data = shm_transport.attached("data", data_name)
     views = header["layout"].views(data)
     lo, hi = header["bounds"][shard_index]
@@ -679,20 +596,25 @@ def _run_parallel(
     the trusted degradation path, byte-identical because shard seeds
     are deterministic slices of the plan's spine.
 
-    Shard results travel on a transport: zero-copy shared memory where
-    the result type supports it (``_ShmTransport``), pickling
-    otherwise.  The transport is closed — shared memory unlinked — on
-    every exit path, faulted ones included.
+    Shard results travel over zero-copy shared memory
+    (``_ShmTransport``), which is closed — unlinked — on every exit
+    path, faulted ones included.  Where no shared memory can be
+    allocated, the plan runs serially in this process instead: same
+    bytes, ``transport="inline"``.
     """
     size = shard_size_hint(plan, jobs)
     bounds = shard_bounds(plan.n_trials, plan.shard_quantum, jobs, size=size)
     recovery = _Recovery()
     if len(bounds) <= 1:
-        return _compute(plan, parallel=False), 1, recovery, 1, "inline"
+        return _compute(plan), 1, recovery, 1, "inline"
     shard_plans = [plan.slice(lo, hi) for lo, hi in bounds]
     n_shards = len(bounds)
     workers = min(jobs, n_shards)
-    transport = _make_transport(plan, bounds, shard_plans)
+    try:
+        transport = _ShmTransport(plan, bounds, shard_plans,
+                                  _RESULT_TYPES[plan.kind])
+    except OSError:
+        return _compute(plan), 1, recovery, 1, "inline"
     cfg = chaos.active_config()
     submissions = [0] * n_shards      # chaos attempt index per shard
     failures = [0] * n_shards
@@ -738,7 +660,7 @@ def _run_parallel(
 
 def _run_round(
     pool: ProcessPoolExecutor,
-    transport: "_ShmTransport | _PickleTransport",
+    transport: _ShmTransport,
     remaining: set[int],
     submissions: list[int],
     failures: list[int],
@@ -834,20 +756,12 @@ def _run_round(
 # The serial backend: one engine route per workload kind
 # ---------------------------------------------------------------------------
 
-def _compute(
-    plan: ExecutionPlan,
-    *,
-    parallel: bool = True,
-    max_workers: int | None = None,
-) -> Any:
+def _compute(plan: ExecutionPlan) -> Any:
     """Run the whole plan in-process on its engine (the serial backend)."""
-    compute = _COMPUTE[plan.kind]
-    return compute(plan, parallel, max_workers)
+    return _COMPUTE[plan.kind](plan)
 
 
-def _compute_honest(
-    plan: ExecutionPlan, parallel: bool, max_workers: int | None
-) -> FastBatchResult:
+def _compute_honest(plan: ExecutionPlan) -> FastBatchResult:
     opt = plan.options
     seeds = list(plan.seeds)
     if plan.engine in ("batch", "batch-parity"):
@@ -857,20 +771,14 @@ def _compute_honest(
             seed_parity=(plan.engine == "batch-parity"),
             max_chunk_elements=opt["max_chunk_elements"],
         )
-    worker = _fast_worker if plan.engine == "process" else _agent_worker
-    runs = run_trials(
-        worker,
-        [(opt["colors"], opt["gamma"], f, s)
-         for f, s in zip(opt["faulty_list"], seeds)],
-        parallel=(parallel and plan.engine == "process"),
-        max_workers=max_workers,
-    )
+    runs = [
+        _agent_run(opt["colors"], opt["gamma"], f, s)
+        for f, s in zip(opt["faulty_list"], seeds)
+    ]
     return batch_from_runs(runs, opt["colors"])
 
 
-def _compute_deviation(
-    plan: ExecutionPlan, parallel: bool, max_workers: int | None
-) -> StrategyBatchResult:
+def _compute_deviation(plan: ExecutionPlan) -> StrategyBatchResult:
     opt = plan.options
     seeds = list(plan.seeds)
     if plan.engine == "batch-strategy":
@@ -879,17 +787,11 @@ def _compute_deviation(
             gamma=opt["gamma"], faulty=opt["faulty"],
             defenses=opt["defenses"],
         )
-    args = [
-        (opt["colors"], opt["gamma"], opt["strategy"],
-         tuple(sorted(opt["members"])), tuple(sorted(opt["faulty"])),
-         opt["defenses"], s)
+    rows = [
+        _deviation_run(opt["colors"], opt["gamma"], opt["strategy"],
+                       opt["members"], opt["faulty"], opt["defenses"], s)
         for s in seeds
     ]
-    rows = run_trials(
-        _deviation_worker, args,
-        parallel=(parallel and plan.engine == "process"),
-        max_workers=max_workers,
-    )
     honest_runs = [r[0] for r in rows]
     dev_runs = [r[1] for r in rows]
     return StrategyBatchResult(
@@ -904,9 +806,7 @@ def _compute_deviation(
     )
 
 
-def _compute_graph(
-    plan: ExecutionPlan, parallel: bool, max_workers: int | None
-) -> GraphBatchResult:
+def _compute_graph(plan: ExecutionPlan) -> GraphBatchResult:
     opt = plan.options
     seeds = list(plan.seeds)
     csrs = opt["csrs"]
@@ -924,13 +824,10 @@ def _compute_graph(
             faulty=list(opt["faulty_list"]),
             seed_parity=(plan.engine == "batch-parity"),
         )
-    rows = run_trials(
-        _graph_agent_worker,
-        [(c, opt["colors"], opt["gamma"], tuple(sorted(f)), s)
-         for c, f, s in zip(csrs, opt["faulty_list"], seeds)],
-        parallel=(parallel and plan.engine == "process"),
-        max_workers=max_workers,
-    )
+    rows = [
+        _graph_agent_run(c, opt["colors"], opt["gamma"], f, s)
+        for c, f, s in zip(csrs, opt["faulty_list"], seeds)
+    ]
     cols = list(zip(*rows)) if rows else [[]] * 7
     return GraphBatchResult(
         n=len(opt["colors"]),
@@ -946,9 +843,7 @@ def _compute_graph(
     )
 
 
-def _compute_async(
-    plan: ExecutionPlan, parallel: bool, max_workers: int | None
-) -> AsyncBatchResult:
+def _compute_async(plan: ExecutionPlan) -> AsyncBatchResult:
     opt = plan.options
     n = opt["n"]
     seeds = list(plan.seeds)
@@ -970,12 +865,10 @@ def _compute_async(
             election_converged=conv, election_winner=winner,
             election_ticks=eticks,
         )
-    rows = run_trials(
-        _async_agent_worker,
-        [(n, opt["colors"], opt["tick_budget_factor"], s) for s in seeds],
-        parallel=(parallel and plan.engine == "process"),
-        max_workers=max_workers,
-    )
+    rows = [
+        _async_agent_run(n, opt["colors"], opt["tick_budget_factor"], s)
+        for s in seeds
+    ]
     cols = list(zip(*rows)) if rows else [[]] * 4
     return AsyncBatchResult(
         n=n,
@@ -996,21 +889,13 @@ _COMPUTE = {
 
 
 # ---------------------------------------------------------------------------
-# Per-trial engine workers (module-level: pool workers must pickle)
+# The agent tier: one reference-engine trial, in the batch record shape
 # ---------------------------------------------------------------------------
 
-def _fast_worker(
-    args: tuple[tuple[Hashable, ...], float, frozenset[int], int]
+def _agent_run(
+    colors: tuple[Hashable, ...], gamma: float, faulty: frozenset[int],
+    seed: int,
 ) -> FastRunResult:
-    colors, gamma, faulty, seed = args
-    return simulate_protocol_fast(colors, gamma=gamma, faulty=faulty,
-                                  seed=seed)
-
-
-def _agent_worker(
-    args: tuple[tuple[Hashable, ...], float, frozenset[int], int]
-) -> FastRunResult:
-    colors, gamma, faulty, seed = args
     res = run_protocol(ProtocolConfig(
         colors=list(colors), gamma=gamma, faulty=faulty, seed=seed,
     ))
@@ -1073,20 +958,18 @@ def _run_result_to_fast(
     )
 
 
-def _deviation_worker(
-    args: tuple[tuple[Hashable, ...], float, str | None, tuple[int, ...],
-                tuple[int, ...], Defenses, int]
+def _deviation_run(
+    colors: tuple[Hashable, ...], gamma: float, strategy: str | None,
+    members: frozenset[int], faulty_set: frozenset[int],
+    defenses: Defenses, seed: int,
 ) -> tuple[FastRunResult, FastRunResult, bool, bool, bool, int]:
     """One paired (honest, deviant) agent-engine trial."""
-    colors, gamma, strategy, members, faulty, defenses, seed = args
-    faulty_set = frozenset(faulty)
     honest_res = run_protocol(ProtocolConfig(
         colors=list(colors), gamma=gamma, faulty=faulty_set, seed=seed,
         defenses=defenses,
     ))
     deviation = (
-        make_plan(strategy, frozenset(members)) if strategy and members
-        else None
+        make_plan(strategy, members) if strategy and members else None
     )
     dev_res = run_protocol(ProtocolConfig(
         colors=list(colors), gamma=gamma, faulty=faulty_set, seed=seed,
@@ -1116,16 +999,15 @@ def _deviation_worker(
     )
 
 
-def _graph_agent_worker(
-    args: tuple[GraphCSR, tuple[Hashable, ...], float, tuple[int, ...], int]
+def _graph_agent_run(
+    csr: GraphCSR, colors: tuple[Hashable, ...], gamma: float,
+    faulty: frozenset[int], seed: int,
 ) -> tuple[int, bool, int, int, int, bool, int]:
     """One per-agent graph trial, packed into the batch record shape."""
     from repro.extensions.topologies import run_graph_protocol
 
-    csr, colors, gamma, faulty, seed = args
     res = run_graph_protocol(
-        csr.to_networkx(), colors, gamma=gamma, seed=seed,
-        faulty=frozenset(faulty),
+        csr.to_networkx(), colors, gamma=gamma, seed=seed, faulty=faulty,
     )
     palette = list(dict.fromkeys(colors))
     return (
@@ -1139,10 +1021,9 @@ def _graph_agent_worker(
     )
 
 
-def _async_agent_worker(
-    args: tuple[int, tuple[Hashable, ...], float, int]
+def _async_agent_run(
+    n: int, colors: tuple[Hashable, ...], factor: float, seed: int,
 ) -> tuple[int, bool, int, int]:
-    n, colors, factor, seed = args
     ticks = int(async_min_ticks(async_minagg_values(n, seed), seed=seed))
     el = run_async_leader_election(
         colors, seed=seed, tick_budget_factor=factor

@@ -81,9 +81,6 @@ class ShardChaos:
     into the shared-memory result segment — the torn-slice case the
     zero-copy transport must survive (the slice is rewritten whole on
     retry, so a half-written shard can never reach the merged result).
-    On the pickling transport, where there is no in-place write to
-    tear, ``kill_mid_write`` degrades to dying after compute, before
-    the result is returned — the closest equivalent fault.
     """
 
     kill: bool = False

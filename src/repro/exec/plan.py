@@ -19,10 +19,10 @@ Shard quantum
 -------------
 ``plan.shard_quantum`` is the trial-block granularity at which the
 plan may be split without changing any result bit.  The per-trial
-engines (``process``/``agent``), the parity modes, and the sequential
-tick simulator derive one random stream per *trial*, so their quantum
-is 1.  The statistical batch engines derive one stream per fixed-size
-*block* of trials (``stat_block_trials`` / ``strategy_block_trials`` /
+``agent`` tier, the parity modes, and the sequential tick simulator
+derive one random stream per *trial*, so their quantum is 1.  The
+statistical batch engines derive one stream per fixed-size *block* of
+trials (``stat_block_trials`` / ``strategy_block_trials`` /
 ``graph_block_trials`` — functions of the workload shape only, never
 of the backend), so their quantum is that block: a shard boundary at a
 block multiple reproduces exactly the streams the unsharded run would
@@ -49,7 +49,6 @@ from repro.util.faults import normalise_faulty
 
 __all__ = [
     "AUTO_ENGINE",
-    "BATCH_ENGINES",
     "ENGINES",
     "ExecutionPlan",
     "compile_async_plan",
@@ -62,10 +61,10 @@ __all__ = [
 
 #: The single engine-name table: valid tiers per workload kind.
 ENGINES: dict[str, tuple[str, ...]] = {
-    "honest": ("auto", "batch", "batch-parity", "process", "agent"),
-    "deviation": ("auto", "batch-strategy", "process", "agent"),
-    "graph": ("auto", "batch", "batch-parity", "process", "agent"),
-    "async": ("auto", "batch", "process", "agent"),
+    "honest": ("auto", "batch", "batch-parity", "agent"),
+    "deviation": ("auto", "batch-strategy", "agent"),
+    "graph": ("auto", "batch", "batch-parity", "agent"),
+    "async": ("auto", "batch", "agent"),
 }
 
 #: The single ``auto`` routing table (DESIGN.md §1): the batched tiers
@@ -77,11 +76,6 @@ AUTO_ENGINE: dict[str, str] = {
     "graph": "batch",
     "async": "batch",
 }
-
-#: Engines the parallel backend may shard into trial blocks.  The
-#: per-trial tiers are excluded: ``process`` owns its own pool and
-#: ``agent`` is the inline debugging tier.
-BATCH_ENGINES = frozenset({"batch", "batch-parity", "batch-strategy"})
 
 #: Plan-option entries holding one value per trial; :meth:`ExecutionPlan
 #: .slice` cuts these alongside the seed spine.

@@ -1,15 +1,11 @@
-"""Process-pool trial execution (the per-trial fan-out primitive).
+"""The process pool the parallel plan backend shards over.
 
-Monte-Carlo experiments run hundreds of independent simulations; this
-module fans them out over processes (simulations are CPU-bound pure
-Python/NumPy, so threads would serialise on the GIL — the standard HPC
-recipe here is process-level parallelism over trials).
-
-Workers must be module-level callables (pickling), and every trial gets
-its seed explicitly — results are independent of worker count and
-scheduling order.  This is the primitive under both the ``process``
-engine tier (one task per trial) and the parallel plan backend (one
-task per trial *shard*, :mod:`repro.exec.backends`).
+Monte-Carlo trials are CPU-bound pure Python/NumPy, so threads would
+serialise on the GIL; :mod:`repro.exec.backends` fans trial *shards*
+over worker processes instead.  This module sizes that pool, builds it
+from one multiprocessing context, and parks a healthy pool between
+runs so later runs (and the experiment service's jobs) reuse its warm
+workers.
 """
 
 from __future__ import annotations
@@ -19,7 +15,6 @@ import multiprocessing
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
 
 __all__ = [
     "acquire_pool",
@@ -29,13 +24,9 @@ __all__ = [
     "mp_context",
     "prewarm",
     "release_pool",
-    "run_trials",
     "shutdown_warm_pool",
     "warm_pool_stats",
 ]
-
-T = TypeVar("T")
-A = TypeVar("A")
 
 
 def available_cpus() -> int:
@@ -187,16 +178,21 @@ def release_pool(pool: ProcessPoolExecutor, workers: int) -> None:
         if _warm_pool is None:
             _warm_pool, _warm_workers = pool, workers
             return
-    # another pool parked meanwhile
-    pool.shutdown(wait=False, cancel_futures=True)
+    # Another pool parked meanwhile.  Kill rather than shut down: a
+    # prewarmed pool has no manager thread to tell its idle workers to
+    # exit, and they would outlive the pool.
+    kill_pool(pool)
 
 
 def prewarm(workers: int | None = None) -> int:
-    """Park a freshly spawned pool of ``workers`` ahead of first use.
+    """Park a pool of ``workers`` live processes ahead of first use.
 
-    Idempotent: an already-parked pool of the right width is kept.  A
-    parked pool of a *different* width is replaced (the next acquirer
-    would kill it anyway).  Returns the parked width.
+    ``ProcessPoolExecutor`` starts a worker only when a submit finds no
+    idle one, so a pool is spawned here explicitly: the forkserver
+    start-up and every worker's spawn are paid now, not by the first
+    shard.  Idempotent: an already-parked pool of the right width is
+    kept.  A parked pool of a *different* width is replaced (the next
+    acquirer would kill it anyway).  Returns the parked width.
     """
     workers = default_workers() if workers is None else int(workers)
     if workers < 1:
@@ -210,6 +206,10 @@ def prewarm(workers: int | None = None) -> int:
     if stale is not None:
         kill_pool(stale)
     pool = _new_pool(workers)
+    for _ in range(workers):
+        # The executor's own spawn step: one process per call while
+        # fewer than ``workers`` exist and none is idle.
+        pool._adjust_process_count()
     _pool_counters["prewarmed"] += 1
     release_pool(pool, workers)
     return workers
@@ -235,35 +235,3 @@ def warm_pool_stats() -> dict[str, object]:
 
 
 atexit.register(shutdown_warm_pool)
-
-
-def run_trials(
-    worker: Callable[[A], T],
-    args: Sequence[A] | Iterable[A],
-    *,
-    parallel: bool = True,
-    max_workers: int | None = None,
-    chunksize: int | None = None,
-) -> list[T]:
-    """Run ``worker`` over every element of ``args``; order-preserving.
-
-    ``parallel=False`` (or a single work item) executes inline, which is
-    also the debugger-friendly path.
-    """
-    if max_workers is not None and max_workers < 1:
-        raise ValueError(
-            f"max_workers must be >= 1, got {max_workers} "
-            "(pass None for the machine default)"
-        )
-    args = list(args)
-    if not args:
-        return []
-    if not parallel or len(args) == 1:
-        return [worker(a) for a in args]
-    workers = max_workers if max_workers is not None else default_workers()
-    if workers <= 1:
-        return [worker(a) for a in args]
-    if chunksize is None:
-        chunksize = max(1, len(args) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers, mp_context=mp_context()) as pool:
-        return list(pool.map(worker, args, chunksize=chunksize))

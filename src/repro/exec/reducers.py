@@ -1,45 +1,32 @@
-"""Streaming reducers: merge per-shard results back into one batch.
+"""Shard-order merge of the parallel backend's per-shard scalar stubs.
 
-The parallel backend splits a plan into trial shards and gets one
-struct-of-arrays result per shard (:class:`FastBatchResult`,
-:class:`StrategyBatchResult`, :class:`GraphBatchResult` or
-:class:`AsyncBatchResult`).  :class:`ShardReducer` folds them back
-together *in shard order, as they arrive*: per-trial arrays concatenate
-along the trial axis, ``n_trials`` sums, nested batch results recurse,
-and every other field (``n``, ``rounds``, ``colors``, ``strategy``,
-...) must agree across shards — a disagreement means the shards were
-cut from different workloads and is an error, never silently resolved.
+The parallel backend splits a plan into trial shards.  Workers write
+each shard's trial-axis arrays straight into one shared-memory result
+segment (:mod:`repro.exec.shm`); only a *scalar stub* per shard — the
+non-array fields (``n``, ``colors``, ``rounds``, ``strategy``, ...) as
+a nested dict — travels back through the pool pipe.
+:func:`merge_stubs` folds those stubs together in shard-index order:
+``n_trials`` sums, nested batch results recurse, and every other field
+must agree across shards — a disagreement means the shards were cut
+from different workloads and is an error, never silently resolved.
 
 Because shard boundaries sit on the plan's stream quantum
-(:mod:`repro.exec.plan`), the merged arrays are bit-identical to what
+(:mod:`repro.exec.plan`), the merged result is bit-identical to what
 the serial backend produces, independent of worker count and of the
-order shards *complete* in (the reducer consumes them in shard index
-order).  Memory stays bounded by the per-trial records themselves: a
-shard's O(B_shard) summary arrays are the only thing that travels back
-from a worker (never the engine's internal (B, n, q) draw tensors), so
-the reducer's peak is ~2x the merged result — O(B) at any trial count.
+order shards *complete* in.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Any, Iterable, Mapping, TypeVar
+from typing import Any, Mapping
 
-import numpy as np
-
-__all__ = ["ShardReducer", "merge_shards", "merge_stubs"]
-
-R = TypeVar("R")
+__all__ = ["merge_stubs"]
 
 
 def _merge_field(name: str, values: list[Any]) -> Any:
     first = values[0]
-    if isinstance(first, np.ndarray):
-        return np.concatenate(values)
     if name == "n_trials":
         return int(sum(values))
-    if dataclasses.is_dataclass(first) and not isinstance(first, type):
-        return _merge_results(values)
     for index, value in enumerate(values[1:], start=1):
         if value != first:
             raise ValueError(
@@ -50,81 +37,30 @@ def _merge_field(name: str, values: list[Any]) -> Any:
     return first
 
 
-def _merge_results(shards: list[Any]) -> Any:
-    cls = type(shards[0])
-    if any(type(s) is not cls for s in shards[1:]):
-        raise ValueError(
-            f"cannot merge mixed shard types "
-            f"{sorted({type(s).__name__ for s in shards})}"
-        )
-    merged = {
-        f.name: _merge_field(f.name, [getattr(s, f.name) for s in shards])
-        for f in dataclasses.fields(cls)
-    }
-    return cls(**merged)
-
-
-class ShardReducer:
-    """Fold shard results one at a time; :meth:`result` emits the merge.
-
-    A single shard passes through untouched (object identity), so the
-    serial backend and one-shard parallel runs pay nothing.
-    """
-
-    def __init__(self) -> None:
-        self._shards: list[Any] = []
-
-    def add(self, shard: Any) -> None:
-        if shard is None:
-            raise ValueError("shard result is None (worker failed?)")
-        self._shards.append(shard)
-
-    def result(self) -> Any:
-        if not self._shards:
-            raise ValueError("no shards to merge")
-        if len(self._shards) == 1:
-            return self._shards[0]
-        return _merge_results(self._shards)
-
-
 def merge_stubs(
     stubs: list[Mapping[str, Any]], cls: type
 ) -> dict[str, Any]:
-    """Merge per-shard *scalar stubs* — the zero-copy reducer path.
+    """Merge per-shard scalar stubs of batch type ``cls``.
 
-    On the shared-memory transport a shard's arrays never travel back
-    through the pool pipe: workers write them into the result segment
-    in place, and only the non-array fields (``n``, ``colors``,
-    ``rounds``, ...) return as a nested dict per shard
-    (:func:`repro.exec.shm.scalar_stub`).  This merges those stubs in
-    shard-index order with exactly the field semantics of
-    :func:`merge_shards` — ``n_trials`` sums, nested batch results
-    recurse, everything else must agree across shards (same
-    cut-from-different-workloads diagnostics) — so the two reducer
-    paths accept and reject identical shard sets.  The merged result's
-    arrays are then full-length *views* of the segment
-    (:func:`repro.exec.shm.build_batch`); no array is ever copied.
+    The merged result's arrays are then full-length *views* of the
+    result segment (:func:`repro.exec.shm.build_batch`); no array is
+    ever copied.
     """
     if not stubs:
         raise ValueError("no shards to merge")
+    names = list(stubs[0])
+    for index, stub in enumerate(stubs[1:], start=1):
+        if list(stub) != names:
+            raise ValueError(
+                f"cannot merge mixed shard types: shard 0 has fields "
+                f"{names}, shard {index} has {list(stub)}"
+            )
     nested = dict(getattr(cls, "NESTED_BATCH_FIELDS", ()))
     merged: dict[str, Any] = {}
-    for name in stubs[0]:
+    for name in names:
         values = [stub[name] for stub in stubs]
         if name in nested:
             merged[name] = merge_stubs(values, nested[name])
         else:
             merged[name] = _merge_field(name, values)
     return merged
-
-
-def merge_shards(shards: Iterable[R]) -> R:
-    """Merge an iterable of shard results in iteration order.
-
-    Consumes lazily (pool ``map`` results fold as workers finish) and
-    returns the single merged batch.
-    """
-    reducer = ShardReducer()
-    for shard in shards:
-        reducer.add(shard)
-    return reducer.result()

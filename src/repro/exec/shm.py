@@ -20,8 +20,7 @@ Which arrays exist at what dtype is declared by the batch-result
 classes themselves via the **out-buffer protocol**: a class-level
 ``ARRAY_FIELDS`` tuple of ``(field, dtype)`` pairs, plus
 ``NESTED_BATCH_FIELDS`` for results that embed other batch results
-(the strategy tier's honest/deviant pair).  A result type without the
-protocol simply falls back to the pickling transport.
+(the strategy tier's honest/deviant pair).
 
 Ownership and unlink contract (DESIGN.md §9)
 --------------------------------------------
@@ -64,8 +63,6 @@ __all__ = [
     "repo_segments",
     "retain",
     "scalar_stub",
-    "shm_enabled",
-    "supports_buffers",
 ]
 
 #: Every segment this module creates carries this name prefix, so leak
@@ -75,27 +72,6 @@ SEGMENT_PREFIX = "repro_exec_"
 #: Field offsets are aligned to cache lines; adjacent shards then only
 #: ever share a line at their own boundary, never across fields.
 _ALIGN = 64
-
-_FALSY = ("0", "false", "no", "off")
-
-
-def shm_enabled(environ: Mapping[str, str] | None = None) -> bool:
-    """Whether the zero-copy transport is active (default: yes).
-
-    ``REPRO_SHM=0`` falls back to the pickling transport — the
-    debugging escape hatch, and what the cross-path byte-identity
-    tests compare against.
-    """
-    env = os.environ if environ is None else environ
-    return env.get("REPRO_SHM", "").strip().lower() not in _FALSY
-
-
-def supports_buffers(cls: type) -> bool:
-    """Does ``cls`` implement the out-buffer protocol?"""
-    return bool(getattr(cls, "ARRAY_FIELDS", ())) or bool(
-        getattr(cls, "NESTED_BATCH_FIELDS", ())
-    )
-
 
 def batch_schema(cls: type, prefix: str = "") -> tuple[
     tuple[str, np.dtype], ...
@@ -196,9 +172,9 @@ def export_batch(
 def scalar_stub(result: Any) -> dict[str, Any]:
     """The non-array fields of a batch result, nested as dicts.
 
-    This is all that travels back from a worker on the zero-copy
-    transport; the reducer cross-checks stubs across shards exactly
-    like the pickling path cross-checks full results.
+    This is all that travels back from a worker; the reducer
+    (:func:`repro.exec.reducers.merge_stubs`) cross-checks the stubs
+    across shards.
     """
     cls = type(result)
     array_names = {name for name, _ in getattr(cls, "ARRAY_FIELDS", ())}

@@ -42,7 +42,6 @@ from repro.experiments.registry import (
     iter_experiments,
     run_experiment,
 )
-from repro.experiments.runner import run_trials
 
 __all__ = [
     "AsyncBatchResult",
@@ -56,7 +55,6 @@ __all__ = [
     "run_deviation_trials_fast",
     "run_experiment",
     "run_graph_trials_fast",
-    "run_trials",
     "run_trials_fast",
     "workloads",
 ]

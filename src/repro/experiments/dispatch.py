@@ -20,11 +20,6 @@ which engine did the work.  Engines, from fastest to highest fidelity:
 ``batch-parity``
     The batched fastpath in seed-parity mode: per-trial results are
     bit-identical to ``simulate_protocol_fast`` for the same seeds.
-``process``
-    Per-trial ``simulate_protocol_fast`` fanned out over a process pool
-    (:func:`repro.exec.pool.run_trials`).  Since the batched fastpath
-    landed this is the *fallback*, not the default — it is the
-    debugger-friendly tier and the cross-check for the batch engines.
 ``agent``
     The exact agent engine (``run_protocol``), for fidelity spot checks.
     Two batch fields have no agent-engine counterpart and are reported
@@ -34,13 +29,13 @@ which engine did the work.  Engines, from fastest to highest fidelity:
 ``engine="auto"`` picks ``batch``: the statistical engine's working set
 is bounded (fixed-size blocks of (block, n) arrays) for every n the
 int64 guards allow, so there is no workload where the per-trial
-fallbacks win — they exist as explicit opt-ins for verification and
+tier wins — it exists as an explicit opt-in for verification and
 debugging.  See DESIGN.md §3 for the tier fidelity contract.
 
 :func:`run_deviation_trials_fast` is the corresponding front door for
 the *deviation* experiments (E7–E9): paired honest/deviant workloads
 routed to the vectorised strategy tier (``batch-strategy``, the
-default) or to the exact agent engine (``process``/``agent``), always
+default) or to the exact agent engine (``agent``), always
 returning a :class:`repro.fastpath.strategies.StrategyBatchResult`.
 See DESIGN.md §5 for the strategy tier's fidelity contract.
 
@@ -48,20 +43,19 @@ See DESIGN.md §5 for the strategy tier's fidelity contract.
 front doors for the open-problem workloads (E10).  Graph-restricted
 Protocol P routes to the batched CSR tier
 (:mod:`repro.fastpath.graphs`; ``batch`` statistical / ``batch-parity``
-bit-exact) or to the per-agent ``run_graph_protocol``
-(``process``/``agent``); the sequential GOSSIP model routes to the
-lockstep tick simulator (``batch``) or to the scalar reference loop
-(``process``/``agent`` — there is no message-level engine for the
-sequential model; the scalar tick loop *is* the reference tier).  See
+bit-exact) or to the per-agent ``run_graph_protocol`` (``agent``);
+the sequential GOSSIP model routes to the lockstep tick simulator
+(``batch``) or to the scalar reference loop (``agent`` — there is no
+message-level engine for the sequential model; the scalar tick loop
+*is* the reference tier).  See
 DESIGN.md §8 for both fidelity contracts.
 
 Backends and ``jobs``
 ---------------------
 Every front door also takes ``backend`` (``"auto"``/``"serial"``/
-``"parallel"``) and ``jobs``: with ``jobs > 1`` the batched tiers shard
-their trial blocks across a process pool, byte-identically to the
-serial run (DESIGN.md §9).  ``parallel``/``max_workers`` remain the
-per-trial tiers' own pool knobs, exactly as before.
+``"parallel"``) and ``jobs``: with ``jobs > 1`` every tier shards its
+trials across a process pool, byte-identically to the serial run
+(DESIGN.md §9).
 """
 
 from __future__ import annotations
@@ -101,8 +95,7 @@ def choose_engine(
 
     Currently unconditional: the statistical batch engine dominates the
     per-trial tiers on both wall-clock and peak memory at every
-    (n, trials) the guards admit (the process pool would multiply
-    per-run draw tensors by the worker count).  The actual table lives
+    (n, trials) the guards admit.  The actual table lives
     in :data:`repro.exec.plan.AUTO_ENGINE`; this wrapper survives for
     callers that want the policy without compiling a plan.
     """
@@ -120,24 +113,19 @@ def run_trials_fast(
     engine: str = "auto",
     backend: str = "auto",
     jobs: int | None = None,
-    parallel: bool = True,
-    max_workers: int | None = None,
     max_chunk_elements: int | None = None,
 ) -> FastBatchResult:
     """Run one honest-run Monte-Carlo workload on the chosen engine.
 
     ``jobs``/``backend`` select the plan backend (sharded multi-core
-    for the batch engines); ``parallel``/``max_workers`` only affect
-    the per-trial engines (``process``/``agent``).  Results are
-    deterministic in ``seeds`` on every engine and identical across
-    backends and job counts.
+    at ``jobs > 1``).  Results are deterministic in ``seeds`` on every
+    engine and identical across backends and job counts.
     """
     plan = compile_honest_plan(
         colors, seeds, gamma=gamma, faulty=faulty, engine=engine,
         max_chunk_elements=max_chunk_elements,
     )
-    return run_plan(plan, backend=backend, jobs=jobs, parallel=parallel,
-                    max_workers=max_workers)
+    return run_plan(plan, backend=backend, jobs=jobs)
 
 
 def run_deviation_trials_fast(
@@ -152,8 +140,6 @@ def run_deviation_trials_fast(
     engine: str = "auto",
     backend: str = "auto",
     jobs: int | None = None,
-    parallel: bool = True,
-    max_workers: int | None = None,
 ) -> StrategyBatchResult:
     """Run one paired honest/deviant Monte-Carlo workload.
 
@@ -164,11 +150,11 @@ def run_deviation_trials_fast(
         (:func:`repro.fastpath.strategies.simulate_strategy_fast_batch`)
         — the default via ``auto``; simulates both runs of every paired
         trial on shared draws.
-    ``process`` / ``agent``
+    ``agent``
         The exact agent engine, two ``run_protocol`` calls per seed
-        (paired via the shared seed tree), fanned over the process pool
-        or run inline.  The two per-trial fields the engine does not
-        observe are ``-1`` sentinels, as in :func:`run_trials_fast`.
+        (paired via the shared seed tree).  The two per-trial fields
+        the engine does not observe are ``-1`` sentinels, as in
+        :func:`run_trials_fast`.
 
     Returns a :class:`~repro.fastpath.strategies.StrategyBatchResult`
     regardless of engine.
@@ -177,8 +163,7 @@ def run_deviation_trials_fast(
         colors, seeds, strategy, members, gamma=gamma, faulty=faulty,
         defenses=defenses, engine=engine,
     )
-    return run_plan(plan, backend=backend, jobs=jobs, parallel=parallel,
-                    max_workers=max_workers)
+    return run_plan(plan, backend=backend, jobs=jobs)
 
 
 def run_graph_trials_fast(
@@ -191,8 +176,6 @@ def run_graph_trials_fast(
     engine: str = "auto",
     backend: str = "auto",
     jobs: int | None = None,
-    parallel: bool = True,
-    max_workers: int | None = None,
 ) -> GraphBatchResult:
     """Run one graph-restricted Monte-Carlo workload on the chosen engine.
 
@@ -209,15 +192,13 @@ def run_graph_trials_fast(
     ``batch-parity``
         The same tier replaying each agent's named streams — per-trial
         observables bit-identical to ``run_graph_protocol``.
-    ``process`` / ``agent``
-        The per-agent engine (``run_graph_protocol``) over the process
-        pool, or inline.
+    ``agent``
+        The per-agent engine (``run_graph_protocol``).
     """
     plan = compile_graph_plan(
         graphs, colors, seeds, gamma=gamma, faulty=faulty, engine=engine,
     )
-    return run_plan(plan, backend=backend, jobs=jobs, parallel=parallel,
-                    max_workers=max_workers)
+    return run_plan(plan, backend=backend, jobs=jobs)
 
 
 def run_async_trials_fast(
@@ -229,20 +210,16 @@ def run_async_trials_fast(
     engine: str = "auto",
     backend: str = "auto",
     jobs: int | None = None,
-    parallel: bool = True,
-    max_workers: int | None = None,
 ) -> AsyncBatchResult:
     """Run one sequential-model Monte-Carlo workload on the chosen engine.
 
     ``batch`` (the ``auto`` default) is the lockstep tick simulator —
-    tick counts identical to the scalar tier seed-for-seed; ``process``
-    fans the scalar reference loop over the process pool; ``agent``
-    runs it inline (the sequential model has no message-level engine —
-    the scalar tick loop *is* the reference).
+    tick counts identical to the scalar tier seed-for-seed; ``agent``
+    runs the scalar reference loop (the sequential model has no
+    message-level engine — the scalar tick loop *is* the reference).
     """
     plan = compile_async_plan(
         n, seeds, colors=colors, tick_budget_factor=tick_budget_factor,
         engine=engine,
     )
-    return run_plan(plan, backend=backend, jobs=jobs, parallel=parallel,
-                    max_workers=max_workers)
+    return run_plan(plan, backend=backend, jobs=jobs)

@@ -59,7 +59,6 @@ class E10Options:
     async_sizes: Sequence[int] = (64, 256, 1024)
     seed: int = 1010
     engine: str = "auto"
-    parallel: bool = True
     jobs: int | None = None
 
 
@@ -84,7 +83,6 @@ def run(opts: E10Options = E10Options()) -> tuple[Table, Table]:
         res = run_graph_trials_fast(
             wl, balanced(opts.n), wl.seeds, gamma=opts.gamma,
             faulty=wl.faulty, engine=opts.engine, jobs=opts.jobs,
-            parallel=opts.parallel,
         )
         topo.add_row(scenario, res.success_rate(), res.zero_vote_mean(),
                      res.split_rate(), wl.mean_patched_edges)
@@ -103,7 +101,7 @@ def run(opts: E10Options = E10Options()) -> tuple[Table, Table]:
         ]
         ares = run_async_trials_fast(
             n, seeds, colors=balanced(n), engine=async_engine,
-            jobs=opts.jobs, parallel=opts.parallel,
+            jobs=opts.jobs,
         )
         ratio, _ = mean_ci(ares.minagg_ratio())
         conv = int(np.count_nonzero(ares.election_converged))

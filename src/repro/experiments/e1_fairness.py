@@ -49,7 +49,6 @@ class E1Options:
     gamma: float = 3.0
     seed: int = 2017
     engine: str = "auto"
-    parallel: bool = True
     jobs: int | None = None
 
 
@@ -98,7 +97,7 @@ def run(opts: E1Options = E1Options()) -> Table:
             seeds = [opts.seed + 1000 * i for i in range(opts.trials)]
             batch = run_trials_fast(
                 colors, seeds, gamma=opts.gamma,
-                engine=opts.engine, jobs=opts.jobs, parallel=opts.parallel,
+                engine=opts.engine, jobs=opts.jobs,
             )
             counts = batch.winning_counts()
             expected = expected_distribution(colors)

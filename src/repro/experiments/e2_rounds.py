@@ -35,7 +35,6 @@ class E2Options:
     gamma: float = 3.0
     seed: int = 2202
     engine: str = "auto"
-    parallel: bool = True
     jobs: int | None = None
 
 
@@ -54,7 +53,7 @@ def run(opts: E2Options = E2Options()) -> tuple[Table, Table]:
         seeds = [opts.seed + 7 * i for i in range(opts.trials)]
         batch = run_trials_fast(
             balanced(n), seeds, gamma=opts.gamma,
-            engine=opts.engine, jobs=opts.jobs, parallel=opts.parallel,
+            engine=opts.engine, jobs=opts.jobs,
         )
         rounds = batch.rounds
         fm = batch.observed_find_min_rounds()

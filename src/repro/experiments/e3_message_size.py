@@ -29,7 +29,6 @@ class E3Options:
     gamma: float = 3.0
     seed: int = 3303
     engine: str = "auto"
-    parallel: bool = True
     jobs: int | None = None
 
 
@@ -48,7 +47,7 @@ def run(opts: E3Options = E3Options()) -> tuple[Table, Table]:
         seeds = [opts.seed + 11 * i for i in range(opts.trials)]
         batch = run_trials_fast(
             balanced(n), seeds, gamma=opts.gamma,
-            engine=opts.engine, jobs=opts.jobs, parallel=opts.parallel,
+            engine=opts.engine, jobs=opts.jobs,
         )
         mean_bits, _ = mean_ci(batch.max_message_bits)
         mean_votes, _ = mean_ci(batch.max_votes)

@@ -32,7 +32,6 @@ class E4Options:
     gamma: float = 3.0
     seed: int = 4404
     engine: str = "auto"
-    parallel: bool = True
     jobs: int | None = None
 
 
@@ -54,7 +53,7 @@ def run(opts: E4Options = E4Options()) -> tuple[Table, Table]:
         seeds = [opts.seed + 13 * i for i in range(opts.trials)]
         batch = run_trials_fast(
             balanced(n), seeds, gamma=opts.gamma,
-            engine=opts.engine, jobs=opts.jobs, parallel=opts.parallel,
+            engine=opts.engine, jobs=opts.jobs,
         )
         msgs, _ = mean_ci(batch.total_messages)
         bits, _ = mean_ci(batch.total_bits)

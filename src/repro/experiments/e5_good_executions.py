@@ -33,7 +33,6 @@ class E5Options:
     trials: int = 300
     seed: int = 5505
     engine: str = "auto"
-    parallel: bool = True
     jobs: int | None = None
 
 
@@ -54,7 +53,7 @@ def run(opts: E5Options = E5Options()) -> Table:
             seeds = [opts.seed + 17 * i for i in range(opts.trials)]
             batch = run_trials_fast(
                 balanced(n), seeds, gamma=gamma,
-                engine=opts.engine, jobs=opts.jobs, parallel=opts.parallel,
+                engine=opts.engine, jobs=opts.jobs,
             )
             good = int(batch.is_good.sum())
             collisions = int(batch.k_collision.sum())

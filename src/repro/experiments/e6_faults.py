@@ -44,7 +44,6 @@ class E6Options:
     trials: int = 200
     seed: int = 6606
     engine: str = "auto"
-    parallel: bool = True
     jobs: int | None = None
 
 
@@ -83,7 +82,7 @@ def run(opts: E6Options = E6Options()) -> Table:
             for gamma in opts.gammas:
                 batch = run_trials_fast(
                     colors, seeds, gamma=gamma, faulty=faulty,
-                    engine=opts.engine, jobs=opts.jobs, parallel=opts.parallel,
+                    engine=opts.engine, jobs=opts.jobs,
                 )
                 tv = total_variation(
                     empirical_distribution_from_counts(

@@ -63,7 +63,6 @@ class E7Options:
     chi: float = 1.0
     seed: int = 7707
     engine: str = "auto"             # auto -> batch-strategy
-    parallel: bool = True
     jobs: int | None = None
 
     def colors(self) -> list[str]:
@@ -99,7 +98,6 @@ def run(opts: E7Options = E7Options()) -> Table:
             res = run_deviation_trials_fast(
                 colors, seeds, strategy, opts.members(t),
                 gamma=opts.gamma, engine=opts.engine, jobs=opts.jobs,
-                parallel=opts.parallel,
             )
             honest_u = estimate_utility(
                 res.honest.outcomes(), "blue", chi=opts.chi

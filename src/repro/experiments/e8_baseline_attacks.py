@@ -22,7 +22,6 @@ from repro.baselines.polling import run_polling
 from repro.core.params import ProtocolParams
 from repro.experiments.dispatch import run_deviation_trials_fast
 from repro.experiments.registry import experiment
-from repro.experiments.runner import run_trials
 from repro.experiments.workloads import skewed
 from repro.util.tables import Table
 
@@ -37,15 +36,14 @@ class E8Options:
     gamma: float = 3.0
     seed: int = 8808
     engine: str = "auto"    # Protocol-P rows: auto -> batch-strategy
-    parallel: bool = True
-    jobs: int | None = None
+    jobs: int | None = None    # Protocol-P rows only
     # Second size for the round-scaling comparison: polling's Theta(n)
     # absorption versus P's O(log n) schedule only separates at scale.
     scaling_n: int = 512
 
 
-def _naive_trial(args: tuple[int, float, float, int, bool]) -> tuple[bool, bool]:
-    n, minority, gamma, seed, cheat = args
+def _naive_trial(n: int, minority: float, gamma: float, seed: int,
+                 cheat: bool) -> tuple[bool, bool]:
     colors = skewed(n, minority=minority)
     blue0 = colors.index("blue")
     cheaters = frozenset({blue0}) if cheat else frozenset()
@@ -53,8 +51,8 @@ def _naive_trial(args: tuple[int, float, float, int, bool]) -> tuple[bool, bool]
     return res.outcome == "blue", res.outcome is None
 
 
-def _polling_trial(args: tuple[int, float, int, bool]) -> tuple[bool, bool, int]:
-    n, minority, seed, stubborn = args
+def _polling_trial(n: int, minority: float, seed: int,
+                   stubborn: bool) -> tuple[bool, bool, int]:
     colors = skewed(n, minority=minority)
     blue0 = colors.index("blue")
     stub = frozenset({blue0}) if stubborn else frozenset()
@@ -83,11 +81,8 @@ def run(opts: E8Options = E8Options()) -> Table:
 
     # Naive gossip: honest, then with one cheater.
     for cheat, label in ((False, "none (honest)"), (True, "k=0 cheater")):
-        rows = run_trials(
-            _naive_trial,
-            [(opts.n, opts.minority, opts.gamma, s, cheat) for s in seeds],
-            parallel=opts.parallel, max_workers=opts.jobs,
-        )
+        rows = [_naive_trial(opts.n, opts.minority, opts.gamma, s, cheat)
+                for s in seeds]
         wins = sum(1 for w, _ in rows if w)
         fails = sum(1 for _, f in rows if f)
         table.add_row("naive min-gossip", label, wins / opts.trials,
@@ -95,11 +90,8 @@ def run(opts: E8Options = E8Options()) -> Table:
 
     # Polling: honest, then with one stubborn agent.
     for stubborn, label in ((False, "none (honest)"), (True, "stubborn agent")):
-        rows = run_trials(
-            _polling_trial,
-            [(opts.n, opts.minority, s, stubborn) for s in seeds],
-            parallel=opts.parallel, max_workers=opts.jobs,
-        )
+        rows = [_polling_trial(opts.n, opts.minority, s, stubborn)
+                for s in seeds]
         wins = sum(1 for w, _, _ in rows if w)
         fails = sum(1 for _, f, _ in rows if f)
         rounds, _ = mean_ci([r for _, _, r in rows])
@@ -112,7 +104,7 @@ def run(opts: E8Options = E8Options()) -> Table:
     blue0 = colors.index("blue")
     res = run_deviation_trials_fast(
         colors, seeds, "underbid_alter", {blue0}, gamma=opts.gamma,
-        engine=opts.engine, jobs=opts.jobs, parallel=opts.parallel,
+        engine=opts.engine, jobs=opts.jobs,
     )
     params_rounds = ProtocolParams(
         n=opts.n, gamma=opts.gamma, num_colors=len(set(colors))
@@ -127,12 +119,10 @@ def run(opts: E8Options = E8Options()) -> Table:
 
     # Round scaling: Theta(n) polling vs O(log n) Protocol P at scaling_n.
     big = opts.scaling_n
-    poll_rows = run_trials(
-        _polling_trial,
-        [(big, opts.minority, opts.seed + 53 * i, False)
-         for i in range(max(10, opts.trials // 4))],
-        parallel=opts.parallel, max_workers=opts.jobs,
-    )
+    poll_rows = [
+        _polling_trial(big, opts.minority, opts.seed + 53 * i, False)
+        for i in range(max(10, opts.trials // 4))
+    ]
     poll_rounds, _ = mean_ci([r for _, _, r in poll_rows])
     p_rounds = ProtocolParams(n=big, gamma=opts.gamma).total_rounds
     table.add_row(f"HP polling @ n={big}", "none (honest)", None, None,

@@ -52,7 +52,6 @@ class E9Options:
     starvation_gamma: float = 0.75
     seed: int = 9909
     engine: str = "auto"
-    parallel: bool = True
     jobs: int | None = None
 
 
@@ -95,7 +94,7 @@ def run(opts: E9Options = E9Options()) -> Table:
         res = run_deviation_trials_fast(
             colors, seeds, strategy, frozenset(members), gamma=gamma,
             defenses=Defenses(**defense_kwargs), engine=opts.engine,
-            jobs=opts.jobs, parallel=opts.parallel,
+            jobs=opts.jobs,
         )
         outcomes = res.deviant.outcomes()
         wins = sum(1 for o in outcomes if o == "blue")

@@ -75,9 +75,7 @@ _AUTO_ENGINE = {
 #: guaranteed not to change result values (DESIGN.md §9), so they are
 #: excluded from the serialised options — and hence from the
 #: content-hash resume key: a sweep computed at ``jobs=1`` resumes
-#: cleanly under ``jobs=8`` and vice versa.  (The historical
-#: ``parallel``/``engine`` fields predate this rule and stay part of
-#: the key for archive stability.)
+#: cleanly under ``jobs=8`` and vice versa.
 EXECUTION_FIELDS = ("jobs",)
 
 

@@ -727,8 +727,8 @@ def batch_from_runs(
 ) -> FastBatchResult:
     """Assemble per-trial :class:`FastRunResult` objects into a batch.
 
-    Used by the dispatch layer's process-pool and agent-engine routes so
-    every tier returns the same struct-of-arrays interface.
+    Used by the ``agent`` tier so every tier returns the same
+    struct-of-arrays interface.
     """
     colors = tuple(colors)
     n = len(colors)

@@ -101,6 +101,14 @@ class _Handler(BaseHTTPRequestHandler):
         if self.service.verbose:
             super().log_message(fmt, *args)
 
+    def finish(self) -> None:
+        # The client connection (and with it this handler thread) ends:
+        # release the store connection the thread may have opened.
+        try:
+            super().finish()
+        finally:
+            self.service.store.close_thread()
+
     def _reply(self, status: int, doc: Any) -> None:
         data = (json.dumps(doc) + "\n").encode("utf-8")
         self.send_response(status)

@@ -183,6 +183,23 @@ class ResultStore:
                 self._connections.append(conn)
         return conn
 
+    def close_thread(self) -> None:
+        """Close the calling thread's connection, if it opened one.
+
+        The HTTP server runs each client connection on a new thread;
+        each handler thread calls this as its connection ends, or its
+        sqlite connection (two fds) would stay open until :meth:`close`.
+        """
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            return
+        self._local.conn = None
+        with self._lock:
+            self._connections = [
+                c for c in self._connections if c is not conn
+            ]
+        conn.close()
+
     def close(self) -> None:
         """Close every thread's connection (idempotent)."""
         with self._lock:

@@ -22,18 +22,17 @@ from __future__ import annotations
 
 GOLDEN_OPTS: dict[str, dict] = {
     "e1": dict(sizes=(32,), workloads=("balanced", "skewed"), trials=40,
-               seed=2017, parallel=False),
-    "e2": dict(sizes=(32, 64, 128), trials=6, seed=2202, parallel=False),
-    "e3": dict(sizes=(32, 64, 128), trials=6, seed=3303, parallel=False),
-    "e4": dict(sizes=(32, 64), trials=3, seed=4404, parallel=False),
-    "e5": dict(sizes=(32,), gammas=(1.0, 3.0), trials=40, seed=5505,
-               parallel=False),
+               seed=2017),
+    "e2": dict(sizes=(32, 64, 128), trials=6, seed=2202),
+    "e3": dict(sizes=(32, 64, 128), trials=6, seed=3303),
+    "e4": dict(sizes=(32, 64), trials=3, seed=4404),
+    "e5": dict(sizes=(32,), gammas=(1.0, 3.0), trials=40, seed=5505),
     "e6": dict(n=32, alphas=(0.0, 0.4), gammas=(4.0,),
-               placements=("random",), trials=20, seed=6606, parallel=False),
+               placements=("random",), trials=20, seed=6606),
     "e7": dict(n=24, strategies=("silent", "underbid_alter", "griefing"),
-               coalition_sizes=(1,), trials=20, seed=7707, parallel=False),
-    "e8": dict(n=32, trials=20, scaling_n=64, seed=8808, parallel=False),
-    "e9": dict(n=24, trials=20, seed=9909, parallel=False),
+               coalition_sizes=(1,), trials=20, seed=7707),
+    "e8": dict(n=32, trials=20, scaling_n=64, seed=8808),
+    "e9": dict(n=24, trials=20, seed=9909),
     "e10": dict(n=24, trials=6, async_sizes=(16, 32), seed=1010,
-                engine="auto", parallel=False),
+                engine="auto"),
 }

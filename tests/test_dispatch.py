@@ -23,8 +23,7 @@ class TestRouting:
         assert choose_engine(256, 1000) == "batch"
         assert choose_engine(64, 1) == "batch"
         # Giant n stays on the batch engine too: its statistical mode
-        # never materialises per-pull tensors, so the process pool
-        # would only multiply memory by the worker count.
+        # never materialises per-pull tensors.
         assert choose_engine(1 << 15, 10, max_chunk_elements=1000) == "batch"
 
     def test_unknown_engine_rejected(self):
@@ -33,40 +32,13 @@ class TestRouting:
 
 
 class TestEngineAgreement:
-    """Every per-trial-exact engine returns the same batch."""
-
-    def test_process_pool_equals_parity_batch(self):
-        colors = two_color_split(48, 0.5)
-        seeds = list(range(14))
-        batch = run_trials_fast(colors, seeds, engine="batch-parity")
-        pooled = run_trials_fast(
-            colors, seeds, engine="process", parallel=False
-        )
-        for field in ("winner", "min_votes", "max_votes", "k_collision",
-                      "find_min_rounds", "total_messages", "total_bits"):
-            assert np.array_equal(
-                getattr(batch, field), getattr(pooled, field)
-            ), field
-
-    def test_process_pool_ragged_faults(self):
-        colors = two_color_split(36, 0.5)
-        seeds = list(range(6))
-        faulty = [frozenset(range(i)) for i in range(6)]
-        batch = run_trials_fast(
-            colors, seeds, gamma=4.0, faulty=faulty, engine="batch-parity"
-        )
-        pooled = run_trials_fast(
-            colors, seeds, gamma=4.0, faulty=faulty, engine="process",
-            parallel=False,
-        )
-        assert np.array_equal(batch.winner, pooled.winner)
-        assert np.array_equal(batch.n_active, pooled.n_active)
+    """Every engine validates its inputs the same way."""
 
     def test_fault_list_length_checked(self):
         with pytest.raises(ValueError, match="fault sets"):
             run_trials_fast(
                 two_color_split(8, 0.5), [1, 2], faulty=[frozenset()],
-                engine="process", parallel=False,
+                engine="agent",
             )
 
 
@@ -77,7 +49,6 @@ class TestAgentEngine:
         colors = two_color_split(16, 0.5)
         batch = run_trials_fast(
             colors, list(range(5)), gamma=2.0, engine="agent",
-            parallel=False,
         )
         assert batch.n_trials == 5
         assert batch.success_rate() == 1.0
@@ -90,7 +61,7 @@ class TestAgentEngine:
         colors = two_color_split(16, 0.5)
         seeds = list(range(4))
         agent = run_trials_fast(
-            colors, seeds, gamma=2.0, engine="agent", parallel=False
+            colors, seeds, gamma=2.0, engine="agent"
         )
         fast = run_trials_fast(colors, seeds, gamma=2.0,
                                engine="batch-parity")
@@ -103,7 +74,6 @@ class TestAgentEngine:
         colors = two_color_split(16, 0.5)
         agent = run_trials_fast(
             colors, list(range(5)), gamma=2.0, engine="agent",
-            parallel=False,
         )
         # Raw columns are all sentinels...
         assert (agent.find_min_rounds == -1).all()
@@ -163,7 +133,7 @@ class TestDeviationDispatch:
         blues = [i for i, c in enumerate(colors) if c == "blue"]
         res = run_deviation_trials_fast(
             colors, list(range(4)), "honest_shadow", {blues[0]},
-            gamma=2.0, engine="agent", parallel=False,
+            gamma=2.0, engine="agent",
         )
         # A do-nothing deviation on the agent engine is bit-identical
         # to its paired honest run.
@@ -177,7 +147,7 @@ class TestDeviationDispatch:
         blues = [i for i, c in enumerate(colors) if c == "blue"]
         res = run_deviation_trials_fast(
             colors, list(range(3)), "underbid_klie", {blues[0]},
-            gamma=2.0, engine="agent", parallel=False,
+            gamma=2.0, engine="agent",
             defenses=Defenses(verify_k=False),
         )
         assert res.deviant.success_rate() == 1.0

@@ -34,15 +34,18 @@ from repro.exec import (
     chaos_enabled,
     collect_execution,
     fault_policy,
-    merge_shards,
+    merge_stubs,
+    prewarm,
     resolve_backend,
     run_plan,
-    run_trials,
     set_fault_policy,
+    shutdown_warm_pool,
 )
 from repro.exec import chaos
+from repro.exec import pool as exec_pool
 from repro.exec.plan import compile_honest_plan
 from repro.exec.pool import available_cpus, default_workers
+from repro.exec.shm import scalar_stub
 from repro.experiments.dispatch import run_async_trials_fast, run_trials_fast
 from repro.experiments.registry import run_experiment
 from repro.experiments.workloads import balanced
@@ -123,10 +126,17 @@ class TestPoolGuards:
         assert available_cpus() == 8
         assert default_workers() == 6
 
-    @pytest.mark.parametrize("bad", [0, -1, -8])
-    def test_run_trials_rejects_nonpositive_workers(self, bad):
-        with pytest.raises(ValueError, match="max_workers"):
-            run_trials(abs, [1, 2], max_workers=bad)
+    def test_prewarm_spawns_its_workers(self):
+        """The executor spawns lazily; a prewarmed pool must already
+        hold its live workers before its first task."""
+        shutdown_warm_pool()
+        try:
+            assert prewarm(2) == 2
+            parked = exec_pool._warm_pool
+            live = [p for p in parked._processes.values() if p.is_alive()]
+            assert len(live) == 2
+        finally:
+            shutdown_warm_pool()
 
     @pytest.mark.parametrize("bad", [0, -2])
     def test_resolve_backend_rejects_nonpositive_jobs(self, bad):
@@ -252,7 +262,8 @@ class TestReducerDiagnostics:
         b = run_trials_fast(balanced(16), range(4))
         c = run_trials_fast(balanced(18), range(4))
         with pytest.raises(ValueError) as exc:
-            merge_shards([a, b, c])
+            merge_stubs([scalar_stub(a), scalar_stub(b), scalar_stub(c)],
+                        type(a))
         message = str(exc.value)
         assert "'n'" in message
         assert "shard 0" in message and "shard 2" in message
@@ -266,7 +277,7 @@ class TestReducerDiagnostics:
 class TestAtomicWrites:
     def test_no_temp_files_left_behind(self, tmp_path):
         result = run_experiment("e1", sizes=(16,), workloads=("balanced",),
-                                trials=4, parallel=False)
+                                trials=4)
         save_result(result, tmp_path, formats=("json", "jsonl", "csv", "txt"))
         leftovers = [p.name for p in tmp_path.iterdir() if ".tmp." in p.name]
         assert leftovers == []
@@ -469,15 +480,20 @@ class TestShmLifecycle:
         # itself — same bytes as the pool path.
         assert _fields_equal(serial, recovered)
 
-    def test_shm_disabled_falls_back_to_pickle(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM", "0")
+    def test_shm_unavailable_runs_serially(self, monkeypatch):
+        def no_shm(size):
+            raise OSError("shared memory unavailable")
+
+        monkeypatch.setattr("repro.exec.shm.OwnedSegment", no_shm)
         serial = run_trials_fast(self.COLORS, self.SEEDS,
                                  engine="batch-parity")
         with collect_execution() as records:
             result = run_trials_fast(self.COLORS, self.SEEDS,
                                      engine="batch-parity", jobs=2)
         (rec,) = records
-        assert rec.transport == "pickle"
+        assert rec.transport == "inline"
+        assert rec.backend == "serial"
+        assert rec.shards == 1
         assert _fields_equal(serial, result)
 
 
@@ -511,14 +527,14 @@ class TestRecoveryTelemetry:
         ):
             result = run_experiment(
                 "e1", sizes=(16,), workloads=("balanced",), trials=8,
-                engine="batch-parity", parallel=False, jobs=2,
+                engine="batch-parity", jobs=2,
             )
         assert result.meta.backend == "parallel"
         assert result.meta.retries > 0
         assert result.meta.shard_failures > 0
         clean = run_experiment(
             "e1", sizes=(16,), workloads=("balanced",), trials=8,
-            engine="batch-parity", parallel=False, jobs=1,
+            engine="batch-parity", jobs=1,
         )
         assert clean.meta.retries == 0
         assert result.payload_json() == clean.payload_json()
@@ -530,7 +546,7 @@ class TestRecoveryTelemetry:
 
 def _tiny_study() -> Study:
     return Study("e1", {"gamma": [2.0, 3.0]}, trials=6, sizes=(16,),
-                 workloads=("balanced",), parallel=False)
+                 workloads=("balanced",))
 
 
 class TestStudyRecovery:
@@ -616,7 +632,7 @@ class TestStudyRecovery:
         re-runs exactly the incomplete cells and reproduces the
         uninterrupted payloads."""
         study = Study("e1", {"gamma": [1.5, 2.0, 3.0]}, trials=6,
-                      sizes=(16,), workloads=("balanced",), parallel=False)
+                      sizes=(16,), workloads=("balanced",))
         pristine = study.run(out_dir=tmp_path / "pristine")
         crash_dir = tmp_path / "crashed"
         study.run(out_dir=crash_dir)
@@ -637,8 +653,7 @@ class TestStudyRecovery:
 
     def test_study_jobs2_under_chaos_matches_clean_jobs1(self, tmp_path):
         study = Study("e10", {"trials": [4, 6]}, n=24,
-                      scenarios=("complete",), async_sizes=(16,),
-                      parallel=False)
+                      scenarios=("complete",), async_sizes=(16,))
         clean = study.run(out_dir=tmp_path / "clean", jobs=1)
         cfg = chaos.ChaosConfig(seed=16, kill_rate=0.6, delay_rate=0.3,
                                 delay_s=0.1, max_faulty_attempts=1)
@@ -658,7 +673,7 @@ _SIGKILL_CHILD = textwrap.dedent("""
     import sys
     from repro.study import Study
     Study("e1", {"gamma": [1.5, 2.0, 3.0, 4.0]}, trials=6, sizes=(16,),
-          workloads=("balanced",), parallel=False).run(out_dir=sys.argv[1])
+          workloads=("balanced",)).run(out_dir=sys.argv[1])
     print("STUDY-COMPLETE", flush=True)
 """)
 
@@ -709,7 +724,7 @@ class TestProcessLevelFaults:
         proc.kill()  # SIGKILL — no cleanup handlers run
         proc.wait(timeout=60)
         study = Study("e1", {"gamma": [1.5, 2.0, 3.0, 4.0]}, trials=6,
-                      sizes=(16,), workloads=("balanced",), parallel=False)
+                      sizes=(16,), workloads=("balanced",))
         resumed = study.run(out_dir=out)
         pristine = study.run(out_dir=tmp_path / "pristine")
         payloads = lambda sr: [c.result.payload_json() for c in sr.cells]
@@ -750,7 +765,7 @@ class TestCliFaultFlags:
     def test_flags_accepted(self, capsys):
         rc = cli_main([
             "experiment", "e1", "--trials", "4", "--set", "sizes=16",
-            "--set", "workloads=balanced", "--serial",
+            "--set", "workloads=balanced",
             "--shard-timeout", "30", "--max-retries", "1",
             "--format", "json",
         ])
@@ -798,9 +813,9 @@ class TestChaosSweep:
 
     @pytest.mark.parametrize("name,opts", [
         ("e1", dict(sizes=(16,), workloads=("balanced", "skewed"),
-                    trials=10, engine="batch-parity", parallel=False)),
+                    trials=10, engine="batch-parity")),
         ("e10", dict(n=24, trials=6, scenarios=("complete", "star"),
-                     async_sizes=(16, 32), parallel=False)),
+                     async_sizes=(16, 32))),
     ])
     def test_experiment_payloads_survive_chaos(self, name, opts):
         cfg = chaos.ChaosConfig.from_env()
@@ -814,8 +829,7 @@ class TestChaosSweep:
 
     def test_multi_seed_chaos_storm(self, tmp_path):
         study = Study("e10", {"trials": [4, 6]}, n=24,
-                      scenarios=("complete",), async_sizes=(16,),
-                      parallel=False)
+                      scenarios=("complete",), async_sizes=(16,))
         clean = study.run(out_dir=tmp_path / "clean", jobs=1)
         payloads = lambda sr: [c.result.payload_json() for c in sr.cells]
         for seed in (21, 22, 23):

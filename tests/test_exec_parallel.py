@@ -7,10 +7,11 @@ the parallel backend shards trial blocks only at the engines' stream
 quantum, so no backend choice, worker count or shard layout can leak
 into a result.  Checked here at three levels:
 
-* front-door arrays (property-style over seed lists and job counts);
-* a *real* multi-shard run per shardable engine family (quantum-1
-  tiers at small n; the honest statistical tier at n=16384 where its
-  block quantum drops to 256 trials);
+* front-door arrays (property-style over seed lists and job counts),
+  for the batch tiers and the per-trial ``agent`` tier alike;
+* a *real* multi-shard run per engine family (quantum-1 tiers at small
+  n; the honest statistical tier at n=16384 where its block quantum
+  drops to 256 trials);
 * full ``ExperimentResult`` payload JSON for one experiment per front
   door (e1 honest, e7 deviation, e10 graph + async).
 """
@@ -27,15 +28,15 @@ from hypothesis import strategies as st
 from repro.exec import (
     AUTO_ENGINE,
     ENGINES,
-    ShardReducer,
     collect_execution,
     compile_deviation_plan,
     compile_graph_plan,
     compile_honest_plan,
-    merge_shards,
+    merge_stubs,
     resolve_backend,
     resolve_engine,
 )
+from repro.exec import shm
 from repro.exec.backends import shard_bounds
 from repro.exec.plan import shard_size_hint
 from repro.experiments.dispatch import (
@@ -49,6 +50,21 @@ from repro.experiments.workloads import balanced, skewed
 from repro.extensions.families import sample_scenario_workload
 from repro.fastpath.batch import stat_block_trials
 from tests.conftest import two_color_split
+
+
+def _merge_through_buffers(shards):
+    """Merge whole shard results the way the parallel backend does:
+    arrays written into full-length buffers, scalar stubs merged."""
+    cls = type(shards[0])
+    n_trials = sum(s.n_trials for s in shards)
+    views = {path: np.empty(n_trials, dtype=dtype)
+             for path, dtype in shm.batch_schema(cls)}
+    lo = 0
+    for shard in shards:
+        shm.export_batch(shard, views, lo, lo + shard.n_trials)
+        lo += shard.n_trials
+    stub = merge_stubs([shm.scalar_stub(s) for s in shards], cls)
+    return shm.build_batch(cls, stub, views)
 
 
 def _fields_equal(a, b) -> bool:
@@ -79,10 +95,12 @@ class TestPlans:
 
     @pytest.mark.parametrize("kind", sorted(ENGINES))
     def test_unknown_engine_lists_valid_tiers(self, kind):
-        with pytest.raises(ValueError, match="unknown engine") as exc:
-            resolve_engine(kind, "warp")
-        for tier in ENGINES[kind]:
-            assert tier in str(exc.value)
+        # "process" was a tier once; it gets no alias.
+        for name in ("warp", "process"):
+            with pytest.raises(ValueError, match="unknown engine") as exc:
+                resolve_engine(kind, name)
+            for tier in ENGINES[kind]:
+                assert tier in str(exc.value)
 
     def test_every_front_door_shares_the_message(self):
         colors = two_color_split(8, 0.5)
@@ -179,12 +197,18 @@ class TestBackends:
         assert rec.shards > 1
         assert rec.n_trials == 12
 
-    def test_per_trial_engines_stay_serial_backend(self):
+    def test_agent_engine_shards_at_jobs_2(self):
+        """The per-trial reference tier shards like every other tier."""
+        colors = balanced(16)
+        serial = run_trials_fast(colors, range(5), engine="agent")
         with collect_execution() as records:
-            run_trials_fast(balanced(16), range(3), engine="agent",
-                            backend="parallel", jobs=4, parallel=False)
+            sharded = run_trials_fast(colors, range(5), engine="agent",
+                                      jobs=2)
         (rec,) = records
-        assert rec.backend == "serial"  # agent tier is inline by design
+        assert rec.backend == "parallel"
+        assert rec.shards > 1
+        assert rec.transport == "shm"
+        assert _fields_equal(serial, sharded)
 
     def test_collectors_nest(self):
         with collect_execution() as outer:
@@ -214,7 +238,9 @@ class TestBackends:
 class TestReducers:
     def test_single_shard_passthrough(self):
         batch = run_trials_fast(balanced(16), range(4))
-        assert merge_shards([batch]) is batch
+        stub = shm.scalar_stub(batch)
+        assert merge_stubs([stub], type(batch)) == stub
+        assert _fields_equal(_merge_through_buffers([batch]), batch)
 
     def test_merge_concatenates_in_order(self):
         colors = balanced(24)
@@ -223,14 +249,14 @@ class TestReducers:
             run_trials_fast(colors, range(0, 6), engine="batch-parity"),
             run_trials_fast(colors, range(6, 10), engine="batch-parity"),
         ]
-        merged = merge_shards(parts)
+        merged = _merge_through_buffers(parts)
         assert merged.n_trials == 10
         assert _fields_equal(merged, whole)
 
     def test_merge_nested_strategy_batches(self):
         colors = skewed(16, 0.25)
         whole = run_deviation_trials_fast(colors, range(8), "silent", {0})
-        merged = merge_shards([
+        merged = _merge_through_buffers([
             run_deviation_trials_fast(colors, range(0, 5), "silent", {0}),
             run_deviation_trials_fast(colors, range(5, 8), "silent", {0}),
         ])
@@ -247,17 +273,17 @@ class TestReducers:
         a = run_trials_fast(balanced(16), range(4))
         b = run_trials_fast(balanced(18), range(4))
         with pytest.raises(ValueError, match="disagree"):
-            merge_shards([a, b])
+            merge_stubs([shm.scalar_stub(a), shm.scalar_stub(b)], type(a))
 
     def test_mixed_types_rejected(self):
         a = run_trials_fast(balanced(16), range(4))
         b = run_async_trials_fast(16, range(4))
         with pytest.raises(ValueError, match="mixed"):
-            merge_shards([a, b])
+            merge_stubs([shm.scalar_stub(a), shm.scalar_stub(b)], type(a))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="no shards"):
-            ShardReducer().result()
+            merge_stubs([], type(run_trials_fast(balanced(16), range(1))))
 
 
 # ---------------------------------------------------------------------------
@@ -272,13 +298,15 @@ class TestFrontDoorDeterminism:
         base=st.integers(min_value=0, max_value=2**31),
     )
     def test_honest_parity_sharding_property(self, n_trials, jobs, base):
-        """Property: any seed list, any job count — identical batches."""
+        """Property: any seed list, any job count — identical batches,
+        on the parity tier and on its per-trial reference (``agent``)."""
         colors = balanced(20)
         seeds = [base + 7 * i for i in range(n_trials)]
-        serial = run_trials_fast(colors, seeds, engine="batch-parity")
-        sharded = run_trials_fast(colors, seeds, engine="batch-parity",
-                                  jobs=jobs)
-        assert _fields_equal(serial, sharded)
+        for engine, trials in (("batch-parity", seeds), ("agent", seeds[:4])):
+            serial = run_trials_fast(colors, trials, engine=engine)
+            sharded = run_trials_fast(colors, trials, engine=engine,
+                                      jobs=jobs)
+            assert _fields_equal(serial, sharded), engine
 
     def test_honest_statistical_real_shards(self):
         """n=16384 drops the stat quantum to 256 trials: 300 trials is
@@ -298,7 +326,7 @@ class TestFrontDoorDeterminism:
         wl = sample_scenario_workload("er_dense", 24, 10, 17,
                                       churn_rate=0.05)
         colors = balanced(24)
-        for engine in ("batch", "batch-parity"):
+        for engine in ("batch", "batch-parity", "agent"):
             serial = run_graph_trials_fast(
                 wl.csrs, colors, wl.seeds, faulty=wl.faulty, engine=engine,
             )
@@ -310,76 +338,70 @@ class TestFrontDoorDeterminism:
                 assert _fields_equal(serial, again), (engine, jobs)
 
     def test_async_front_door_jobs_identical(self):
-        serial = run_async_trials_fast(16, range(12), colors=balanced(16))
-        with collect_execution() as records:
-            sharded = run_async_trials_fast(
-                16, range(12), colors=balanced(16), jobs=4
-            )
-        assert records[0].shards > 1
-        assert _fields_equal(serial, sharded)
+        for engine in ("batch", "agent"):
+            serial = run_async_trials_fast(16, range(12), colors=balanced(16),
+                                           engine=engine)
+            with collect_execution() as records:
+                sharded = run_async_trials_fast(
+                    16, range(12), colors=balanced(16), engine=engine, jobs=4
+                )
+            assert records[0].shards > 1, engine
+            assert _fields_equal(serial, sharded), engine
 
     def test_deviation_front_door_jobs_identical(self):
         colors = skewed(20, 0.25)
-        serial = run_deviation_trials_fast(
-            colors, range(15), "underbid_alter", {0}
-        )
-        for jobs in (1, 4):
-            again = run_deviation_trials_fast(
-                colors, range(15), "underbid_alter", {0}, jobs=jobs
+        for engine, n_trials in (("batch-strategy", 15), ("agent", 5)):
+            serial = run_deviation_trials_fast(
+                colors, range(n_trials), "underbid_alter", {0},
+                engine=engine,
             )
-            assert _fields_equal(serial, again), jobs
+            for jobs in (1, 4):
+                again = run_deviation_trials_fast(
+                    colors, range(n_trials), "underbid_alter", {0},
+                    engine=engine, jobs=jobs,
+                )
+                assert _fields_equal(serial, again), (engine, jobs)
 
 
 # ---------------------------------------------------------------------------
-# Transports: the zero-copy (shm) and pickling paths agree byte-for-byte
+# Transport: the zero-copy shm path agrees with the serial run
 # ---------------------------------------------------------------------------
 
 class TestTransports:
-    """Byte-identity of the zero-copy reducer path against the copying
-    path, per front door: the same workload runs serial, sharded over
-    shared memory (``REPRO_SHM`` default) and sharded over the pickling
-    fallback (``REPRO_SHM=0``), and every field of every (possibly
-    nested) batch result must match exactly."""
+    """Byte-identity of the zero-copy shared-memory transport, per front
+    door: the same workload runs serially and sharded over shared
+    memory, and every field of every (possibly nested) batch result
+    must match exactly."""
 
-    def _run_three_ways(self, monkeypatch, fn):
+    def _run_both_ways(self, fn):
         serial = fn(None)
-        monkeypatch.delenv("REPRO_SHM", raising=False)
         with collect_execution() as shm_rec:
             over_shm = fn(2)
-        monkeypatch.setenv("REPRO_SHM", "0")
-        with collect_execution() as pkl_rec:
-            over_pickle = fn(2)
         assert shm_rec[0].transport == "shm"
         assert shm_rec[0].backend == "parallel"
-        assert pkl_rec[0].transport == "pickle"
-        # Same shard layout on both transports: the transport is pure
-        # mechanics, the cut is not its decision.
-        assert shm_rec[0].shards == pkl_rec[0].shards
         assert _fields_equal(serial, over_shm)
-        assert _fields_equal(serial, over_pickle)
 
-    def test_honest_front_door(self, monkeypatch):
+    def test_honest_front_door(self):
         colors = balanced(24)
-        self._run_three_ways(monkeypatch, lambda jobs: run_trials_fast(
+        self._run_both_ways(lambda jobs: run_trials_fast(
             colors, range(10), engine="batch-parity", jobs=jobs))
 
-    def test_graph_front_door(self, monkeypatch):
+    def test_graph_front_door(self):
         wl = sample_scenario_workload("er_dense", 24, 8, 29,
                                       churn_rate=0.05)
         colors = balanced(24)
-        self._run_three_ways(
-            monkeypatch,
+        self._run_both_ways(
             lambda jobs: run_graph_trials_fast(
                 wl.csrs, colors, wl.seeds, faulty=wl.faulty,
                 engine="batch-parity", jobs=jobs,
             ),
         )
 
-    def test_async_front_door(self, monkeypatch):
-        self._run_three_ways(monkeypatch, lambda jobs: run_async_trials_fast(
+    def test_async_front_door(self):
+        self._run_both_ways(lambda jobs: run_async_trials_fast(
             16, range(10), colors=balanced(16), jobs=jobs))
 
-    def test_deviation_front_door(self, monkeypatch):
+    def test_deviation_front_door(self):
         # n=128 drops the strategy quantum under the trial count, so the
         # nested honest/deviant batches really cross the shm transport.
         from repro.fastpath.strategies import strategy_block_trials
@@ -389,8 +411,7 @@ class TestTransports:
         params = ProtocolParams(n=128, gamma=3.0, num_colors=2)
         quantum = strategy_block_trials(127, params.q)
         n_trials = 2 * quantum + 3
-        self._run_three_ways(
-            monkeypatch,
+        self._run_both_ways(
             lambda jobs: run_deviation_trials_fast(
                 colors, range(n_trials), "underbid_alter", {0}, jobs=jobs,
             ),
@@ -441,12 +462,11 @@ class TestShardTuning:
 
 #: One experiment per front door, at golden-scale options.
 _PAYLOAD_CASES = {
-    "e1": dict(sizes=(16,), workloads=("balanced", "skewed"), trials=8,
-               parallel=False),
+    "e1": dict(sizes=(16,), workloads=("balanced", "skewed"), trials=8),
     "e7": dict(n=16, strategies=("silent", "underbid_alter"),
-               coalition_sizes=(1,), trials=8, parallel=False),
+               coalition_sizes=(1,), trials=8),
     "e10": dict(n=24, trials=6, scenarios=("complete", "star"),
-                async_sizes=(16,), parallel=False),
+                async_sizes=(16,)),
 }
 
 

@@ -16,29 +16,12 @@ from repro.experiments.e3_message_size import E3Options, run as run_e3
 from repro.experiments.e4_communication import E4Options, run as run_e4
 from repro.experiments.e5_good_executions import E5Options, run as run_e5
 from repro.experiments.e6_faults import E6Options, run as run_e6
-from repro.experiments.runner import default_workers, run_trials
+from repro.exec.pool import default_workers
 
 
 class TestRunner:
-    def test_sequential_matches_parallel(self):
-        args = list(range(20))
-        seq = run_trials(_square, args, parallel=False)
-        par = run_trials(_square, args, parallel=True, max_workers=4)
-        assert seq == par == [a * a for a in args]
-
-    def test_empty_args(self):
-        assert run_trials(_square, []) == []
-
     def test_default_workers_positive(self):
         assert default_workers() >= 1
-
-    def test_order_preserved(self):
-        args = [5, 1, 3]
-        assert run_trials(_square, args, parallel=True) == [25, 1, 9]
-
-
-def _square(x: int) -> int:
-    return x * x
 
 
 class TestWorkloads:
@@ -66,7 +49,7 @@ class TestWorkloads:
 class TestE1:
     def test_fairness_direction(self):
         table, = run_e1(E1Options(sizes=(32,), workloads=("balanced",),
-                                  trials=120, parallel=False)).tables()
+                                  trials=120)).tables()
         assert len(table.rows) == 1
         tv = table.column("TV distance")[0]
         assert tv < 0.15  # fair up to Monte-Carlo noise
@@ -76,7 +59,7 @@ class TestE1:
 class TestE2:
     def test_log_fit_beats_linear(self):
         main, fits = run_e2(E2Options(sizes=(32, 64, 128, 256, 512),
-                                      trials=10, parallel=False)).tables()
+                                      trials=10)).tables()
         assert len(main.rows) == 5
         rows = {(r[0], r[1]): r for r in
                 zip(fits.column("quantity"), fits.column("fitted shape"),
@@ -89,7 +72,7 @@ class TestE2:
 class TestE3:
     def test_log2_fit_wins(self):
         main, fits = run_e3(E3Options(sizes=(32, 64, 128, 256, 512, 1024),
-                                      trials=8, parallel=False)).tables()
+                                      trials=8)).tables()
         r2 = dict(zip(fits.column("fitted shape"), fits.column("R^2")))
         assert r2["log^2 n"] > 0.98
         assert r2["log^2 n"] > r2["n"]
@@ -97,8 +80,7 @@ class TestE3:
 
 class TestE4:
     def test_protocol_beats_local_at_scale(self):
-        main, _fits = run_e4(E4Options(sizes=(32, 256), trials=5,
-                                       parallel=False)).tables()
+        main, _fits = run_e4(E4Options(sizes=(32, 256), trials=5)).tables()
         ratios = main.column("msg ratio (P/LOCAL)")
         assert ratios[-1] < 1.0        # P wins at n=256
         assert ratios[-1] < ratios[0]  # and the advantage grows
@@ -106,8 +88,8 @@ class TestE4:
 
 class TestE5:
     def test_gamma_buys_goodness(self):
-        table, = run_e5(E5Options(sizes=(64,), gammas=(0.5, 3.0), trials=60,
-                                  parallel=False)).tables()
+        table, = run_e5(E5Options(sizes=(64,), gammas=(0.5, 3.0),
+                                  trials=60)).tables()
         rates = table.column("good rate")
         assert rates[1] >= rates[0]
         assert rates[1] > 0.9
@@ -116,8 +98,8 @@ class TestE5:
 class TestE6:
     def test_success_with_moderate_faults(self):
         table, = run_e6(E6Options(n=64, alphas=(0.0, 0.4), gammas=(4.0,),
-                                  placements=("random",), trials=40,
-                                  parallel=False)).tables()
+                                  placements=("random",),
+                                  trials=40)).tables()
         for rate in table.column("success rate"):
             assert rate > 0.9
 
@@ -130,7 +112,7 @@ class TestE7Smoke:
         table, = run_e7(E7Options(
             n=24, trials=30,
             strategies=("silent", "underbid_alter", "griefing"),
-            coalition_sizes=(1,), parallel=False,
+            coalition_sizes=(1,),
         )).tables()
         for profitable in table.column("profitable?"):
             assert not profitable

@@ -115,7 +115,7 @@ def test_agent_dispatch_tier_matches_parity(scenario):
     )
     agent = run_graph_trials_fast(
         csrs, colors, seeds, gamma=GAMMA, faulty=faulty,
-        engine="agent", parallel=False,
+        engine="agent",
     )
     for field in ("n_active", "success", "winner", "outcome_idx",
                   "zero_vote_agents", "split", "failed_agents"):
@@ -245,7 +245,7 @@ def test_isolated_faulty_agent_is_legal_and_conforms():
     )
     stat = run_graph_trials_fast(g, colors, seeds, faulty=faulty)
     agent = run_graph_trials_fast(
-        g, colors, seeds, faulty=faulty, engine="agent", parallel=False,
+        g, colors, seeds, faulty=faulty, engine="agent",
     )
     assert np.array_equal(parity.winner, agent.winner)
     assert np.array_equal(parity.success, agent.success)
@@ -260,5 +260,5 @@ def test_out_of_range_faulty_rejected_on_every_engine():
         with pytest.raises(ValueError, match="out of range"):
             run_graph_trials_fast(
                 sample.csr, balanced(16), [0],
-                faulty=frozenset({99}), engine=engine, parallel=False,
+                faulty=frozenset({99}), engine=engine,
             )

@@ -25,7 +25,7 @@ class TestTopLevelExports:
     def test_version_present(self):
         import repro
 
-        assert repro.__version__ == "1.6.0"
+        assert repro.__version__ == "1.7.0"
 
 
 class TestSubpackagesImportClean:

@@ -68,7 +68,7 @@ class TestRegistry:
 
     def test_run_experiment_overrides(self):
         result = run_experiment("e1", sizes=(16,), workloads=("balanced",),
-                                trials=4, parallel=False)
+                                trials=4)
         assert isinstance(result, ExperimentResult)
         assert result.options["trials"] == 4
 
@@ -192,7 +192,7 @@ class TestStudy:
 
     def test_cells_and_derived_seeds(self):
         study = Study("e1", {"sizes": [(16,), (24,)]},
-                      workloads=("balanced",), trials=4, parallel=False,
+                      workloads=("balanced",), trials=4,
                       seed=5)
         cells = study.cells()
         assert [c.assignment for c in cells] == [
@@ -209,7 +209,7 @@ class TestStudy:
 
     def test_run_and_resume(self, tmp_path):
         study = Study("e1", {"sizes": [(16,), (24,)]},
-                      workloads=("balanced",), trials=4, parallel=False,
+                      workloads=("balanced",), trials=4,
                       seed=5)
         first = study.run(out_dir=tmp_path)
         assert [c.cached for c in first.cells] == [False, False]
@@ -225,7 +225,7 @@ class TestStudy:
 
     def test_resume_recomputes_other_version_cells(self, tmp_path):
         study = Study("e1", {"sizes": [(16,)]}, workloads=("balanced",),
-                      trials=4, parallel=False, seed=5)
+                      trials=4, seed=5)
         study.run(out_dir=tmp_path)
         # Forge a version bump in the saved cell: the content-hash key
         # still matches, but the version gate must force a recompute.
@@ -240,7 +240,7 @@ class TestStudy:
 
     def test_records_merge_assignment(self, tmp_path):
         study = Study("e1", {"sizes": [(16,)]}, workloads=("balanced",),
-                      trials=4, parallel=False)
+                      trials=4)
         recs = study.run().records()
         assert recs[0]["sizes"] == (16,)
         assert recs[0]["n"] == 16
@@ -248,7 +248,7 @@ class TestStudy:
 
     def test_empty_grid_is_single_cell(self):
         study = Study("e1", {}, sizes=(16,), workloads=("balanced",),
-                      trials=4, parallel=False)
+                      trials=4)
         result = study.run()
         assert len(result.cells) == 1
         assert result.cells[0].assignment == {}

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import threading
 import time
 import urllib.error
@@ -50,8 +51,7 @@ from repro.service.client import ServiceClient, ServiceError
 from repro.service.store import STORE_FILENAME, locate_store
 from repro.util.tables import Table
 
-E1_TINY = dict(sizes=(16,), workloads=("balanced",), trials=6, seed=11,
-               parallel=False)
+E1_TINY = dict(sizes=(16,), workloads=("balanced",), trials=6, seed=11)
 
 
 def tiny_e1(**overrides):
@@ -486,6 +486,31 @@ class TestServiceHTTP:
         with pytest.raises(ServiceError) as err:
             client._request("POST", "/results/x", {})
         assert err.value.status == 404
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="counts open fds through /proc")
+    def test_store_connections_close_with_requests(self, service):
+        """Every HTTP connection runs on a fresh handler thread, and the
+        sqlite connection a handler opens must close with it: 300
+        store lookups may not grow the process's open fds."""
+        client = ServiceClient(service.url)
+
+        def open_fds() -> int:
+            return len(os.listdir("/proc/self/fd"))
+
+        def lookup() -> None:
+            with pytest.raises(ServiceError):
+                client.result("0" * 64)
+
+        lookup()
+        before = open_fds()
+        for _ in range(300):
+            lookup()
+        # A handler thread finishes just after its reply is read.
+        deadline = time.monotonic() + 5
+        while open_fds() - before > 16 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert open_fds() - before <= 16
 
     def test_jobs_listing(self, service, stub):
         client = ServiceClient(service.url)

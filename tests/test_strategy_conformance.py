@@ -80,7 +80,7 @@ def _run(strategy: str, engine: str, trials: int):
     seeds = list(range(trials))
     return run_deviation_trials_fast(
         COLORS, seeds, strategy, _members(strategy), gamma=GAMMA,
-        engine=engine, parallel=False,
+        engine=engine,
     )
 
 

@@ -352,7 +352,6 @@ class TestExecutionIntegration:
         wl0 = sample_scenario_workload("ba", 32, 12, 1010)
         serial = run_graph_trials_fast(
             wl0.csrs, balanced(32), wl0.seeds, faulty=wl0.faulty,
-            parallel=False,
         )
         with workload_cache(tmp_path):
             wl = cached_scenario_workload("ba", 32, 12, 1010)
