@@ -17,6 +17,11 @@ the service contract (DESIGN.md §11) through the public surfaces only
    ``/stats`` must show **zero additional executions**.
 5. **CLI round trip** — ``repro submit`` of the same cell prints the
    same payload and exercises the cache-hit path from the CLI.
+6. **Bridge** — compute a new cell locally with ``repro experiment
+   --out`` and ``repro migrate-archive`` it into the live store (a
+   second writer, safe in WAL mode): submitting that cell must be a
+   store answer with zero executions, and ``GET /results`` must serve
+   the archived document.
 
 Usage::
 
@@ -49,6 +54,9 @@ CELL = {"trials": 16, "sizes": [16, 32], "workloads": ["balanced"],
         "seed": 901}
 CELL_FLAGS = ["--set", "trials=16", "--set", "sizes=16,32",
               "--set", "workloads=balanced", "--set", "seed=901"]
+# The bridge cell: archived by a local run, then migrated into the store.
+BRIDGE_CELL = {**CELL, "seed": 902}
+BRIDGE_FLAGS = [*CELL_FLAGS[:-1], "seed=902"]
 
 
 def _env() -> dict:
@@ -179,13 +187,49 @@ def main(workdir: str | None = None) -> int:
         assert stats["results"] == 1 and stats["by_experiment"] == \
             {"e1": 1}, stats
         print("[smoke] list --store sees the cached cell")
+
+        # -- bridge: a local archive reaches the service via migrate ----
+        loose = work / "loose"
+        local = subprocess.run(
+            [sys.executable, "-m", "repro", "experiment", "e1",
+             *BRIDGE_FLAGS, "--out", str(loose)],
+            env=_env(), capture_output=True, text=True, timeout=300,
+        )
+        if local.returncode != 0:
+            sys.exit(f"FAIL: local archive run failed: {local.stderr}")
+        archived = sorted(loose.glob("e1-*.json"))
+        if len(archived) != 1:
+            sys.exit(f"FAIL: expected one archived cell, found {archived}")
+        migrate = subprocess.run(
+            [sys.executable, "-m", "repro", "migrate-archive", str(loose),
+             "--store", str(store)],
+            env=_env(), capture_output=True, text=True, timeout=60,
+        )
+        if migrate.returncode != 0 or "imported=1" not in migrate.stdout:
+            sys.exit(f"FAIL: migrate-archive did not import the cell: "
+                     f"{migrate.stdout}{migrate.stderr}")
+        executed_before = _get("/stats")["daemon"]["executed"]
+        bridged = _post("/jobs", {"experiment": "e1",
+                                  "options": BRIDGE_CELL})
+        assert bridged["status"] == "done" and bridged["cached"] is True, \
+            bridged
+        assert bridged["id"] is None, bridged
+        if _get("/stats")["daemon"]["executed"] != executed_before:
+            sys.exit("FAIL: the migrated cell was re-executed")
+        archived_doc = json.loads(archived[0].read_text())
+        if _stripped(_get(f"/results/{bridged['key']}")) \
+                != _stripped(archived_doc):
+            sys.exit("FAIL: served document != archived file "
+                     "(meta stripped)")
+        print("[smoke] bridge: migrated cell store-served, "
+              f"executions stayed at {executed_before}")
     finally:
         serve.send_signal(signal.SIGINT)
         try:
             serve.wait(timeout=15)
         except subprocess.TimeoutExpired:
             serve.kill()
-    print("[smoke] OK: serve/submit/poll/fidelity/dedup all green")
+    print("[smoke] OK: serve/submit/poll/fidelity/dedup/bridge all green")
     return 0
 
 

@@ -6,18 +6,19 @@ plus the run metadata (options, seed spine, engine tier, wall time,
 package version).  The rendered text of :meth:`ExperimentResult.tables`
 is byte-identical to the pre-redesign print-only output for the same
 options (regression-tested against ``tests/golden/``), while the same
-object serialises losslessly to JSON/JSONL/CSV and round-trips through
-:func:`load_result`.
+object serialises losslessly to JSON (plus a CSV export) and
+round-trips through :func:`load_result`.
 
 Persistence model
 -----------------
 A result is addressed by its **content-hash key**:
 ``result_key(experiment, options)`` — a SHA-256 prefix of the canonical
 JSON of the (experiment name, options) pair.  ``save_result`` writes
-``<experiment>-<key>.json`` into an output directory; anything that can
-re-derive the options (a :class:`repro.study.Study` resuming a sweep,
-the CLI re-running a cell) checks for that file first and loads instead
-of re-running.  See DESIGN.md §7 for the schema and resume semantics.
+``<experiment>-<key>.json`` into an output directory.  A
+:class:`repro.study.Study` resuming a sweep derives each cell's file
+name from its options and loads that file instead of re-running; the
+CLI's ``--out`` only writes (it runs the cell without looking for an
+existing file).  See DESIGN.md §7 for the schema and resume semantics.
 
 Cell values are normalised to JSON-native scalars (``None``/bool/int/
 float/str; NumPy scalars via ``.item()``, anything else via ``str``) at
@@ -31,8 +32,8 @@ same-directory temp file, fsynced, and renamed over the destination
 (:func:`atomic_write_text`).  A SIGKILL mid-write therefore leaves
 either the previous version or nothing — never a truncated archive
 that a later resume would have to guess about.  (Resume paths still
-quarantine corrupt files defensively — pre-1.4 archives and bad disks
-exist; see :meth:`repro.study.Study.run` and DESIGN.md §10.)
+:func:`quarantine` corrupt files defensively — pre-1.4 archives and bad
+disks exist; see :meth:`repro.study.Study.run` and DESIGN.md §10.)
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ import hashlib
 import io
 import json
 import os
+import shutil
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -57,20 +60,19 @@ __all__ = [
     "atomic_write_text",
     "build_meta",
     "canonical_json",
-    "find_result",
     "load_result",
+    "quarantine",
     "result_key",
     "result_path",
     "save_result",
     "write_csv",
     "write_json",
-    "write_jsonl",
 ]
 
 #: Schema tag stamped into every serialised result.
 SCHEMA = "repro.experiment-result/v1"
 
-_FORMATS = ("json", "jsonl", "csv", "txt")
+_FORMATS = ("json", "csv")
 
 
 def _package_version() -> str:
@@ -396,6 +398,25 @@ def atomic_write_text(path: str | Path, text: str) -> Path:
     return path
 
 
+def quarantine(path: str | Path, what: str) -> None:
+    """Move a corrupt file or directory aside to ``<name>.corrupt``.
+
+    The caller then recomputes what ``path`` held.  An earlier
+    quarantine of the same name is replaced, and a warning on stderr
+    names the moved ``what`` (e.g. ``"cached result"``).
+    """
+    path = Path(path)
+    target = path.with_name(path.name + ".corrupt")
+    if target.is_dir():
+        shutil.rmtree(target, ignore_errors=True)
+    try:
+        path.replace(target)
+    except OSError:  # a concurrent quarantine won the rename
+        shutil.rmtree(path, ignore_errors=True)
+    print(f"warning: quarantined corrupt {what} {path.name} -> "
+          f"{target.name}", file=sys.stderr)
+
+
 def _chaos_tear(path: Path) -> None:
     """Fault injection: truncate a just-published archive to half.
 
@@ -416,21 +437,6 @@ def write_json(result: ExperimentResult, path: str | Path) -> Path:
         path,
         json.dumps(result.to_json_dict(), indent=2, sort_keys=False) + "\n",
     )
-
-
-def write_jsonl(result: ExperimentResult, path: str | Path) -> Path:
-    """Write one JSON object per table row (streaming-friendly).
-
-    Each line carries the experiment name, resume key and section index
-    next to the header-keyed row values, so concatenated JSONL files
-    from many runs stay self-describing.
-    """
-    key = result.key
-    lines = []
-    for rec in result.records():
-        line = {"experiment": result.experiment, "key": key, **rec}
-        lines.append(json.dumps(_jsonify(line), sort_keys=False))
-    return atomic_write_text(path, "".join(f"{line}\n" for line in lines))
 
 
 def csv_sections(result: ExperimentResult) -> list[str]:
@@ -470,9 +476,8 @@ def save_result(
     """Persist a result under its content-hash key.
 
     Writes ``<experiment>-<key>.<ext>`` into ``out_dir`` for each
-    requested format (``json``, ``jsonl``, ``csv``, ``txt``) and returns
-    the paths.  The JSON file is the round-trippable source of truth;
-    the others are export conveniences.
+    requested format (``json``, ``csv``) and returns the paths.  The
+    JSON file is the round-trippable source of truth; CSV is an export.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -484,12 +489,8 @@ def save_result(
         target = out_dir / f"{stem}.{fmt}"
         if fmt == "json":
             paths.append(write_json(result, target))
-        elif fmt == "jsonl":
-            paths.append(write_jsonl(result, target))
-        elif fmt == "csv":
-            paths.extend(write_csv(result, target))
         else:
-            paths.append(atomic_write_text(target, result.render() + "\n"))
+            paths.extend(write_csv(result, target))
     return paths
 
 
@@ -505,36 +506,6 @@ def result_path(
     return (
         Path(out_dir) / f"{experiment}-{result_key(experiment, options)}.json"
     )
-
-
-def find_result(
-    out_dir: str | Path, experiment: str, options: Mapping[str, Any]
-) -> ExperimentResult | None:
-    """The saved result of an (experiment, options) cell, if present.
-
-    This is the resume primitive: compute the content-hash key and load
-    the stored cell instead of re-running.  When ``out_dir`` is (or
-    contains) a :class:`repro.service.store.ResultStore` database, the
-    store answers first; otherwise — and on a store miss — the loose
-    ``<experiment>-<key>.json`` file is consulted.  Returns ``None``
-    when the cell has not been computed (or was saved elsewhere); a
-    file that exists but cannot be parsed raises — resume paths decide
-    whether to quarantine it (:meth:`repro.study.Study.run` does).
-    """
-    key = result_key(experiment, options)
-    from repro.service.store import find_stored  # deferred: no sqlite cost
-                                                 # on the loose-JSON path
-
-    stored = find_stored(out_dir, key)
-    if stored is not None:
-        return stored
-    path = Path(out_dir)
-    if path.suffix.lower() in (".sqlite3", ".sqlite", ".db"):
-        return None  # configured as a database: no loose-file fallback
-    path = path / f"{experiment}-{key}.json"
-    if not path.is_file():
-        return None
-    return load_result(path)
 
 
 def build_meta(

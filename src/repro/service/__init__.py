@@ -4,11 +4,11 @@ Four layers compose the existing pieces (content-hash ``result_key``
 resume, the registry, the sharded exec backend) into a long-running
 daemon many clients can share:
 
-* :mod:`repro.service.store` — :class:`ResultStore`, a single sqlite
-  database (WAL mode) backing the archive instead of loose JSON files:
-  one ``results`` table keyed by ``result_key``, idempotent
-  ``put``/``get``/``query``/``stats`` plus an importer for legacy
-  ``results/`` trees.
+* :mod:`repro.service.store` — :class:`ResultStore`, the service's
+  archive as a single sqlite database (WAL mode): one ``results`` table
+  keyed by ``result_key``, idempotent ``put``/``get``/``stats``, and
+  the importer behind ``repro migrate-archive`` that brings loose
+  ``<experiment>-<key>.json`` archives in.
 * :mod:`repro.service.queue` — a bounded in-process :class:`JobQueue`
   with FIFO ordering, reject-when-full backpressure (HTTP 429
   semantics) and in-flight dedup: identical submissions coalesce onto
@@ -56,7 +56,7 @@ __all__ = [
 
 def __getattr__(name: str):
     # api imports http.server machinery; keep `import repro.service`
-    # cheap for store-only users (results.find_result's lazy probe).
+    # cheap for store-only users such as `repro migrate-archive`.
     if name == "ExperimentService":
         from repro.service.api import ExperimentService
 

@@ -1,21 +1,27 @@
-"""``ResultStore``: the archive as one queryable sqlite database.
+"""``ResultStore``: the service's result archive as one sqlite database.
 
-Loose ``<experiment>-<key>.json`` files served the single-writer resume
-path well, but a service with many concurrent clients wants one store
-that (a) answers "is this cell cached?" in one indexed lookup instead
-of a filesystem probe, (b) tolerates concurrent writers, and (c) can be
-queried ("how many e7 cells do we hold?") without globbing a tree.
+Studies and ``repro experiment --out`` archive cells as loose
+``<experiment>-<key>.json`` files; the service wants one store that
+(a) answers "is this cell cached?" in one indexed lookup instead of a
+filesystem probe and (b) tolerates concurrent writers.
+``repro migrate-archive DIR`` (:meth:`ResultStore.import_tree`) is the
+one way loose results get in.
 
 One table, keyed by the same content-hash ``result_key`` the loose
-archive used::
+archive uses::
 
     results(result_key PRIMARY KEY, experiment, payload, document,
-            backend, jobs, wall_time_s, retries, version, created_unix)
+            version)
 
 ``payload`` is the canonical meta-stripped JSON — the bytes the
 determinism contract covers (DESIGN.md §9); ``document`` is the full
-round-trippable result.  The meta columns are denormalised copies for
-querying; the document stays the source of truth.
+round-trippable result and the source of every meta field.
+``experiment`` feeds :meth:`ResultStore.stats`; ``version`` carries
+DESIGN.md §7's version gate: a row written by another package version
+is invisible to lookups, and a ``put`` of the cell replaces it.
+Databases created with the wider table of earlier releases keep
+working: every column this module no longer writes is nullable or has
+a default.
 
 Concurrency contract
 --------------------
@@ -40,12 +46,12 @@ from __future__ import annotations
 import json
 import sqlite3
 import threading
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any
 
-from repro.results import ExperimentResult, load_result
+from repro import __version__
+from repro.results import SCHEMA, ExperimentResult
 
 __all__ = [
     "STORE_FILENAME",
@@ -67,12 +73,7 @@ CREATE TABLE IF NOT EXISTS results (
     experiment  TEXT NOT NULL,
     payload     TEXT NOT NULL,
     document    TEXT NOT NULL,
-    backend     TEXT,
-    jobs        INTEGER,
-    wall_time_s REAL,
-    retries     INTEGER NOT NULL DEFAULT 0,
-    version     TEXT,
-    created_unix REAL
+    version     TEXT
 );
 CREATE INDEX IF NOT EXISTS results_by_experiment ON results(experiment);
 """
@@ -99,10 +100,11 @@ class StoreConflictError(ValueError):
 
 @dataclass
 class ImportReport:
-    """What :meth:`ResultStore.import_tree` did to a legacy archive."""
+    """What :meth:`ResultStore.import_tree` did to a loose archive."""
 
     imported: int = 0
     skipped: int = 0
+    stale: int = 0
     corrupt: int = 0
     conflicts: int = 0
     corrupt_files: list[str] = field(default_factory=list)
@@ -110,7 +112,8 @@ class ImportReport:
     def summary(self) -> str:
         return (
             f"imported={self.imported} skipped={self.skipped} "
-            f"corrupt={self.corrupt} conflicts={self.conflicts}"
+            f"stale={self.stale} corrupt={self.corrupt} "
+            f"conflicts={self.conflicts}"
         )
 
 
@@ -120,7 +123,8 @@ def locate_store(path: str | Path) -> Path | None:
     ``path`` may *be* a database (a ``.sqlite3``/``.sqlite``/``.db``
     file path — it need not exist yet) or a directory *containing* the
     conventional :data:`STORE_FILENAME`.  Returns ``None`` when neither
-    holds, which callers read as "use the loose-JSON archive".
+    holds.  ``repro list --store`` and ``repro migrate-archive``'s
+    default target resolve their paths here.
     """
     path = Path(path)
     if path.suffix.lower() in _DB_SUFFIXES:
@@ -222,35 +226,33 @@ class ResultStore:
     def put(self, result: ExperimentResult) -> bool:
         """Publish a result under its content-hash key.
 
-        Returns ``True`` when the row is new, ``False`` for an
-        idempotent duplicate (identical payload already stored — the
-        common dedup case).  A *different* payload under an existing
-        key raises :class:`StoreConflictError` naming the key.
+        Returns ``True`` when the row is new (or replaces a row written
+        by another package version), ``False`` for an idempotent
+        duplicate (identical payload already stored — the common dedup
+        case).  A *different* payload under an existing key raises
+        :class:`StoreConflictError` naming the key.
         """
         payload = result.payload_json()
         document = json.dumps(result.to_json_dict(), sort_keys=False)
-        meta = result.meta
         conn = self._connection()
-        try:
-            conn.execute(
-                "INSERT INTO results (result_key, experiment, payload, "
-                "document, backend, jobs, wall_time_s, retries, version, "
-                "created_unix) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                (
-                    result.key, result.experiment, payload, document,
-                    meta.backend, meta.jobs, meta.wall_time_s, meta.retries,
-                    meta.version, meta.created_unix or time.time(),
-                ),
-            )
+        changed = conn.execute(
+            "INSERT INTO results (result_key, experiment, payload, "
+            "document, version) VALUES (?, ?, ?, ?, ?) "
+            "ON CONFLICT (result_key) DO UPDATE SET "
+            "experiment = excluded.experiment, payload = excluded.payload, "
+            "document = excluded.document, version = excluded.version "
+            "WHERE results.version IS NOT ?",
+            (result.key, result.experiment, payload, document,
+             result.meta.version, __version__),
+        ).rowcount
+        if changed:
             return True
-        except sqlite3.IntegrityError:
-            existing = conn.execute(
-                "SELECT payload FROM results WHERE result_key = ?",
-                (result.key,),
-            ).fetchone()
-            if existing is not None and existing["payload"] == payload:
-                return False
-            raise StoreConflictError(result.key, result.experiment) from None
+        existing = conn.execute(
+            "SELECT payload FROM results WHERE result_key = ?", (result.key,)
+        ).fetchone()
+        if existing["payload"] == payload:
+            return False
+        raise StoreConflictError(result.key, result.experiment)
 
     def get(self, key: str) -> ExperimentResult | None:
         """The stored result under ``key``, or ``None``."""
@@ -260,9 +262,14 @@ class ResultStore:
         return ExperimentResult.from_json_dict(doc)
 
     def get_document(self, key: str) -> dict[str, Any] | None:
-        """The raw JSON document under ``key`` (what the API serves)."""
+        """The raw JSON document under ``key`` (what the API serves).
+
+        Like every lookup, it sees only rows of the running package
+        version (DESIGN.md §7).
+        """
         row = self._connection().execute(
-            "SELECT document FROM results WHERE result_key = ?", (key,)
+            "SELECT document FROM results WHERE result_key = ? "
+            "AND version = ?", (key, __version__)
         ).fetchone()
         if row is None:
             return None
@@ -270,44 +277,10 @@ class ResultStore:
 
     def __contains__(self, key: str) -> bool:
         row = self._connection().execute(
-            "SELECT 1 FROM results WHERE result_key = ?", (key,)
+            "SELECT 1 FROM results WHERE result_key = ? AND version = ?",
+            (key, __version__),
         ).fetchone()
         return row is not None
-
-    def query(
-        self,
-        experiment: str | None = None,
-        *,
-        limit: int | None = None,
-    ) -> list[dict[str, Any]]:
-        """Row metadata (no documents), newest first.
-
-        Filter by ``experiment`` and cap with ``limit``; each row is a
-        plain dict of the meta columns.
-        """
-        sql = (
-            "SELECT result_key, experiment, backend, jobs, wall_time_s, "
-            "retries, version, created_unix FROM results"
-        )
-        args: list[Any] = []
-        if experiment is not None:
-            sql += " WHERE experiment = ?"
-            args.append(experiment)
-        sql += " ORDER BY created_unix DESC, result_key"
-        if limit is not None:
-            sql += " LIMIT ?"
-            args.append(int(limit))
-        rows = self._connection().execute(sql, args).fetchall()
-        return [dict(r) for r in rows]
-
-    def keys(self, experiment: str | None = None) -> Iterator[str]:
-        sql = "SELECT result_key FROM results"
-        args: list[Any] = []
-        if experiment is not None:
-            sql += " WHERE experiment = ?"
-            args.append(experiment)
-        for row in self._connection().execute(sql, args):
-            yield row["result_key"]
 
     def stats(self) -> dict[str, Any]:
         """Store-level counters: total rows, per-experiment counts."""
@@ -323,27 +296,34 @@ class ResultStore:
             "by_experiment": {r["experiment"]: int(r["n"]) for r in per},
         }
 
-    # -- legacy-archive import ----------------------------------------------
+    # -- loose-archive import -----------------------------------------------
 
     def import_tree(self, tree: str | Path) -> ImportReport:
-        """Import a loose ``results/`` archive tree into the store.
+        """Import a loose archive tree into the store.
 
-        Walks ``tree`` recursively for result JSON files (study
-        manifests, ``.corrupt`` quarantines and this store's own
-        database are skipped), loading and ``put``-ing each.  Counts:
-        ``imported`` new rows, ``skipped`` identical duplicates,
-        ``corrupt`` unparseable files, ``conflicts`` keys already held
-        with different payloads.
+        Walks ``tree`` recursively for ``*.json`` files and stores every
+        result document (``schema: repro.experiment-result/v1``) with
+        :meth:`put`; other JSON that parses — study and
+        workload-artifact manifests — is passed over uncounted.
+        Counts: ``imported`` new rows, ``skipped`` identical duplicates,
+        ``stale`` documents of another package version (not imported:
+        the version gate would never serve them), ``corrupt``
+        unparseable files, ``conflicts`` keys already held with
+        different payloads.
         """
         report = ImportReport()
         for path in sorted(Path(tree).rglob("*.json")):
-            if path.name.endswith("-study.manifest.json"):
-                continue
             try:
-                result = load_result(path)
+                doc = json.loads(path.read_text())
+                if not isinstance(doc, dict) or doc.get("schema") != SCHEMA:
+                    continue
+                result = ExperimentResult.from_json_dict(doc)
             except (ValueError, KeyError, TypeError, OSError):
                 report.corrupt += 1
                 report.corrupt_files.append(str(path))
+                continue
+            if result.meta.version != __version__:
+                report.stale += 1
                 continue
             try:
                 if self.put(result):
@@ -353,32 +333,3 @@ class ResultStore:
             except StoreConflictError:
                 report.conflicts += 1
         return report
-
-
-def store_result(
-    out_dir: str | Path, result: ExperimentResult
-) -> Path | None:
-    """Publish ``result`` to the store configured at ``out_dir``, if any.
-
-    The store-aware twin of :func:`repro.results.save_result`: returns
-    the database path on a store write (idempotent duplicates
-    included), or ``None`` when no store is configured — the caller
-    then falls back to the loose-JSON archive.
-    """
-    db = locate_store(out_dir)
-    if db is None:
-        return None
-    with ResultStore(db) as store:
-        store.put(result)
-    return db
-
-
-def find_stored(
-    out_dir: str | Path, key: str
-) -> ExperimentResult | None:
-    """Look a key up in the store configured at ``out_dir``, if any."""
-    db = locate_store(out_dir)
-    if db is None or not db.is_file():
-        return None
-    with ResultStore(db) as store:
-        return store.get(key)

@@ -14,11 +14,12 @@ Determinism and resume
   reproduces every cell bit-for-bit, while distinct cells draw
   independent seed spines.
 * **Skip-completed cells** — with an output directory, each finished
-  cell is saved under its content-hash key
+  cell is saved as a loose ``<experiment>-<key>.json`` archive
   (:func:`repro.results.save_result`); a re-run loads those files
   instead of recomputing (``cached=True`` on the cell), so interrupted
   sweeps resume where they stopped and finished grids re-slice for
-  free.
+  free.  Loose JSON is a study's only archive; ``repro migrate-archive
+  DIR`` imports a sweep into the service's result store.
 
 Crash safety (DESIGN.md §10)
 ----------------------------
@@ -26,11 +27,12 @@ A study run with an output directory is kill-safe: every cell archive
 and the final manifest publish atomically (temp file + rename), and a
 :class:`StudyJournal` — an append-only JSONL checkpoint next to the
 archives — records each completed cell as it finishes.  Resuming after
-a SIGKILL re-runs exactly the incomplete cells: complete archives load
-as ``cached``, a half-written or corrupt archive is *quarantined*
-(renamed to ``<name>.corrupt``) and its cell recomputed, and a torn
-trailing journal line (the crash moment itself) is ignored by the
-tolerant reader.
+a SIGKILL re-runs exactly the incomplete cells: resume reads the cell
+archives only, so complete archives load as ``cached`` and a
+half-written or corrupt archive is *quarantined* (renamed to
+``<name>.corrupt``) and its cell recomputed.  The journal only narrates
+progress; a torn trailing line (the crash moment itself) is ignored by
+its tolerant reader.
 
 Example::
 
@@ -48,7 +50,6 @@ import hashlib
 import itertools
 import json
 import os
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
@@ -63,6 +64,7 @@ from repro.results import (
     atomic_write_text,
     canonical_json,
     load_result,
+    quarantine,
     result_key,
     result_path,
     save_result,
@@ -113,9 +115,9 @@ class StudyJournal:
     line per completed cell, ``quarantine`` for corrupt archives, a
     final ``end``).  Appends are flushed and fsynced line-by-line, so
     the journal is current up to the crash instant; the reader skips a
-    torn trailing line instead of raising.  The journal is the study's
-    recovery record — cell archives remain the source of truth for
-    result bytes, keyed by content hash.
+    torn trailing line instead of raising.  The journal narrates
+    progress; :meth:`Study.run` never reads it back — resume reads the
+    cell archives, the source of truth for result bytes.
     """
 
     def __init__(self, path: str | Path):
@@ -188,9 +190,6 @@ class StudyJournal:
             e["key"] for e in self.events()
             if e.get("event") == "cell" and e.get("status") == "done"
         }
-
-    def reset(self) -> None:
-        self.path.unlink(missing_ok=True)
 
 
 @dataclass(frozen=True)
@@ -326,21 +325,19 @@ class Study:
         self,
         out_dir: str | Path | None = None,
         *,
-        resume: bool = True,
-        save: bool = True,
         jobs: int | None = None,
         progress: Callable[[StudyCell], None] | None = None,
     ) -> StudyResult:
         """Run (or resume) every cell of the grid, in order.
 
-        With ``out_dir``: previously saved cells load instead of running
-        (unless ``resume=False``), and fresh cells save on completion
-        (unless ``save=False``).  A saved cell is only reused when its
-        recorded package version matches the running one — the content
-        hash pins the *inputs*, the version gate pins the *code* — so a
-        sweep resumed after an upgrade recomputes rather than silently
-        mixing results from two implementations.  ``progress`` is
-        called with each finished :class:`StudyCell`.
+        With ``out_dir``: previously saved cells load instead of
+        running, and fresh cells save on completion (to recompute a
+        sweep, point it at a fresh ``out_dir``).  A saved cell is only
+        reused when its recorded package version matches the running
+        one — the content hash pins the *inputs*, the version gate pins
+        the *code* — so a sweep resumed after an upgrade recomputes
+        rather than silently mixing results from two implementations.
+        ``progress`` is called with each finished :class:`StudyCell`.
 
         ``jobs`` parallelises the sweep's cells from the inside: each
         cell runs with that many plan-backend workers (injected into
@@ -360,20 +357,11 @@ class Study:
         journal is folded into the manifest (a ``journal`` summary
         block) and truncated, so repeatedly-resumed studies never
         replay an unbounded event log.
-
-        ``out_dir`` may also be — or contain — a
-        :class:`repro.service.store.ResultStore` database (a
-        ``.sqlite3`` path, or a directory holding
-        ``repro-store.sqlite3``): cells then load from and save to the
-        store instead of loose JSON files, with the loose path kept as
-        a read fallback for mixed archives.
         """
         from repro import __version__
-        from repro.service.store import ResultStore, locate_store
-
-        done: list[StudyCell] = []
         from repro.workloads import active_cache, cache_stats
 
+        done: list[StudyCell] = []
         wl_cache = active_cache()
         wl_before = cache_stats().as_dict() if wl_cache is not None else None
         quarantined: list[str] = []
@@ -382,19 +370,10 @@ class Study:
             and any(f.name == "jobs" for f in self.spec.option_fields())
         )
         journal = None
-        store: ResultStore | None = None
-        archive_dir: Path | None = None
         if out_dir is not None:
-            db = locate_store(out_dir)
-            if db is not None:
-                store = ResultStore(db)
-                archive_dir = db.parent
-            else:
-                archive_dir = Path(out_dir)
-            archive_dir.mkdir(parents=True, exist_ok=True)
-            journal = StudyJournal.for_study(archive_dir, self.spec.name)
-            if not resume:
-                journal.reset()
+            out_dir = Path(out_dir)
+            out_dir.mkdir(parents=True, exist_ok=True)
+            journal = StudyJournal.for_study(out_dir, self.spec.name)
             journal.append({
                 "event": "study",
                 "experiment": self.spec.name,
@@ -403,86 +382,69 @@ class Study:
                          for k, vs in self.grid.items()},
                 "version": __version__,
             })
-        try:
-            for cell in self.cells():
-                result, cached, recovered = None, False, False
-                if out_dir is not None and resume:
-                    result, recovered = self._load_cached(
-                        archive_dir, store, cell, journal, quarantined
-                    )
-                    if result is not None and \
-                            result.meta.version != __version__:
-                        result = None
-                    cached = result is not None
-                if result is None:
-                    run_opts = cell.options
-                    if jobs_field:
-                        run_opts = dataclasses.replace(run_opts, jobs=jobs)
-                    result = self.spec.run(run_opts)
-                    if out_dir is not None and save:
-                        if store is not None:
-                            store.put(result)
-                        else:
-                            save_result(result, out_dir)
-                if journal is not None:
-                    journal.append({
-                        "event": "cell",
-                        "key": cell.key,
-                        "status": "done",
-                        "cached": cached,
-                        "recovered": recovered,
-                    })
-                cell = dataclasses.replace(cell, result=result,
-                                           cached=cached,
-                                           recovered=recovered)
-                done.append(cell)
-                if progress is not None:
-                    progress(cell)
-            study_result = StudyResult(
-                experiment=self.spec.name, cells=tuple(done),
-                quarantined=tuple(quarantined),
-            )
-            if out_dir is not None and save:
-                manifest = study_result.manifest()
-                if store is not None:
-                    manifest["store"] = str(store.path)
-                if journal is not None:
-                    manifest["journal"] = journal_summary = {
-                        "cells_done": len(done),
-                        "cached": sum(1 for c in done if c.cached),
-                        "quarantined": len(quarantined),
-                        "events": len(journal.events()) + 1,  # incl. end
-                        "compacted": True,
-                    }
-                if wl_cache is not None:
-                    wl_after = cache_stats().as_dict()
-                    manifest["workload_cache"] = {
-                        "root": str(wl_cache.root),
-                        **{k: wl_after[k] - wl_before[k]
-                           for k in wl_after},
-                    }
-                atomic_write_text(
-                    archive_dir /
-                    f"{self.spec.name}-study.manifest.json",
-                    json.dumps(manifest, indent=2) + "\n",
+        for cell in self.cells():
+            result, cached, recovered = None, False, False
+            if out_dir is not None:
+                result, recovered = self._load_cached(
+                    out_dir, cell, journal, quarantined
                 )
-            if journal is not None:
-                journal.append({"event": "end"})
-                if save:
-                    # The manifest now carries the summary; fold the
-                    # event log down to a single compacted marker.
-                    journal.compact(journal_summary)
-        finally:
-            if store is not None:
-                store.close()
+                if result is not None and result.meta.version != __version__:
+                    result = None
+                cached = result is not None
+            if result is None:
+                run_opts = cell.options
+                if jobs_field:
+                    run_opts = dataclasses.replace(run_opts, jobs=jobs)
+                result = self.spec.run(run_opts)
+                if out_dir is not None:
+                    save_result(result, out_dir)
+            if out_dir is not None:
+                journal.append({
+                    "event": "cell",
+                    "key": cell.key,
+                    "status": "done",
+                    "cached": cached,
+                    "recovered": recovered,
+                })
+            cell = dataclasses.replace(cell, result=result, cached=cached,
+                                       recovered=recovered)
+            done.append(cell)
+            if progress is not None:
+                progress(cell)
+        study_result = StudyResult(
+            experiment=self.spec.name, cells=tuple(done),
+            quarantined=tuple(quarantined),
+        )
+        if out_dir is not None:
+            manifest = study_result.manifest()
+            manifest["journal"] = journal_summary = {
+                "cells_done": len(done),
+                "cached": sum(1 for c in done if c.cached),
+                "quarantined": len(quarantined),
+                "events": len(journal.events()) + 1,  # incl. end
+                "compacted": True,
+            }
+            if wl_cache is not None:
+                wl_after = cache_stats().as_dict()
+                manifest["workload_cache"] = {
+                    "root": str(wl_cache.root),
+                    **{k: wl_after[k] - wl_before[k] for k in wl_after},
+                }
+            atomic_write_text(
+                out_dir / f"{self.spec.name}-study.manifest.json",
+                json.dumps(manifest, indent=2) + "\n",
+            )
+            journal.append({"event": "end"})
+            # The manifest now carries the summary; fold the event log
+            # down to a single compacted marker.
+            journal.compact(journal_summary)
         return study_result
 
     def _load_cached(
         self,
-        out_dir: str | Path,
-        store: Any,
+        out_dir: Path,
         cell: StudyCell,
-        journal: StudyJournal | None,
+        journal: StudyJournal,
         quarantined: list[str],
     ) -> tuple[ExperimentResult | None, bool]:
         """Load one cell's cached archive, quarantining corruption.
@@ -491,33 +453,19 @@ class Study:
         the cell must (re)compute, and ``recovered`` is True when a
         corrupt archive was moved aside to ``<name>.corrupt`` — the
         half-written leftovers of a kill mid-write (or a bad disk)
-        must cost one recompute, never the whole sweep.  A configured
-        :class:`~repro.service.store.ResultStore` answers first
-        (transactional writes make its rows all-or-nothing — no
-        quarantine path needed); loose files remain a read fallback.
+        must cost one recompute, never the whole sweep.
         """
-        if store is not None:
-            result = store.get(cell.key)
-            if result is not None:
-                return result, False
         path = result_path(out_dir, self.spec.name, options_dict(cell.options))
         if not path.is_file():
             return None, False
         try:
             return load_result(path), False
-        except (ValueError, KeyError, TypeError) as exc:
-            quarantine = path.with_name(path.name + ".corrupt")
-            path.replace(quarantine)
-            print(
-                f"warning: quarantined corrupt cached result {path.name} "
-                f"-> {quarantine.name} ({exc}); re-running cell",
-                file=sys.stderr,
-            )
+        except (ValueError, KeyError, TypeError):
+            quarantine(path, "cached result")
             quarantined.append(cell.key)
-            if journal is not None:
-                journal.append({
-                    "event": "quarantine",
-                    "key": cell.key,
-                    "file": path.name,
-                })
+            journal.append({
+                "event": "quarantine",
+                "key": cell.key,
+                "file": path.name,
+            })
             return None, True

@@ -61,8 +61,8 @@ class Table:
         """Rows as header-keyed dicts, in insertion order.
 
         The single row-to-dict implementation:
-        :meth:`repro.results.ResultSection.records` (and through it the
-        JSONL writer and study flattening) delegates here.
+        :meth:`repro.results.ResultSection.records` (and through it
+        study flattening) delegates here.
         """
         return [dict(zip(self.headers, row)) for row in self.rows]
 

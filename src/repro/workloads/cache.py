@@ -36,8 +36,8 @@ writers of the same key race to one winner, and the losers adopt the
 winner's artifact.  A crash at any point leaves only a ``.tmp.<pid>``
 directory that ``repro workloads gc`` can sweep.  Corrupt or torn
 artifacts (chaos-truncated manifests, short arrays) are quarantined to
-``<name>.corrupt`` and transparently resampled, mirroring the
-``study.py`` convention for torn result archives.
+``<name>.corrupt`` and transparently resampled, by the same
+:func:`repro.results.quarantine` that handles torn study archives.
 
 Invalidation is by construction: the spec hashed into the key carries
 :data:`repro.extensions.families.SAMPLER_VERSION`, so any change to the
@@ -51,7 +51,6 @@ import hashlib
 import json
 import os
 import shutil
-import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -67,7 +66,7 @@ from repro.extensions.families import (
     sample_scenario_workload,
     split_scenario,
 )
-from repro.results import canonical_json
+from repro.results import canonical_json, quarantine
 from repro.util.faults import decode_fault_sets, encode_fault_sets
 
 __all__ = [
@@ -392,26 +391,12 @@ class WorkloadCache:
                     canonical_json(art.spec) != canonical_json(dict(spec)):
                 raise ValueError("artifact spec does not match key")
         except (ValueError, KeyError, OSError, json.JSONDecodeError):
-            self._quarantine(path)
+            # Moved aside, so the caller resamples.
+            _ATTACHED.pop(str(path.resolve()), None)
+            quarantine(path, "workload artifact")
+            _STATS.quarantined += 1
             return None
         return art
-
-    def _quarantine(self, path: Path) -> None:
-        """Move a corrupt artifact aside (``<name>.corrupt``), so the
-        next fetch resamples — mirroring the study archive convention."""
-        _ATTACHED.pop(str(path.resolve()), None)
-        target = path.with_name(path.name + ".corrupt")
-        if target.exists():
-            shutil.rmtree(target, ignore_errors=True)
-        try:
-            path.rename(target)
-        except OSError:
-            shutil.rmtree(path, ignore_errors=True)
-        _STATS.quarantined += 1
-        print(
-            f"warning: quarantined corrupt workload artifact {path.name}; "
-            "re-sampling", file=sys.stderr,
-        )
 
     # -- publish ----------------------------------------------------------
 

@@ -278,7 +278,7 @@ class TestAtomicWrites:
     def test_no_temp_files_left_behind(self, tmp_path):
         result = run_experiment("e1", sizes=(16,), workloads=("balanced",),
                                 trials=4)
-        save_result(result, tmp_path, formats=("json", "jsonl", "csv", "txt"))
+        save_result(result, tmp_path, formats=("json", "csv"))
         leftovers = [p.name for p in tmp_path.iterdir() if ".tmp." in p.name]
         assert leftovers == []
         loaded = load_result(tmp_path / f"e1-{result.key}.json")

@@ -35,7 +35,6 @@ from repro.results import (
     result_key,
     save_result,
     write_csv,
-    write_jsonl,
 )
 from repro.study import Study, derive_cell_seed
 from repro.util.tables import Table
@@ -136,15 +135,6 @@ class TestResultRecords:
 
 
 class TestWriters:
-    def test_jsonl_one_line_per_row(self, tiny_results, tmp_path):
-        result = tiny_results["e2"]
-        path = write_jsonl(result, tmp_path / "e2.jsonl")
-        lines = [json.loads(line) for line in
-                 path.read_text().splitlines()]
-        assert len(lines) == sum(len(s.rows) for s in result.sections)
-        assert all(line["experiment"] == "e2" for line in lines)
-        assert all(line["key"] == result.key for line in lines)
-
     def test_csv_per_section(self, tiny_results, tmp_path):
         result = tiny_results["e2"]  # two sections
         paths = write_csv(result, tmp_path / "e2.csv")
@@ -154,13 +144,10 @@ class TestWriters:
 
     def test_save_result_formats(self, tiny_results, tmp_path):
         result = tiny_results["e1"]
-        paths = save_result(result, tmp_path,
-                            formats=("json", "jsonl", "csv", "txt"))
-        assert {p.suffix for p in paths} == {".json", ".jsonl", ".csv", ".txt"}
+        paths = save_result(result, tmp_path, formats=("json", "csv"))
+        assert {p.suffix for p in paths} == {".json", ".csv"}
         stem = f"e1-{result.key}"
         assert all(p.name.startswith(stem) for p in paths)
-        txt = next(p for p in paths if p.suffix == ".txt")
-        assert txt.read_text() == result.render() + "\n"
 
     def test_load_rejects_foreign_schema(self, tmp_path):
         path = tmp_path / "bad.json"

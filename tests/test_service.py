@@ -3,8 +3,9 @@
 Layer by layer, then end to end:
 
 * :class:`ResultStore` — put/get round trips, idempotent duplicate
-  puts, the conflict error naming its key, store location rules,
-  legacy-tree import.
+  puts, the conflict error naming its key, store location rules, the
+  version gate, databases with the older ten-column table, and
+  ``repro migrate-archive`` over a tree of loose archives.
 * :class:`JobQueue` — FIFO leasing, 429 backpressure at the bound,
   in-flight coalescing by ``result_key``, history trimming.
 * :class:`Daemon` — store-first serving, execution, failure isolation.
@@ -23,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import sqlite3
 import threading
 import time
 import urllib.error
@@ -32,6 +34,8 @@ from dataclasses import dataclass
 import pytest
 
 from golden_opts import GOLDEN_OPTS
+from repro import __version__
+from repro.cli import main
 from repro.experiments.registry import (
     _REGISTRY,
     experiment,
@@ -49,13 +53,22 @@ from repro.service import (
 from repro.service.api import ExperimentService
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.store import STORE_FILENAME, locate_store
+from repro.study import Study
 from repro.util.tables import Table
+from repro.workloads import ENV_VAR, detach_artifacts
 
 E1_TINY = dict(sizes=(16,), workloads=("balanced",), trials=6, seed=11)
 
 
 def tiny_e1(**overrides):
     return run_experiment("e1", **{**E1_TINY, **overrides})
+
+
+def with_version(result, version: str):
+    """``result`` as if another package version had computed it."""
+    return dataclasses.replace(
+        result, meta=dataclasses.replace(result.meta, version=version)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -171,10 +184,6 @@ class TestResultStore:
             stats = store.stats()
             assert stats["results"] == 2
             assert stats["by_experiment"] == {"e1": 2}
-            rows = store.query("e1")
-            assert {r["result_key"] for r in rows} == {a.key, b.key}
-            assert store.query("e9") == []
-            assert set(store.keys()) == {a.key, b.key}
 
     def test_locate_store(self, tmp_path):
         db = tmp_path / "x.sqlite3"
@@ -198,6 +207,99 @@ class TestResultStore:
             assert report.corrupt_files == [str(tree / "broken.json")]
             assert "imported=1" in report.summary()
             assert store.stats()["results"] == 2
+
+    def test_import_tree_counts_other_versions_as_stale(self, tmp_path):
+        tree = tmp_path / "loose"
+        current, old = tiny_e1(seed=5), with_version(tiny_e1(seed=6), "1.6.0")
+        save_result(current, tree)
+        save_result(old, tree)
+        with ResultStore(tmp_path / "s.sqlite3") as store:
+            report = store.import_tree(tree)
+            assert (report.imported, report.stale, report.corrupt) \
+                == (1, 1, 0)
+            assert "stale=1" in report.summary()
+            assert current.key in store
+            assert old.key not in store
+
+    def test_rows_of_another_version_are_invisible(self, tmp_path):
+        result = tiny_e1(seed=7)
+        with ResultStore(tmp_path / "s.sqlite3") as store:
+            assert store.put(with_version(result, "1.6.0")) is True
+            assert result.key not in store
+            assert store.get(result.key) is None
+            # A put of the current computation replaces the stale row.
+            assert store.put(result) is True
+            assert store.get(result.key).meta.version == __version__
+            assert store.put(result) is False
+            assert store.stats()["results"] == 1
+
+    def test_ten_column_table_still_works(self, tmp_path):
+        """A database created with the earlier ten-column table, which
+        also held backend, jobs, wall time, retries and creation time:
+        the narrower inserts leave those columns to their defaults."""
+        db = tmp_path / "old.sqlite3"
+        held, fresh = tiny_e1(seed=8), tiny_e1(seed=9)
+        conn = sqlite3.connect(db)
+        conn.executescript("""
+            CREATE TABLE results (
+                result_key   TEXT PRIMARY KEY,
+                experiment   TEXT NOT NULL,
+                payload      TEXT NOT NULL,
+                document     TEXT NOT NULL,
+                backend      TEXT,
+                jobs         INTEGER,
+                wall_time_s  REAL,
+                retries      INTEGER NOT NULL DEFAULT 0,
+                version      TEXT,
+                created_unix REAL
+            );
+            CREATE INDEX results_by_experiment ON results(experiment);
+        """)
+        conn.execute(
+            "INSERT INTO results VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+            (held.key, "e1", held.payload_json(),
+             json.dumps(held.to_json_dict()), "serial", None, 0.1, 0,
+             __version__, 1.0),
+        )
+        conn.commit()
+        conn.close()
+        with ResultStore(db) as store:
+            assert store.get(held.key).payload_json() == held.payload_json()
+            assert store.put(held) is False
+            assert store.put(fresh) is True
+            assert store.stats()["results"] == 2
+            assert store.stats()["by_experiment"] == {"e1": 2}
+
+
+class TestMigrateArchive:
+    def test_study_and_workload_cached_run(self, tmp_path, monkeypatch,
+                                           capsys):
+        """``repro migrate-archive`` over a tree that also holds JSON
+        which is not a result: a study's manifest and the workload
+        artifacts of an ``--out`` run with the workload cache on."""
+        tree = tmp_path / "results"
+        study = Study("e1", {"gamma": [2.0, 3.0]}, trials=6, sizes=(16,),
+                      workloads=("balanced",)).run(out_dir=tree / "sweep")
+        monkeypatch.setenv(ENV_VAR, str(tree / "wl"))
+        try:
+            assert main(["experiment", "e10", "--set", "n=48",
+                         "--set", "trials=12", "--set", "async_sizes=16,32",
+                         "--out", str(tree / "ci")]) == 0
+        finally:
+            detach_artifacts()
+        assert len(list((tree / "wl").glob("*/manifest.json"))) > 0
+        capsys.readouterr()
+
+        assert main(["migrate-archive", str(tree)]) == 0
+        out = capsys.readouterr().out
+        assert "imported=3 skipped=0 stale=0 corrupt=0 conflicts=0" in out
+        with ResultStore(tree / STORE_FILENAME) as store:
+            for cell in study.cells:
+                assert store.get(cell.key).payload_json() \
+                    == cell.result.payload_json()
+        assert main(["migrate-archive", str(tree)]) == 0
+        assert "imported=0 skipped=3 stale=0 corrupt=0 conflicts=0" \
+            in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +484,27 @@ class TestServiceHTTP:
         assert again["id"] is None
         assert client.result(again["key"]) == doc
         assert service.daemon.stats()["executed"] == executed_before
+
+    def test_row_of_another_version_is_recomputed(self, service):
+        """DESIGN.md §7's version gate holds in the store: a row another
+        package version wrote is not a cache hit; resubmitting its cell
+        executes, replaces the row, and only then is served cached."""
+        fresh = tiny_e1(seed=13)
+        service.store.put(with_version(fresh, "1.6.0"))
+        client = ServiceClient(service.url)
+        first = client.submit("e1", {**E1_TINY, "seed": 13})
+        assert first["key"] == fresh.key
+        assert first["cached"] is False and first["id"] is not None
+        assert client.wait(first)["state"] == "done"
+        assert service.daemon.stats()["executed"] == 1
+        doc = client.result(fresh.key)
+        assert doc["meta"]["version"] == __version__
+        assert _stripped(doc) == _stripped(fresh.to_json_dict())
+        assert service.store.get(fresh.key).meta.version == __version__
+        again = client.submit("e1", {**E1_TINY, "seed": 13})
+        assert again["status"] == "done" and again["cached"] is True
+        assert again["id"] is None
+        assert service.daemon.stats()["executed"] == 1
 
     def test_concurrent_identical_submissions_execute_once(
         self, service, stub
