@@ -52,6 +52,7 @@ from __future__ import annotations
 import argparse
 import ast
 import collections.abc
+import contextlib
 import dataclasses
 import json
 import os
@@ -64,14 +65,15 @@ from typing import Any, Sequence
 from repro.agents.plans import STRATEGY_NAMES, plan
 from repro.core.protocol import ProtocolConfig, run_protocol
 from repro.exec.backends import (
+    fault_policy,
     get_fault_policy,
     parse_max_retries,
     parse_shard_timeout,
-    set_fault_policy,
 )
 from repro.experiments import workloads
 from repro.experiments.registry import (
     ExperimentSpec,
+    check_counts,
     experiment_names,
     get_experiment,
     iter_experiments,
@@ -387,6 +389,7 @@ def _emit_result(result: ExperimentResult, fmt: str,
 def _cmd_experiment(args: argparse.Namespace) -> int:
     names = experiment_names() if args.name == "all" else [args.name]
     sweep = args.name == "all"
+    policy = None
     if args.shard_timeout is not None or args.max_retries is not None:
         # Flags arrive as raw strings: the shared validators reject
         # non-numeric, NaN and negative values with an error naming the
@@ -404,9 +407,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
                 )
                 if retries is not None:
                     policy_fields["max_retries"] = retries
-            set_fault_policy(
-                dataclasses.replace(get_fault_policy(), **policy_fields)
-            )
+            policy = dataclasses.replace(get_fault_policy(), **policy_fields)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -431,11 +432,16 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             spec = get_experiment(name)
             overrides = _coerce_overrides(spec, raw, skip_unknown=sweep)
             try:
-                runs.append((spec, spec.options_cls(**overrides)))
+                opts = spec.options_cls(**overrides)
             except TypeError as exc:
                 raise _OverrideError(
                     f"cannot build {spec.options_cls.__name__}: {exc}"
                 ) from exc
+            try:
+                check_counts(spec.name, opts)
+            except ValueError as exc:
+                raise _OverrideError(str(exc)) from exc
+            runs.append((spec, opts))
     except _OverrideError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -443,11 +449,15 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
     cache = active_cache()
     before = cache_stats().as_dict() if cache is not None else None
-    for spec, opts in runs:
-        result = spec.run(opts)
-        _emit_result(result, args.fmt, args.out)
-        if sweep:
-            print(_wall_time_summary(result), file=sys.stderr)
+    # The flags scope this command's runs only: nothing outlives main().
+    scope = (fault_policy(policy) if policy is not None
+             else contextlib.nullcontext())
+    with scope:
+        for spec, opts in runs:
+            result = spec.run(opts)
+            _emit_result(result, args.fmt, args.out)
+            if sweep:
+                print(_wall_time_summary(result), file=sys.stderr)
     if cache is not None:
         after = cache_stats().as_dict()
         delta = {k: after[k] - before[k] for k in after}

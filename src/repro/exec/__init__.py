@@ -12,8 +12,9 @@ One sharded, multi-core backend behind every fastpath front door:
   in place over shared memory).  ``run_plan`` output is byte-identical
   across backends, worker counts and shard layouts, and ``jobs`` is
   the only way a trial runs on more than one core.
-* :mod:`repro.exec.shm` / :mod:`repro.exec.reducers` — the zero-copy
-  shard transport and the shard-order merge of its scalar stubs.
+* :mod:`repro.exec.shm` — the zero-copy shard transport: one
+  shared-memory result segment per sharded plan, and the shard-order
+  merge of the workers' scalar stubs.
 * :mod:`repro.exec.pool` — the process pool the parallel backend
   shards over, parked and reused across runs (and across the
   experiment service's jobs; ``prewarm``/``warm_pool_stats``).
@@ -37,7 +38,6 @@ from repro.exec.backends import (
     parse_shard_timeout,
     resolve_backend,
     run_plan,
-    set_fault_policy,
 )
 from repro.exec.chaos import ChaosConfig, ShardChaos, chaos_enabled
 from repro.exec.plan import (
@@ -59,7 +59,7 @@ from repro.exec.pool import (
     shutdown_warm_pool,
     warm_pool_stats,
 )
-from repro.exec.reducers import merge_stubs
+from repro.exec.shm import merge_stubs
 
 __all__ = [
     "AUTO_ENGINE",
@@ -88,7 +88,6 @@ __all__ = [
     "resolve_backend",
     "resolve_engine",
     "run_plan",
-    "set_fault_policy",
     "shard_size_hint",
     "shutdown_warm_pool",
     "warm_pool_stats",

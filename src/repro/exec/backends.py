@@ -11,8 +11,8 @@
     The plan is cut into trial shards at multiples of its
     ``shard_quantum`` and fanned over a process pool of ``jobs``
     workers; per-shard seeds are the corresponding slices of the plan's
-    seed spine, and shard results stream back through
-    :mod:`repro.exec.reducers` in shard-index order.  Because shard
+    seed spine, and the shards' scalar stubs merge in shard-index order
+    (:func:`repro.exec.shm.merge_stubs`).  Because shard
     boundaries respect the engines' stream quantum, the merged result
     is byte-identical to the serial backend at any ``jobs`` — the
     backend choice is pure mechanics, never part of a result's
@@ -82,7 +82,6 @@ from repro.exec.pool import (
     kill_pool as _kill_pool,
     release_pool as _release_pool,
 )
-from repro.exec.reducers import merge_stubs
 from repro.extensions.async_gossip import (
     AsyncBatchResult,
     async_min_ticks,
@@ -115,7 +114,6 @@ __all__ = [
     "parse_shard_timeout",
     "resolve_backend",
     "run_plan",
-    "set_fault_policy",
 ]
 
 BACKENDS = ("auto", "serial", "parallel")
@@ -241,16 +239,6 @@ _DEFAULT_POLICY = FaultPolicy()
 _policy_override: FaultPolicy | None = None
 
 
-def set_fault_policy(policy: FaultPolicy | None) -> None:
-    """Set the process-wide fault policy (``None`` restores defaults).
-
-    The CLI's ``--shard-timeout``/``--max-retries`` flags land here;
-    per-call overrides go through ``run_plan(..., policy=...)``.
-    """
-    global _policy_override
-    _policy_override = policy
-
-
 def parse_shard_timeout(raw: str, source: str) -> float | None:
     """Parse a shard-timeout value from ``source`` (an env var or CLI
     flag name, used verbatim in the error).
@@ -307,7 +295,7 @@ def parse_max_retries(raw: str, source: str) -> int | None:
 def get_fault_policy() -> FaultPolicy:
     """The active fault policy.
 
-    Priority: :func:`set_fault_policy` override, then the
+    Priority: the innermost :func:`fault_policy` scope, then the
     ``REPRO_SHARD_TIMEOUT`` / ``REPRO_MAX_RETRIES`` environment knobs,
     then the defaults (no timeout, 2 retries).  Malformed knobs raise
     ``ValueError`` naming the variable and the accepted form — never a
@@ -338,13 +326,19 @@ def get_fault_policy() -> FaultPolicy:
 
 @contextmanager
 def fault_policy(policy: FaultPolicy) -> Iterator[FaultPolicy]:
-    """Scoped :func:`set_fault_policy` (restores the previous policy)."""
+    """Run the block under ``policy``, then restore the previous one.
+
+    The one way to set a policy from code; ``repro experiment``'s
+    ``--shard-timeout``/``--max-retries`` flags open one around the
+    command's runs.
+    """
+    global _policy_override
     previous = _policy_override
-    set_fault_policy(policy)
+    _policy_override = policy
     try:
         yield policy
     finally:
-        set_fault_policy(previous)
+        _policy_override = previous
 
 
 @dataclass
@@ -387,17 +381,16 @@ def run_plan(
     *,
     backend: str = "auto",
     jobs: int | None = None,
-    policy: FaultPolicy | None = None,
 ) -> Any:
     """Execute a compiled plan and return its engine's batch result.
 
-    ``jobs`` is the worker count; ``policy`` overrides the
-    process-wide :func:`get_fault_policy` for this run.  Results are
-    deterministic in the plan alone — no backend, job count, shard
-    layout or fault recovery leaks into them.
+    ``jobs`` is the worker count; shards run under the active
+    :func:`get_fault_policy`.  Results are deterministic in the plan
+    alone — no backend, job count, shard layout or fault recovery
+    leaks into them.
     """
     backend, jobs = resolve_backend(backend, jobs)
-    policy = policy if policy is not None else get_fault_policy()
+    policy = get_fault_policy()
     start = time.perf_counter()
     shards = 1
     workers = 1
@@ -473,15 +466,15 @@ class _ShmTransport:
     """The zero-copy channel (DESIGN.md §9).
 
     The parent allocates one result segment sized for the *merged*
-    result and one control segment holding the layout plus every
-    shard's pickled sub-plan; workers attach by name, write their
-    ``[lo, hi)`` slice of each array in place and return only a scalar
-    stub.  ``finish`` merges the stubs and builds the result over
-    full-length views of the segment — the arrays are never copied or
-    concatenated — then unlinks both segments (the parent's mapping
-    outlives the unlink).  ``close`` is idempotent and called on every
-    exit path, so no code path can leak a ``/dev/shm`` entry past the
-    run.
+    result and pickles every shard's sub-plan once; each pool task
+    carries its shard's plan bytes, ``[lo, hi)`` window and the
+    layout.  Workers attach the segment by name, write their slice of
+    each array in place and return only a scalar stub.  ``finish``
+    merges the stubs and builds the result over full-length views of
+    the segment — the arrays are never copied or concatenated — then
+    unlinks it (the parent's mapping outlives the unlink).  ``close``
+    is idempotent and called on every exit path, so no code path can
+    leak a ``/dev/shm`` entry past the run.
     """
 
     name = "shm"
@@ -491,27 +484,19 @@ class _ShmTransport:
         self._cls = cls
         self._bounds = bounds
         self._shard_plans = shard_plans
+        # Pickled once: a retry or pool respawn resends these bytes.
+        self._blobs = [pickle.dumps(p, protocol=pickle.HIGHEST_PROTOCOL)
+                       for p in shard_plans]
         self._layout = shm_transport.plan_layout(cls, plan.n_trials)
         self._stubs: dict[int, dict[str, Any]] = {}
-        self._closed = False
         self._data = shm_transport.OwnedSegment(self._layout.size)
-        try:
-            blob = shm_transport.pack_control(
-                self._layout, bounds,
-                [pickle.dumps(p, protocol=pickle.HIGHEST_PROTOCOL)
-                 for p in shard_plans],
-            )
-            self._ctrl = shm_transport.OwnedSegment(len(blob))
-            self._ctrl.write(blob)
-        except BaseException:
-            self._data.unlink()
-            raise
         self._views = self._layout.views(self._data.shm)
 
     def task(self, idx: int,
              spec: "chaos.ShardChaos | None") -> tuple[Any, Any]:
+        lo, hi = self._bounds[idx]
         return _compute_shard_shm, (
-            self._ctrl.name, self._data.name, idx, spec
+            self._blobs[idx], lo, hi, self._layout, self._data.name, spec
         )
 
     def absorb(self, idx: int, value: Any) -> None:
@@ -526,7 +511,7 @@ class _ShmTransport:
         self._stubs[idx] = shm_transport.scalar_stub(result)
 
     def finish(self, n_shards: int) -> Any:
-        stub = merge_stubs(
+        stub = shm_transport.merge_stubs(
             [self._stubs[i] for i in range(n_shards)], self._cls
         )
         result = shm_transport.build_batch(self._cls, stub, self._views)
@@ -538,37 +523,28 @@ class _ShmTransport:
         return result
 
     def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            self._ctrl.unlink()
-            self._data.unlink()
+        self._data.unlink()
 
 
 def _compute_shard_shm(
-    args: tuple[str, str, int, "chaos.ShardChaos | None"]
+    args: tuple[bytes, int, int, shm_transport.ResultLayout, str,
+                "chaos.ShardChaos | None"]
 ) -> dict[str, Any]:
     """Pool worker (shm transport): compute a shard and write it in place.
 
-    The task travels as two segment names plus a shard index: the
-    worker reads its sub-plan out of the control segment (pickled once
-    by the parent, re-read on every retry), computes it, writes every
-    result array's ``[lo, hi)`` slice into the data segment and returns
-    only the scalar stub.  Segment attachments are cached per worker
-    process and deregistered from the worker's resource tracker — the
-    parent alone owns cleanup.
+    The task carries the shard's pickled sub-plan, its ``[lo, hi)``
+    window, the result layout and the data segment's name: the worker
+    computes the sub-plan, writes every result array's slice into the
+    segment and returns only the scalar stub.  The segment attachment
+    is cached per worker process and deregistered from the worker's
+    resource tracker — the parent alone owns cleanup.
     """
-    ctrl_name, data_name, shard_index, spec = args
-    ctrl = shm_transport.attached("ctrl", ctrl_name)
-    header = shm_transport.read_control_header(ctrl.buf)
-    shard_plan = shm_transport.read_control_plan(
-        ctrl.buf, header, shard_index
-    )
+    blob, lo, hi, layout, data_name, spec = args
+    shard_plan = pickle.loads(blob)
     if spec is not None:
         spec.apply()
     result = _compute(shard_plan)
-    data = shm_transport.attached("data", data_name)
-    views = header["layout"].views(data)
-    lo, hi = header["bounds"][shard_index]
+    views = layout.views(shm_transport.attached(data_name))
     shm_transport.export_batch(result, views, lo, hi, fault=spec)
     return shm_transport.scalar_stub(result)
 
@@ -769,7 +745,6 @@ def _compute_honest(plan: ExecutionPlan) -> FastBatchResult:
             opt["colors"], seeds, gamma=opt["gamma"],
             faulty=opt["faulty_list"],
             seed_parity=(plan.engine == "batch-parity"),
-            max_chunk_elements=opt["max_chunk_elements"],
         )
     runs = [
         _agent_run(opt["colors"], opt["gamma"], f, s)

@@ -143,8 +143,8 @@ class ExecutionPlan:
     def __getstate__(self):
         # Cached-workload plans pickle *without* their CSR bytes: shard
         # workers re-attach the memory-mapped artifact through the
-        # workload ref, so the control segment carries ~100 bytes per
-        # shard instead of every neighbour array.  The in-memory copy
+        # workload ref, so a shard's pool task carries ~100 bytes of
+        # ref instead of every neighbour array.  The in-memory copy
         # survives in the parent (slices are fresh dataclass instances),
         # keeping the serial-degrade fallback intact.
         state = dict(self.__dict__)
@@ -182,7 +182,7 @@ _PER_AGENT_TRIAL_COST_S: dict[tuple[str, str], float] = {
 }
 
 #: Target wall-clock per shard.  Large enough that per-shard overhead
-#: (task dispatch, one control-block unpickle) stays under ~1%, small
+#: (task dispatch, one sub-plan unpickle) stays under ~1%, small
 #: enough that the retry unit after a worker crash or timeout is cheap
 #: and the pool load-balances across unequal cores.
 _TARGET_SHARD_S = 0.2
@@ -228,7 +228,6 @@ def compile_honest_plan(
     gamma: float = 3.0,
     faulty: frozenset[int] | Iterable[frozenset[int]] | None = frozenset(),
     engine: str = "auto",
-    max_chunk_elements: int | None = None,
 ) -> ExecutionPlan:
     """Compile one honest-run workload (the ``run_trials_fast`` inputs)."""
     resolved = resolve_engine("honest", engine)
@@ -245,7 +244,6 @@ def compile_honest_plan(
             "colors": colors,
             "gamma": float(gamma),
             "faulty_list": faulty_list,
-            "max_chunk_elements": max_chunk_elements,
         },
         shard_quantum=quantum,
     )

@@ -1,20 +1,17 @@
 """Zero-copy shared-memory transport for the parallel backend.
 
-The sharded backend used to pay for parallelism twice at every shard
-boundary: the sub-plan pickled into the worker, and the shard's whole
-struct-of-arrays result pickled back out and concatenated by the
-reducer.  This module removes both round-trips:
+A shard's struct-of-arrays result never pickles back through the pool
+pipe:
 
-* **One control segment per run** holds the pickled sub-plans (each
-  shard's slice pickled exactly once, so retries and pool respawns
-  re-read bytes instead of re-pickling) plus the result layout.
 * **One result segment per run** holds the merged result's trial-axis
   tensors, laid out field by field.  Workers attach by name and write
   their shard's ``[lo, hi)`` slice of every array *in place*; only a
-  tiny scalar stub (``n``, ``colors``, ``rounds``, ...) travels back
-  through the pool pipe.  The final merge is **zero-copy**: the merged
-  arrays are NumPy views over the parent's own mapping of the segment
-  — no concatenation, no second copy (``repro.exec.reducers``).
+  tiny scalar stub (``n``, ``colors``, ``rounds``, ...) travels back.
+* **The stub format** lives here too: :func:`scalar_stub` cuts a
+  shard's stub, :func:`merge_stubs` folds the shards' stubs in
+  shard-index order, and :func:`build_batch` rebuilds the merged
+  result over full-length NumPy views of the parent's own mapping of
+  the segment — no concatenation, no second copy.
 
 Which arrays exist at what dtype is declared by the batch-result
 classes themselves via the **out-buffer protocol**: a class-level
@@ -24,7 +21,7 @@ classes themselves via the **out-buffer protocol**: a class-level
 
 Ownership and unlink contract (DESIGN.md §9)
 --------------------------------------------
-The **parent owns both segments, exclusively**.  Workers attach by
+The **parent owns the segment, exclusively**.  Workers attach by
 name, immediately deregister the attachment from their resource
 tracker (the parent's registration is the only one), and never unlink.
 The parent unlinks on *every* exit path — success, worker crash, shard
@@ -45,7 +42,6 @@ degradation path) rewrites the full slice.
 from __future__ import annotations
 
 import os
-import pickle
 import secrets
 from dataclasses import dataclass, fields as _dc_fields
 from multiprocessing import resource_tracker, shared_memory
@@ -59,6 +55,7 @@ __all__ = [
     "batch_schema",
     "build_batch",
     "export_batch",
+    "merge_stubs",
     "plan_layout",
     "repo_segments",
     "retain",
@@ -95,7 +92,7 @@ class ResultLayout:
 
     ``slots`` maps the schema's dotted paths to ``(dtype string,
     byte offset)``; the layout is computed once by the parent and
-    shipped to workers through the control segment, so both sides
+    shipped to workers in every shard's pool task, so both sides
     address the same bytes.
     """
 
@@ -127,7 +124,7 @@ def plan_layout(cls: type, n_trials: int) -> ResultLayout:
 
 
 # ---------------------------------------------------------------------------
-# The out-buffer protocol: export / stub / rebuild
+# The out-buffer protocol: export / stub / merge / rebuild
 # ---------------------------------------------------------------------------
 
 def _get_path(result: Any, path: str) -> Any:
@@ -172,9 +169,8 @@ def export_batch(
 def scalar_stub(result: Any) -> dict[str, Any]:
     """The non-array fields of a batch result, nested as dicts.
 
-    This is all that travels back from a worker; the reducer
-    (:func:`repro.exec.reducers.merge_stubs`) cross-checks the stubs
-    across shards.
+    This is all that travels back from a worker;
+    :func:`merge_stubs` cross-checks the stubs across shards.
     """
     cls = type(result)
     array_names = {name for name, _ in getattr(cls, "ARRAY_FIELDS", ())}
@@ -188,6 +184,53 @@ def scalar_stub(result: Any) -> dict[str, Any]:
             scalar_stub(value) if field.name in nested else value
         )
     return stub
+
+
+def _merge_field(name: str, values: list[Any]) -> Any:
+    first = values[0]
+    if name == "n_trials":
+        return int(sum(values))
+    for index, value in enumerate(values[1:], start=1):
+        if value != first:
+            raise ValueError(
+                f"shards disagree on field {name!r}: shard 0 has "
+                f"{first!r}, shard {index} has {value!r} — the shards "
+                "were cut from different workloads"
+            )
+    return first
+
+
+def merge_stubs(
+    stubs: list[Mapping[str, Any]], cls: type
+) -> dict[str, Any]:
+    """Merge per-shard scalar stubs of batch type ``cls``.
+
+    Folds in shard-index order: ``n_trials`` sums, nested batch
+    results recurse, and every other field must agree across shards —
+    a disagreement means the shards were cut from different workloads
+    and is an error, never silently resolved.  Because shard
+    boundaries sit on the plan's stream quantum, the merged result is
+    bit-identical to the serial backend's, independent of worker count
+    and of the order shards *complete* in.
+    """
+    if not stubs:
+        raise ValueError("no shards to merge")
+    names = list(stubs[0])
+    for index, stub in enumerate(stubs[1:], start=1):
+        if list(stub) != names:
+            raise ValueError(
+                f"cannot merge mixed shard types: shard 0 has fields "
+                f"{names}, shard {index} has {list(stub)}"
+            )
+    nested = dict(getattr(cls, "NESTED_BATCH_FIELDS", ()))
+    merged: dict[str, Any] = {}
+    for name in names:
+        values = [stub[name] for stub in stubs]
+        if name in nested:
+            merged[name] = merge_stubs(values, nested[name])
+        else:
+            merged[name] = _merge_field(name, values)
+    return merged
 
 
 def build_batch(
@@ -259,15 +302,8 @@ class OwnedSegment:
         return self._shm.name
 
     @property
-    def buf(self) -> memoryview:
-        return self._shm.buf
-
-    @property
     def shm(self) -> shared_memory.SharedMemory:
         return self._shm
-
-    def write(self, payload: bytes, offset: int = 0) -> None:
-        self._shm.buf[offset:offset + len(payload)] = payload
 
     def unlink(self) -> None:
         if self._linked:
@@ -295,26 +331,26 @@ def retain(segment: "OwnedSegment") -> None:
 
 
 # Worker-side attach cache: pool workers are long-lived, so one run's
-# segments are attached once per worker, not once per shard.  Keyed by
-# segment name; a task naming a different segment evicts the old one
-# (its per-task views are gone by then, so the close cannot fail).
-_attached: dict[str, tuple[str, Any]] = {}
+# result segment is attached once per worker, not once per shard.  A
+# task naming a different segment evicts the old one (its per-task
+# views are gone by then, so the close cannot fail).
+_attached: tuple[str, shared_memory.SharedMemory] | None = None
 
 
-def attached(kind: str, name: str) -> shared_memory.SharedMemory:
+def attached(name: str) -> shared_memory.SharedMemory:
     """Attach (or reuse) the named segment inside a pool worker."""
-    cached = _attached.get(kind)
-    if cached is not None and cached[0] == name:
-        return cached[1]
-    if cached is not None:
+    global _attached
+    if _attached is not None:
+        if _attached[0] == name:
+            return _attached[1]
         try:
-            cached[1].close()
+            _attached[1].close()
         except BufferError:
             # A live export view (shouldn't happen between tasks);
             # dropping the reference still frees it with the process.
             pass
     shm = _attach_untracked(name)
-    _attached[kind] = (name, shm)
+    _attached = (name, shm)
     return shm
 
 
@@ -333,50 +369,3 @@ def repo_segments() -> list[str]:
         if entry.startswith(SEGMENT_PREFIX)
     )
 
-
-# ---------------------------------------------------------------------------
-# Control segment: pickled sub-plans + layout, readable by shard index
-# ---------------------------------------------------------------------------
-
-_HEADER_LEN_BYTES = 8
-
-
-def pack_control(
-    layout: ResultLayout,
-    bounds: list[tuple[int, int]],
-    plan_pickles: list[bytes],
-) -> bytes:
-    """Serialise the run's control block.
-
-    Layout: ``[8-byte header length][pickled header][plan 0][plan 1]…``
-    — the header carries each plan's span, so a worker unpickles *only*
-    its shard's bytes.
-    """
-    spans = []
-    offset = 0
-    for blob in plan_pickles:
-        spans.append((offset, len(blob)))
-        offset += len(blob)
-    header = pickle.dumps(
-        {"layout": layout, "bounds": list(bounds), "spans": spans},
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
-    prefix = len(header).to_bytes(_HEADER_LEN_BYTES, "big")
-    return b"".join([prefix, header, *plan_pickles])
-
-
-def read_control_header(buf: memoryview) -> dict[str, Any]:
-    """Parse the header of a control segment (worker side)."""
-    header_len = int.from_bytes(bytes(buf[:_HEADER_LEN_BYTES]), "big")
-    start = _HEADER_LEN_BYTES
-    header = pickle.loads(buf[start:start + header_len])
-    header["plans_offset"] = start + header_len
-    return header
-
-
-def read_control_plan(buf: memoryview, header: Mapping[str, Any],
-                      shard_index: int) -> Any:
-    """Unpickle shard ``shard_index``'s sub-plan from the control block."""
-    offset, length = header["spans"][shard_index]
-    start = header["plans_offset"] + offset
-    return pickle.loads(buf[start:start + length])

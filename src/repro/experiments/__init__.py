@@ -28,7 +28,6 @@ E10          conclusions — other graphs; sequential GOSSIP
 from repro.experiments import workloads
 from repro.experiments.dispatch import (
     AsyncBatchResult,
-    choose_engine,
     run_async_trials_fast,
     run_deviation_trials_fast,
     run_graph_trials_fast,
@@ -46,7 +45,6 @@ from repro.experiments.registry import (
 __all__ = [
     "AsyncBatchResult",
     "ExperimentSpec",
-    "choose_engine",
     "experiment",
     "experiment_names",
     "get_experiment",

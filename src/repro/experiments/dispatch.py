@@ -50,12 +50,11 @@ message-level engine for the sequential model; the scalar tick loop
 *is* the reference tier).  See
 DESIGN.md §8 for both fidelity contracts.
 
-Backends and ``jobs``
----------------------
-Every front door also takes ``backend`` (``"auto"``/``"serial"``/
-``"parallel"``) and ``jobs``: with ``jobs > 1`` every tier shards its
-trials across a process pool, byte-identically to the serial run
-(DESIGN.md §9).
+``jobs``
+--------
+Every front door also takes ``jobs``: with ``jobs > 1`` every tier
+shards its trials across a process pool, byte-identically to the
+serial run (DESIGN.md §9).
 """
 
 from __future__ import annotations
@@ -77,31 +76,11 @@ from repro.fastpath.strategies import StrategyBatchResult
 
 __all__ = [
     "AsyncBatchResult",
-    "choose_engine",
     "run_async_trials_fast",
     "run_deviation_trials_fast",
     "run_graph_trials_fast",
     "run_trials_fast",
 ]
-
-
-def choose_engine(
-    n: int,
-    n_trials: int,
-    gamma: float = 3.0,
-    max_chunk_elements: int | None = None,
-) -> str:
-    """The honest-workload ``auto`` routing policy, exposed for tests.
-
-    Currently unconditional: the statistical batch engine dominates the
-    per-trial tiers on both wall-clock and peak memory at every
-    (n, trials) the guards admit.  The actual table lives
-    in :data:`repro.exec.plan.AUTO_ENGINE`; this wrapper survives for
-    callers that want the policy without compiling a plan.
-    """
-    from repro.exec.plan import AUTO_ENGINE
-
-    return AUTO_ENGINE["honest"]
 
 
 def run_trials_fast(
@@ -111,21 +90,18 @@ def run_trials_fast(
     gamma: float = 3.0,
     faulty: frozenset[int] | Iterable[frozenset[int]] | None = frozenset(),
     engine: str = "auto",
-    backend: str = "auto",
     jobs: int | None = None,
-    max_chunk_elements: int | None = None,
 ) -> FastBatchResult:
     """Run one honest-run Monte-Carlo workload on the chosen engine.
 
-    ``jobs``/``backend`` select the plan backend (sharded multi-core
-    at ``jobs > 1``).  Results are deterministic in ``seeds`` on every
-    engine and identical across backends and job counts.
+    ``jobs > 1`` shards the trials over that many worker processes.
+    Results are deterministic in ``seeds`` on every engine and
+    identical across job counts.
     """
     plan = compile_honest_plan(
         colors, seeds, gamma=gamma, faulty=faulty, engine=engine,
-        max_chunk_elements=max_chunk_elements,
     )
-    return run_plan(plan, backend=backend, jobs=jobs)
+    return run_plan(plan, jobs=jobs)
 
 
 def run_deviation_trials_fast(
@@ -138,7 +114,6 @@ def run_deviation_trials_fast(
     faulty: frozenset[int] = frozenset(),
     defenses: Defenses = FULL_DEFENSES,
     engine: str = "auto",
-    backend: str = "auto",
     jobs: int | None = None,
 ) -> StrategyBatchResult:
     """Run one paired honest/deviant Monte-Carlo workload.
@@ -163,7 +138,7 @@ def run_deviation_trials_fast(
         colors, seeds, strategy, members, gamma=gamma, faulty=faulty,
         defenses=defenses, engine=engine,
     )
-    return run_plan(plan, backend=backend, jobs=jobs)
+    return run_plan(plan, jobs=jobs)
 
 
 def run_graph_trials_fast(
@@ -174,7 +149,6 @@ def run_graph_trials_fast(
     gamma: float = 3.0,
     faulty: frozenset[int] | Iterable[frozenset[int]] | None = frozenset(),
     engine: str = "auto",
-    backend: str = "auto",
     jobs: int | None = None,
 ) -> GraphBatchResult:
     """Run one graph-restricted Monte-Carlo workload on the chosen engine.
@@ -198,7 +172,7 @@ def run_graph_trials_fast(
     plan = compile_graph_plan(
         graphs, colors, seeds, gamma=gamma, faulty=faulty, engine=engine,
     )
-    return run_plan(plan, backend=backend, jobs=jobs)
+    return run_plan(plan, jobs=jobs)
 
 
 def run_async_trials_fast(
@@ -208,7 +182,6 @@ def run_async_trials_fast(
     colors: Sequence[Hashable] | None = None,
     tick_budget_factor: float = 8.0,
     engine: str = "auto",
-    backend: str = "auto",
     jobs: int | None = None,
 ) -> AsyncBatchResult:
     """Run one sequential-model Monte-Carlo workload on the chosen engine.
@@ -222,4 +195,4 @@ def run_async_trials_fast(
         n, seeds, colors=colors, tick_budget_factor=tick_budget_factor,
         engine=engine,
     )
-    return run_plan(plan, backend=backend, jobs=jobs)
+    return run_plan(plan, jobs=jobs)

@@ -26,6 +26,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import importlib
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Mapping, Sequence
@@ -38,6 +39,7 @@ from repro.util.tables import Table
 __all__ = [
     "EXECUTION_FIELDS",
     "ExperimentSpec",
+    "check_counts",
     "experiment",
     "experiment_names",
     "get_experiment",
@@ -90,6 +92,22 @@ def options_dict(opts: Any) -> dict[str, Any]:
     for name in EXECUTION_FIELDS:
         out.pop(name, None)
     return out
+
+
+def check_counts(name: str, opts: Any) -> None:
+    """Reject trial and worker counts below one.
+
+    The one range check behind ``repro experiment``, ``POST /jobs`` and
+    every registered runner: ``trials`` must be >= 1 and ``jobs`` None
+    or >= 1.  The ``ValueError`` names the experiment, the field and
+    the value.
+    """
+    for field in ("trials", "jobs"):
+        value = getattr(opts, field, None)
+        if isinstance(value, numbers.Real) and value < 1:
+            raise ValueError(
+                f"{name}: option {field!r} must be >= 1, got {value!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -150,6 +168,7 @@ def experiment(
                 opts = options(**overrides)
             elif overrides:
                 opts = dataclasses.replace(opts, **overrides)
+            check_counts(name, opts)
             start = time.perf_counter()
             with collect_execution() as exec_records:
                 out = fn(opts)

@@ -33,8 +33,11 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Mapping
 
-from repro.exec.backends import FaultPolicy
-from repro.experiments.registry import get_experiment, options_dict
+from repro.experiments.registry import (
+    check_counts,
+    get_experiment,
+    options_dict,
+)
 from repro.results import result_key
 from repro.service.daemon import Daemon
 from repro.service.queue import JobQueue, QueueFull
@@ -83,6 +86,10 @@ def _resolve_submission(body: Mapping[str, Any]) -> tuple[str, dict, str]:
         raise _BadRequest(
             f"cannot build {spec.options_cls.__name__}: {exc}"
         ) from None
+    try:
+        check_counts(spec.name, opts)
+    except ValueError as exc:
+        raise _BadRequest(str(exc)) from None
     return spec.name, dict(overrides), result_key(spec.name,
                                                   options_dict(opts))
 
@@ -188,9 +195,9 @@ class ExperimentService:
         Bind address; ``port=0`` picks a free port (tests, benchmark).
     queue_size:
         Pending-queue bound (the 429 threshold).
-    jobs / policy:
+    jobs:
         Passed to the :class:`Daemon` (plan-backend workers per
-        executed job; fault policy around executions).
+        executed job).
     """
 
     def __init__(
@@ -201,15 +208,13 @@ class ExperimentService:
         port: int = 0,
         queue_size: int = 256,
         jobs: int | None = None,
-        policy: FaultPolicy | None = None,
         verbose: bool = False,
     ):
         self.store = (
             store if isinstance(store, ResultStore) else ResultStore(store)
         )
         self.queue = JobQueue(maxsize=queue_size)
-        self.daemon = Daemon(self.store, self.queue, jobs=jobs,
-                             policy=policy)
+        self.daemon = Daemon(self.store, self.queue, jobs=jobs)
         self.verbose = verbose
         self._httpd = _Server((host, port), _Handler)
         self._httpd.service = self  # type: ignore[attr-defined]

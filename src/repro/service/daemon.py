@@ -8,8 +8,9 @@ JobQueue`.  Per job, in order:
    immediately (``cached=True``) with zero execution.
 2. **Execution** — on a miss the experiment runs through the normal
    registry path, hence the exec-plan backend: shard fan-out, fault
-   recovery (the ambient or daemon-configured
-   :class:`~repro.exec.FaultPolicy`), and the *parked warm pool* — the
+   recovery (under the process's :class:`~repro.exec.FaultPolicy`,
+   which ``repro serve`` takes from ``REPRO_SHARD_TIMEOUT`` /
+   ``REPRO_MAX_RETRIES``), and the *parked warm pool* — the
    forkserver pool a parallel run leaves behind is reused by the next
    job instead of being respawned, so a busy daemon pays pool start-up
    once (``repro.exec.pool``; prewarmed at daemon start when ``jobs``
@@ -30,7 +31,6 @@ import threading
 import traceback
 from typing import Any
 
-from repro.exec.backends import FaultPolicy, fault_policy
 from repro.exec.pool import prewarm, warm_pool_stats
 from repro.service.queue import Job, JobQueue
 from repro.service.store import ResultStore
@@ -50,9 +50,6 @@ class Daemon:
         options (execution-only: never part of the result key).  When
         > 1 the process pool is prewarmed at :meth:`start` so the
         first job doesn't pay pool spawn latency.
-    policy:
-        Optional :class:`FaultPolicy` applied around every execution;
-        defaults to the ambient policy (env knobs included).
     poll_s:
         Lease timeout — how often the loop re-checks ``stop()``.
     """
@@ -63,13 +60,11 @@ class Daemon:
         queue: JobQueue,
         *,
         jobs: int | None = None,
-        policy: FaultPolicy | None = None,
         poll_s: float = 0.2,
     ):
         self.store = store
         self.queue = queue
         self.jobs = jobs
-        self.policy = policy
         self.poll_s = poll_s
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
@@ -143,11 +138,7 @@ class Daemon:
             f.name == "jobs" for f in spec.option_fields()
         ):
             opts = dataclasses.replace(opts, jobs=self.jobs)
-        if self.policy is not None:
-            with fault_policy(self.policy):
-                result = spec.run(opts)
-        else:
-            result = spec.run(opts)
+        result = spec.run(opts)
         if result.key != job.key:  # pragma: no cover - registry bug guard
             raise RuntimeError(
                 f"executed result key {result.key} != job key {job.key} "

@@ -283,17 +283,21 @@ class ResultStore:
         return row is not None
 
     def stats(self) -> dict[str, Any]:
-        """Store-level counters: total rows, per-experiment counts."""
-        conn = self._connection()
-        total = conn.execute("SELECT COUNT(*) AS n FROM results").fetchone()
-        per = conn.execute(
+        """Store-level counters: total rows, per-experiment counts.
+
+        Counts only rows of the running package version — the rows a
+        lookup would serve.
+        """
+        per = self._connection().execute(
             "SELECT experiment, COUNT(*) AS n FROM results "
-            "GROUP BY experiment ORDER BY experiment"
+            "WHERE version = ? GROUP BY experiment ORDER BY experiment",
+            (__version__,),
         ).fetchall()
+        by_experiment = {r["experiment"]: int(r["n"]) for r in per}
         return {
             "path": str(self.path),
-            "results": int(total["n"]),
-            "by_experiment": {r["experiment"]: int(r["n"]) for r in per},
+            "results": sum(by_experiment.values()),
+            "by_experiment": by_experiment,
         }
 
     # -- loose-archive import -----------------------------------------------

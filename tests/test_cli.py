@@ -169,6 +169,17 @@ class TestOverrideValidation:
         assert rc == 2
         assert "trials" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--trials", "--jobs"])
+    def test_counts_below_one_exit_2(self, flag, capsys, tmp_path):
+        out = tmp_path / "archive"
+        rc = main(["experiment", "e7", flag, "0", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert f"e7: option '{flag[2:]}' must be >= 1, got 0" \
+            in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_sequence_coercion(self, capsys):
         rc = main(["experiment", "e1", "--format", "json",
                    "--set", "sizes=16,24", "--set", "workloads=balanced",

@@ -10,7 +10,6 @@ import pytest
 
 from repro.core.defenses import Defenses
 from repro.experiments.dispatch import (
-    choose_engine,
     run_deviation_trials_fast,
     run_trials_fast,
 )
@@ -19,13 +18,6 @@ from tests.conftest import two_color_split
 
 
 class TestRouting:
-    def test_auto_prefers_batch(self):
-        assert choose_engine(256, 1000) == "batch"
-        assert choose_engine(64, 1) == "batch"
-        # Giant n stays on the batch engine too: its statistical mode
-        # never materialises per-pull tensors.
-        assert choose_engine(1 << 15, 10, max_chunk_elements=1000) == "batch"
-
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):
             run_trials_fast(two_color_split(8, 0.5), [1], engine="warp")

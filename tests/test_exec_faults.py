@@ -34,18 +34,18 @@ from repro.exec import (
     chaos_enabled,
     collect_execution,
     fault_policy,
+    get_fault_policy,
     merge_stubs,
     prewarm,
     resolve_backend,
     run_plan,
-    set_fault_policy,
     shutdown_warm_pool,
 )
 from repro.exec import chaos
 from repro.exec import pool as exec_pool
 from repro.exec.plan import compile_honest_plan
 from repro.exec.pool import available_cpus, default_workers
-from repro.exec.shm import scalar_stub
+from repro.exec.shm import OwnedSegment, scalar_stub
 from repro.experiments.dispatch import run_async_trials_fast, run_trials_fast
 from repro.experiments.registry import run_experiment
 from repro.experiments.workloads import balanced
@@ -65,10 +65,11 @@ needs_chaos_env = pytest.mark.skipif(
 
 
 @pytest.fixture(autouse=True)
-def _reset_fault_policy():
-    """Tests that set the process-wide policy must not leak it."""
+def _no_leaked_fault_policy():
+    """A policy is only ever set for a scope: none may outlive a test."""
+    before = get_fault_policy()
     yield
-    set_fault_policy(None)
+    assert get_fault_policy() == before
 
 
 def _fields_equal(a, b) -> bool:
@@ -397,8 +398,8 @@ class TestShardRecovery:
 # ---------------------------------------------------------------------------
 
 class TestShmLifecycle:
-    """The shm ownership contract (DESIGN.md §9): the parent owns both
-    segments and unlinks them on *every* path — normal completion,
+    """The shm ownership contract (DESIGN.md §9): the parent owns the
+    segment and unlinks it on *every* path — normal completion,
     worker SIGKILL (pre-compute and mid-write), shard timeout with pool
     respawn, serial degradation.  ``/dev/shm`` must end every run
     exactly as it started."""
@@ -479,6 +480,28 @@ class TestShmLifecycle:
         # Degraded shards were written into the segment by the parent
         # itself — same bytes as the pool path.
         assert _fields_equal(serial, recovered)
+
+    def test_sharded_run_allocates_one_segment(self, monkeypatch):
+        """Sub-plans travel in the pool tasks: a sharded plan needs
+        exactly one segment, the one its results are written into."""
+        made = []
+
+        def counted(size):
+            made.append(size)
+            return OwnedSegment(size)
+
+        monkeypatch.setattr("repro.exec.shm.OwnedSegment", counted)
+        before = self._segments()
+        plan = compile_honest_plan(self.COLORS, self.SEEDS,
+                                   engine="batch-parity")
+        with collect_execution() as records:
+            result = run_plan(plan, jobs=2)
+        (rec,) = records
+        assert rec.shards > 1
+        assert rec.transport == "shm"
+        assert len(made) == 1
+        assert self._segments() == before
+        assert _fields_equal(result, run_plan(plan))
 
     def test_shm_unavailable_runs_serially(self, monkeypatch):
         def no_shm(size):
@@ -762,7 +785,20 @@ class TestProcessLevelFaults:
 # ---------------------------------------------------------------------------
 
 class TestCliFaultFlags:
-    def test_flags_accepted(self, capsys):
+    def test_flags_accepted(self, capsys, monkeypatch):
+        """The flags govern the command's own runs, and nothing else:
+        the ambient policy is unchanged once ``main`` returns."""
+        import repro.experiments.dispatch as dispatch
+
+        seen = []
+        real_run_plan = dispatch.run_plan
+
+        def observed(plan, **kwargs):
+            seen.append(get_fault_policy())
+            return real_run_plan(plan, **kwargs)
+
+        monkeypatch.setattr(dispatch, "run_plan", observed)
+        before = get_fault_policy()
         rc = cli_main([
             "experiment", "e1", "--trials", "4", "--set", "sizes=16",
             "--set", "workloads=balanced",
@@ -770,10 +806,11 @@ class TestCliFaultFlags:
             "--format", "json",
         ])
         assert rc == 0
-        from repro.exec.backends import get_fault_policy
-
-        assert get_fault_policy().shard_timeout_s == 30.0
-        assert get_fault_policy().max_retries == 1
+        assert seen
+        for policy in seen:
+            assert policy.shard_timeout_s == 30.0
+            assert policy.max_retries == 1
+        assert get_fault_policy() == before
         doc = json.loads(capsys.readouterr().out)
         assert doc["experiment"] == "e1"
 

@@ -38,7 +38,7 @@ class TestSubpackagesImportClean:
         "repro.experiments.registry", "repro.results", "repro.study",
         "repro.extensions", "repro.cli", "repro.util",
         "repro.exec", "repro.exec.plan", "repro.exec.backends",
-        "repro.exec.reducers", "repro.exec.pool", "repro.exec.chaos",
+        "repro.exec.pool", "repro.exec.chaos",
     ])
     def test_import(self, module):
         mod = importlib.import_module(module)

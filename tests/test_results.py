@@ -99,6 +99,17 @@ class TestPerExperiment:
         assert loaded.key == result.key
         assert loaded.render() == result.render()
 
+    def test_counts_below_one_rejected(self, name):
+        # The registry's one range check, before anything runs: the
+        # error names the experiment, the field and the value.
+        spec = get_experiment(name)
+        opts = spec.options_cls(**GOLDEN_OPTS[name])
+        for field in ("trials", "jobs"):
+            with pytest.raises(ValueError) as err:
+                spec.run(opts, **{field: 0})
+            assert str(err.value).startswith(
+                f"{name}: option {field!r} must be >= 1, got 0")
+
     def test_metadata_populated(self, name, tiny_results):
         meta = tiny_results[name].meta
         assert meta.version

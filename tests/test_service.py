@@ -185,6 +185,22 @@ class TestResultStore:
             assert stats["results"] == 2
             assert stats["by_experiment"] == {"e1": 2}
 
+    def test_stats_count_only_current_version_rows(self, tmp_path,
+                                                   capsys):
+        db = tmp_path / "s.sqlite3"
+        with ResultStore(db) as store:
+            store.put(with_version(tiny_e1(seed=7), "1.6.0"))
+            store.put(tiny_e1(seed=8))
+            stats = store.stats()
+            assert stats["results"] == 1
+            assert stats["by_experiment"] == {"e1": 1}
+        assert main(["list", "--store", str(db)]) == 0
+        listing = capsys.readouterr().out
+        (e1_line,) = [line for line in listing.splitlines()
+                      if line.split()[:1] == ["e1"]]
+        assert "[1 cached]" in e1_line
+        assert "(1 results)" in listing
+
     def test_locate_store(self, tmp_path):
         db = tmp_path / "x.sqlite3"
         assert locate_store(db) == db  # a DB path, even before creation
@@ -578,14 +594,20 @@ class TestServiceHTTP:
             {"experiment": "nope"},                    # unknown name
             {"experiment": "e1", "options": {"bogus": 1}},  # bad field
             {"experiment": "e1", "options": [1, 2]},   # wrong shape
+            {"experiment": "e1", "options": {"trials": 0}},  # no trials
         ]
         for body in cases:
             with pytest.raises(ServiceError) as err:
                 client._request("POST", "/jobs", body)
             assert err.value.status == 400, body
+        assert client.jobs() == []
         # Unknown option fields name the valid ones.
         with pytest.raises(ServiceError, match="valid fields"):
             client.submit("e1", {"bogus": 1})
+        # Counts below one name the experiment, field and value.
+        with pytest.raises(ServiceError,
+                           match="e1: option 'trials' must be >= 1, got 0"):
+            client.submit("e1", {"trials": 0})
         # Malformed JSON body.
         req = urllib.request.Request(
             f"{service.url}/jobs", data=b"{oops",
