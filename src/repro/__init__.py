@@ -17,7 +17,7 @@ Quickstart::
 See ``examples/`` and README.md for more.
 """
 
-__version__ = "1.7.0"
+__version__ = "1.7.1"
 
 from repro.core import (
     Certificate,

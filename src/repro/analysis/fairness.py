@@ -6,8 +6,11 @@ a batch of run outcomes we measure:
 
 * the empirical winning distribution (failures tracked separately),
 * its total-variation distance from the expected distribution,
-* a chi-square goodness-of-fit p-value (scipy) — "not rejected at 5%"
-  is the reproduction criterion used in EXPERIMENTS.md.
+* a chi-square goodness-of-fit p-value — "not rejected at 5%" is the
+  reproduction criterion used in EXPERIMENTS.md.  :func:`chi_square_gof`
+  computes it from ``scipy.special.chdtrc`` and reproduces
+  ``scipy.stats.chisquare`` bit for bit, so importing this module does
+  not load ``scipy.stats`` (DESIGN.md §4).
 
 Two entry-point families feed the same measures: the original
 outcome-sequence functions, and count-based ones
@@ -22,11 +25,13 @@ from __future__ import annotations
 from collections import Counter
 from typing import Hashable, Iterable, Mapping, Sequence
 
-from scipy import stats as _scipy_stats
+import numpy as np
+from scipy.special import chdtrc
 
 __all__ = [
     "chi_square_fairness",
     "chi_square_from_counts",
+    "chi_square_gof",
     "empirical_distribution",
     "empirical_distribution_from_counts",
     "expected_distribution",
@@ -125,8 +130,34 @@ def chi_square_from_counts(
     probs = [expected[c] for c in categories]
     total = sum(observed)
     exp_counts = [p * total for p in probs]
-    # Drop zero-expected categories (scipy requires positive expectations).
+    # Drop zero-expected categories (the test needs positive expectations).
     pairs = [(o, e) for o, e in zip(observed, exp_counts) if e > 0]
     obs, exp = zip(*pairs)
-    stat, pvalue = _scipy_stats.chisquare(obs, exp)
-    return float(stat), float(pvalue)
+    return chi_square_gof(obs, exp)
+
+
+def chi_square_gof(
+    observed: Sequence[float], expected: Sequence[float]
+) -> tuple[float, float]:
+    """Pearson's chi-square goodness of fit: ``(statistic, p-value)``.
+
+    The statistic is summed in float64 and the p-value is the upper tail
+    of chi-square with ``len(observed) - 1`` degrees of freedom, as
+    ``scipy.stats.chisquare(observed, expected)`` computes them, bit for
+    bit (``tests/test_scipy_parity.py``).  Like scipy, it raises
+    ``ValueError`` when the two sums differ by more than ``sqrt(eps)``
+    relative to the smaller one; one category gives a NaN p-value.
+    """
+    obs = np.asarray(observed, dtype=np.float64)
+    exp = np.asarray(expected, dtype=np.float64)
+    obs_sum, exp_sum = obs.sum(), exp.sum()
+    rtol = np.finfo(np.float64).eps ** 0.5
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rel_diff = abs(obs_sum - exp_sum) / min(obs_sum, exp_sum)
+    if rel_diff > rtol:
+        raise ValueError(
+            f"observed and expected sums differ: {obs_sum} vs {exp_sum} "
+            f"(relative difference {rel_diff} > {rtol})"
+        )
+    stat = ((obs - exp) ** 2 / exp).sum()
+    return float(stat), float(chdtrc(obs.size - 1, stat))

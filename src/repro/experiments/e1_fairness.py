@@ -11,7 +11,10 @@ fractions:
   zero);
 * a **chi-square goodness-of-fit p-value**.  For leader election (n
   categories, expected counts below the chi-square validity threshold)
-  winners are binned into 8 label groups of equal expected mass first.
+  the winning labels are binned first: label ``i`` falls in group
+  ``i * bins // n`` with ``bins = min(8, n)``, and each group's expected
+  count is the number of winners times its share of the n labels.  The
+  groups have equal expected mass exactly when ``bins`` divides n.
 
 Trials run on the batched fastpath (``run_trials_fast``): one array pass
 per table cell, win tallies via a single bincount — no per-trial Python
@@ -25,10 +28,10 @@ from dataclasses import dataclass
 from typing import Hashable, Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from repro.analysis.fairness import (
     chi_square_from_counts,
+    chi_square_gof,
     empirical_distribution_from_counts,
     expected_distribution,
     total_variation,
@@ -66,19 +69,21 @@ def tv_noise_floor(expected: dict[Hashable, float], trials: int) -> float:
     )
 
 
-def _binned_uniform_pvalue(winners: np.ndarray, n: int, bins: int = 8) -> float:
+def _binned_uniform_pvalue(winners: np.ndarray, n: int) -> float:
     """Chi-square for leader election: bin the n winner labels.
 
     ``winners`` are the winning agent labels of the successful trials —
-    for the leader-election workload the label *is* the color.
+    for the leader-election workload the label *is* the color.  Label
+    ``i`` falls in bin ``i * bins // n``; a bin expects the winners in
+    proportion to the labels it holds.
     """
     if winners.size == 0:
         raise ValueError("no successful runs")
-    binned = np.minimum(bins - 1, winners * bins // n)
-    observed = np.bincount(binned, minlength=bins)
-    expected = [winners.size / bins] * bins
-    _stat, pvalue = _scipy_stats.chisquare(observed, expected)
-    return float(pvalue)
+    bins = min(8, n)
+    observed = np.bincount(winners * bins // n, minlength=bins)
+    labels_per_bin = np.bincount(np.arange(n) * bins // n, minlength=bins)
+    expected = winners.size * labels_per_bin / n
+    return chi_square_gof(observed, expected)[1]
 
 
 @experiment("e1", options=E1Options,

@@ -94,20 +94,31 @@ def options_dict(opts: Any) -> dict[str, Any]:
     return out
 
 
+#: Lower bounds of the count options: a run needs one trial and one
+#: worker, and a protocol needs two agents.  Sequence fields bound each
+#: entry.
+_COUNT_MINIMUMS = (
+    ("trials", 1), ("jobs", 1), ("n", 2), ("sizes", 2), ("async_sizes", 2),
+)
+
+
 def check_counts(name: str, opts: Any) -> None:
-    """Reject trial and worker counts below one.
+    """Reject trial, worker and agent counts below their minimum.
 
     The one range check behind ``repro experiment``, ``POST /jobs`` and
-    every registered runner: ``trials`` must be >= 1 and ``jobs`` None
-    or >= 1.  The ``ValueError`` names the experiment, the field and
-    the value.
+    every registered runner: ``trials`` must be >= 1, ``jobs`` None or
+    >= 1, and ``n`` and every entry of ``sizes`` and ``async_sizes``
+    >= 2.  The ``ValueError`` names the experiment, the field and the
+    value.
     """
-    for field in ("trials", "jobs"):
+    for field, minimum in _COUNT_MINIMUMS:
         value = getattr(opts, field, None)
-        if isinstance(value, numbers.Real) and value < 1:
-            raise ValueError(
-                f"{name}: option {field!r} must be >= 1, got {value!r}"
-            )
+        for v in value if isinstance(value, (list, tuple)) else (value,):
+            if isinstance(v, numbers.Real) and v < minimum:
+                raise ValueError(
+                    f"{name}: option {field!r} must be >= {minimum}, "
+                    f"got {v!r}"
+                )
 
 
 @dataclass(frozen=True)

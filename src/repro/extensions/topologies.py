@@ -27,9 +27,7 @@ host deviating agents on graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Mapping, Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING, Hashable, Mapping, Sequence
 
 from repro.core.agent import HonestAgent
 from repro.core.params import ProtocolParams
@@ -37,6 +35,9 @@ from repro.core.votes import PlannedVote, VoteIntention
 from repro.gossip.engine import GossipEngine
 from repro.gossip.node import FaultyNode, Node
 from repro.util.rng import SeedTree
+
+if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
 
 __all__ = ["GraphAgent", "GraphRunResult", "run_graph_protocol"]
 

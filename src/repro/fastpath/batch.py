@@ -56,7 +56,7 @@ from dataclasses import dataclass
 from typing import ClassVar, Hashable, Iterable, Sequence
 
 import numpy as np
-from scipy import stats as _scipy_stats
+from scipy.special._ufuncs import _binom_cdf, _binom_isf
 
 from repro.core.params import ProtocolParams
 from repro.fastpath.simulate import (
@@ -550,7 +550,12 @@ class _CountMarginal:
     ``Bin((n_a - 1) q, 1/(n-1))`` — n_a - 1 active peers each aim q
     uniform pulls at n - 1 non-self targets.  (The Commitment and
     Voting phases share this marginal.)  Holds the CDF on a truncated
-    support plus the zero-conditioned CDF for quantile sampling."""
+    support plus the zero-conditioned CDF for quantile sampling.
+
+    The CDF comes from the Boost ufuncs behind ``scipy.stats.binom``,
+    under the support mask and clip ``rv_discrete.cdf`` wraps them in,
+    so it matches ``binom(trials, p).cdf`` bit for bit without importing
+    ``scipy.stats`` (``tests/test_scipy_parity.py`` pins it)."""
 
     def __init__(self, n_a: int, n: int, q: int):
         trials = max(0, (n_a - 1) * q)
@@ -560,9 +565,11 @@ class _CountMarginal:
             self.cdf = np.ones(1)
             self.cdf_nonzero = np.ones(1)
             return
-        dist = _scipy_stats.binom(trials, p)
-        cap = int(dist.isf(1e-15)) + 2
-        self.cdf = dist.cdf(np.arange(cap + 1))
+        cap = int(_binom_isf(1e-15, trials, p)) + 2
+        k = np.arange(cap + 1, dtype=np.float64)
+        self.cdf = np.where(
+            k >= trials, 1.0, np.clip(_binom_cdf(k, trials, p), 0.0, 1.0)
+        )
         self.p0 = float(self.cdf[0])
         nz = (self.cdf - self.p0) / (1.0 - self.p0)
         nz[0] = 0.0

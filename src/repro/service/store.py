@@ -46,6 +46,7 @@ from __future__ import annotations
 import json
 import sqlite3
 import threading
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -176,7 +177,7 @@ class ResultStore:
                 isolation_level=None,  # autocommit; explicit BEGIN below
             )
             conn.row_factory = sqlite3.Row
-            conn.execute("PRAGMA journal_mode=WAL")
+            self._enable_wal(conn)
             conn.execute(
                 f"PRAGMA busy_timeout={int(self._busy_timeout_s * 1000)}"
             )
@@ -186,6 +187,24 @@ class ResultStore:
             with self._lock:
                 self._connections.append(conn)
         return conn
+
+    def _enable_wal(self, conn: sqlite3.Connection) -> None:
+        """Switch to WAL, waiting out a concurrent opener's switch.
+
+        Two processes creating the same database race for the exclusive
+        lock the switch takes, and sqlite fails the loser at once with
+        "database is locked" instead of calling its busy handler; retry
+        it within the busy timeout.
+        """
+        deadline = time.monotonic() + self._busy_timeout_s
+        while True:
+            try:
+                conn.execute("PRAGMA journal_mode=WAL")
+                return
+            except sqlite3.OperationalError as exc:
+                if "locked" not in str(exc) or time.monotonic() > deadline:
+                    raise
+                time.sleep(0.01)
 
     def close_thread(self) -> None:
         """Close the calling thread's connection, if it opened one.

@@ -180,6 +180,21 @@ class TestOverrideValidation:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("exp, override, field", [
+        ("e1", "sizes=64,1", "sizes"),
+        ("e7", "n=1", "n"),
+        ("e10", "async_sizes=1", "async_sizes"),
+    ])
+    def test_agent_counts_below_two_exit_2(self, exp, override, field,
+                                           capsys, tmp_path):
+        out = tmp_path / "archive"
+        rc = main(["experiment", exp, "--set", override, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert f"{exp}: option '{field}' must be >= 2, got 1" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_sequence_coercion(self, capsys):
         rc = main(["experiment", "e1", "--format", "json",
                    "--set", "sizes=16,24", "--set", "workloads=balanced",

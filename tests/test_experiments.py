@@ -7,10 +7,15 @@ numbers live in benchmarks/ and EXPERIMENTS.md.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.experiments import workloads
-from repro.experiments.e1_fairness import E1Options, run as run_e1
+from repro.experiments.e1_fairness import (
+    E1Options,
+    _binned_uniform_pvalue,
+    run as run_e1,
+)
 from repro.experiments.e2_rounds import E2Options, run as run_e2
 from repro.experiments.e3_message_size import E3Options, run as run_e3
 from repro.experiments.e4_communication import E4Options, run as run_e4
@@ -54,6 +59,23 @@ class TestE1:
         tv = table.column("TV distance")[0]
         assert tv < 0.15  # fair up to Monte-Carlo noise
         assert table.column("fail_rate")[0] < 0.05
+
+    @pytest.mark.parametrize("n", [2, 3, 12, 100])
+    def test_binned_pvalue_of_uniform_winners_is_one(self, n):
+        # Every label wins equally often: the bins' expected mass follows
+        # their label counts, so the fit is perfect whether or not 8
+        # divides n.
+        winners = np.tile(np.arange(n), 5)
+        assert _binned_uniform_pvalue(winners, n) == 1.0
+
+    @pytest.mark.parametrize("n", [8, 64, 256])
+    def test_binned_pvalue_unchanged_when_8_divides_n(self, n):
+        from scipy import stats
+
+        winners = np.random.default_rng(n).integers(n, size=997)
+        observed = np.bincount(np.minimum(7, winners * 8 // n), minlength=8)
+        old = stats.chisquare(observed, [winners.size / 8] * 8).pvalue
+        assert _binned_uniform_pvalue(winners, n) == float(old)
 
 
 class TestE2:

@@ -3,8 +3,14 @@
 from __future__ import annotations
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 class TestTopLevelExports:
@@ -25,7 +31,23 @@ class TestTopLevelExports:
     def test_version_present(self):
         import repro
 
-        assert repro.__version__ == "1.7.0"
+        assert repro.__version__ == "1.7.1"
+
+
+class TestImportContract:
+    def test_startup_loads_neither_scipy_stats_nor_networkx(self):
+        # A fresh interpreter: this test process may already hold both.
+        # repro.exec.backends is what the pool's forkserver preloads.
+        code = (
+            "import sys, repro, repro.cli, repro.exec.backends\n"
+            "print(sorted(m for m in ('scipy.stats', 'networkx')"
+            " if m in sys.modules))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, env={**os.environ, "PYTHONPATH": _SRC},
+        ).stdout
+        assert out.strip() == "[]"
 
 
 class TestSubpackagesImportClean:

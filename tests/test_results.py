@@ -110,6 +110,22 @@ class TestPerExperiment:
             assert str(err.value).startswith(
                 f"{name}: option {field!r} must be >= 1, got 0")
 
+    def test_agent_counts_below_two_rejected(self, name):
+        # A protocol needs two agents: ``n`` and every entry of ``sizes``
+        # and ``async_sizes`` (the bad one placed last) are checked
+        # before anything runs.
+        spec = get_experiment(name)
+        opts = spec.options_cls(**GOLDEN_OPTS[name])
+        fields = [f.name for f in spec.option_fields()
+                  if f.name in ("n", "sizes", "async_sizes")]
+        assert fields
+        for field in fields:
+            value = 1 if field == "n" else (*getattr(opts, field), 1)
+            with pytest.raises(ValueError) as err:
+                spec.run(opts, **{field: value})
+            assert str(err.value) == \
+                f"{name}: option {field!r} must be >= 2, got 1"
+
     def test_metadata_populated(self, name, tiny_results):
         meta = tiny_results[name].meta
         assert meta.version

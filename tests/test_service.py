@@ -595,6 +595,7 @@ class TestServiceHTTP:
             {"experiment": "e1", "options": {"bogus": 1}},  # bad field
             {"experiment": "e1", "options": [1, 2]},   # wrong shape
             {"experiment": "e1", "options": {"trials": 0}},  # no trials
+            {"experiment": "e1", "options": {"sizes": [1]}},  # one agent
         ]
         for body in cases:
             with pytest.raises(ServiceError) as err:
@@ -608,6 +609,9 @@ class TestServiceHTTP:
         with pytest.raises(ServiceError,
                            match="e1: option 'trials' must be >= 1, got 0"):
             client.submit("e1", {"trials": 0})
+        with pytest.raises(ServiceError,
+                           match="e1: option 'sizes' must be >= 2, got 1"):
+            client.submit("e1", {"sizes": [1]})
         # Malformed JSON body.
         req = urllib.request.Request(
             f"{service.url}/jobs", data=b"{oops",
