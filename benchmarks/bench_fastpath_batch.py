@@ -1,16 +1,19 @@
 """Perf benchmark: per-trial fastpath loop vs the trial-axis batch.
 
-Times ``simulate_protocol_fast`` looped over seeds against
-``simulate_protocol_fast_batch`` (both the default statistical mode and
-the bit-exact seed-parity mode) at several (n, trials) points, prints
-the comparison table, and archives the numbers to ``BENCH_fastpath.json``
-at the repo root so future PRs can track the perf trajectory.
+Times ``simulate_protocol_fast`` looped over seeds against the
+statistical ``simulate_protocol_fast_batch`` and against the bit-exact
+``batch-parity`` tier through ``run_trials_fast`` (the same per-run
+loop behind the dispatch front door) at several (n, trials) points,
+prints the comparison table, and archives the numbers to
+``BENCH_fastpath.json`` at the repo root so future PRs can track the
+perf trajectory.
 
 Runs standalone too:  ``PYTHONPATH=src python benchmarks/bench_fastpath_batch.py``
 """
 
 from __future__ import annotations
 
+from repro.experiments import run_trials_fast
 from repro.experiments.workloads import balanced
 from repro.fastpath.batch import simulate_protocol_fast_batch
 from repro.fastpath.simulate import simulate_protocol_fast
@@ -34,8 +37,7 @@ def measure() -> dict:
         warm = seeds[: min(16, trials)]
         simulate_protocol_fast(colors, gamma=GAMMA, seed=0)
         simulate_protocol_fast_batch(colors, warm, gamma=GAMMA)
-        simulate_protocol_fast_batch(colors, warm, gamma=GAMMA,
-                                     seed_parity=True)
+        run_trials_fast(colors, warm, gamma=GAMMA, engine="batch-parity")
 
         per_trial = best_of(2, lambda: [
             simulate_protocol_fast(colors, gamma=GAMMA, seed=s)
@@ -44,8 +46,8 @@ def measure() -> dict:
         batch = best_of(3, lambda: simulate_protocol_fast_batch(
             colors, seeds, gamma=GAMMA
         ))
-        parity = best_of(2, lambda: simulate_protocol_fast_batch(
-            colors, seeds, gamma=GAMMA, seed_parity=True
+        parity = best_of(2, lambda: run_trials_fast(
+            colors, seeds, gamma=GAMMA, engine="batch-parity"
         ))
         points.append({
             "n": n,
@@ -67,7 +69,7 @@ def measure() -> dict:
 def report(results: dict) -> Table:
     table = Table(
         headers=["n", "trials", "per-trial loop (s)", "batch (s)",
-                 "batch speedup", "parity batch (s)", "parity speedup"],
+                 "batch speedup", "batch-parity (s)", "parity speedup"],
         title="Fastpath: per-trial loop vs trial-axis batch",
     )
     for p in results["points"]:
@@ -94,7 +96,7 @@ def test_fastpath_batch_speedup(benchmark, emit):
     # engine typically clears it by a wide margin; keep some slack for
     # noisy CI machines while still catching real regressions.
     assert headline["speedup_batch"] >= 10.0
-    # Seed-parity mode must not be slower than the loop it replays.
+    # The parity tier is the loop plus stacking: it must not be slower.
     assert headline["speedup_parity"] >= 0.9
     assert RESULT_PATH.exists()
 

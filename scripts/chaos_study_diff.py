@@ -33,8 +33,9 @@ sys.path.insert(0, str(SRC))
 
 from repro.study import Study, StudyJournal  # noqa: E402
 
-# batch-parity at these sizes makes each cell ~0.5 s, so the SIGKILL
-# genuinely lands mid-sweep instead of after the study already finished.
+# batch-parity (the per-run fastpath, one call per trial) at these sizes
+# takes ~0.5-1 s per cell on a 2-CPU VM, so the SIGKILL genuinely lands
+# mid-sweep instead of after the study already finished.
 GRID = {"gamma": [1.5, 2.0, 3.0, 4.0]}
 BASE = dict(trials=3000, sizes=(64,), workloads=("balanced",),
             engine="batch-parity")

@@ -14,7 +14,7 @@ every agent is exposed, which is precisely what makes forgery unprofitable.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from repro.core.params import ProtocolParams
 from repro.util.rng import SeedTree
@@ -52,9 +52,6 @@ class CoalitionState:
         """Has any non-member pulled this member's intention?"""
         return bool(self.exposure[member])
 
-    def unexposed_members(self) -> list[int]:
-        return sorted(m for m in self.members if not self.exposed(m))
-
     # -- conveniences ---------------------------------------------------------
     def coalition_colors(self) -> list[object]:
         """Colors supported by members (by label order)."""
@@ -73,6 +70,3 @@ class CoalitionState:
         return sorted(
             m for m, a in self.agents.items() if a.color == color
         )
-
-    def members_sorted(self) -> Iterable[int]:
-        return sorted(self.members)

@@ -52,9 +52,6 @@ class UtilityEstimate:
     def win_prob_ci(self) -> tuple[float, float]:
         return wilson_interval(self.wins, self.trials)
 
-    def fail_prob_ci(self) -> tuple[float, float]:
-        return wilson_interval(self.failures, self.trials)
-
 
 def estimate_utility(
     outcomes: Sequence[Hashable | None], color: Hashable, chi: float = 1.0

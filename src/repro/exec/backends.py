@@ -97,7 +97,7 @@ from repro.fastpath.batch import (
     simulate_protocol_fast_batch,
 )
 from repro.fastpath.graphs import GraphBatchResult, simulate_graph_fast_batch
-from repro.fastpath.simulate import FastRunResult
+from repro.fastpath.simulate import FastRunResult, simulate_protocol_fast
 from repro.fastpath.strategies import (
     StrategyBatchResult,
     simulate_strategy_fast_batch,
@@ -194,6 +194,10 @@ def _record(record: ExecRecord) -> None:
 # Fault policy: how the parallel backend survives failing shards
 # ---------------------------------------------------------------------------
 
+#: Growth of the pause between successive retry rounds.
+_BACKOFF_FACTOR = 2.0
+
+
 @dataclass(frozen=True)
 class FaultPolicy:
     """Retry/timeout/degradation knobs for the parallel backend.
@@ -202,16 +206,16 @@ class FaultPolicy:
     (queue wait included); ``None`` disables the timeout.  A shard that
     fails more than ``max_retries`` times degrades to a serial
     in-process re-run — slower, byte-identical — so a study completes
-    even under a persistently failing pool.  ``backoff_base_s`` /
-    ``backoff_factor`` shape the exponential pause between retry
-    rounds.  These are execution-only knobs: like ``jobs``, they can
-    never change a result's bytes (DESIGN.md §10).
+    even under a persistently failing pool.  ``backoff_base_s`` is the
+    first pause between retry rounds; each later pause is
+    :data:`_BACKOFF_FACTOR` times the one before.  These are
+    execution-only knobs: like ``jobs``, they can never change a
+    result's bytes (DESIGN.md §10).
     """
 
     shard_timeout_s: float | None = None
     max_retries: int = 2
     backoff_base_s: float = 0.05
-    backoff_factor: float = 2.0
 
     def __post_init__(self) -> None:
         if self.shard_timeout_s is not None and (
@@ -232,7 +236,7 @@ class FaultPolicy:
 
     def backoff_s(self, round_index: int) -> float:
         """The pause before retry round ``round_index`` (0-based)."""
-        return self.backoff_base_s * self.backoff_factor ** round_index
+        return self.backoff_base_s * _BACKOFF_FACTOR ** round_index
 
 
 _DEFAULT_POLICY = FaultPolicy()
@@ -470,11 +474,11 @@ class _ShmTransport:
     carries its shard's plan bytes, ``[lo, hi)`` window and the
     layout.  Workers attach the segment by name, write their slice of
     each array in place and return only a scalar stub.  ``finish``
-    merges the stubs and builds the result over full-length views of
-    the segment — the arrays are never copied or concatenated — then
-    unlinks it (the parent's mapping outlives the unlink).  ``close``
-    is idempotent and called on every exit path, so no code path can
-    leak a ``/dev/shm`` entry past the run.
+    merges the stubs, copies each merged array out of the segment once
+    (never concatenating shards) and closes and unlinks the segment, so
+    the result owns its memory and no mapping outlives the run.
+    ``close`` is idempotent and called on every exit path, so no code
+    path can leak a ``/dev/shm`` entry or a mapping past the run.
     """
 
     name = "shm"
@@ -514,15 +518,13 @@ class _ShmTransport:
         stub = shm_transport.merge_stubs(
             [self._stubs[i] for i in range(n_shards)], self._cls
         )
-        result = shm_transport.build_batch(self._cls, stub, self._views)
-        # The merged arrays are views over the data segment: retain the
-        # mapping for the life of the process *before* unlinking, so the
-        # segment object can never be finalised under the arrays.
-        shm_transport.retain(self._data)
+        arrays = {path: view.copy() for path, view in self._views.items()}
         self.close()
-        return result
+        return shm_transport.build_batch(self._cls, stub, arrays)
 
     def close(self) -> None:
+        # Drop the views first: the mapping cannot close under them.
+        self._views = {}
         self._data.unlink()
 
 
@@ -740,14 +742,17 @@ def _compute(plan: ExecutionPlan) -> Any:
 def _compute_honest(plan: ExecutionPlan) -> FastBatchResult:
     opt = plan.options
     seeds = list(plan.seeds)
-    if plan.engine in ("batch", "batch-parity"):
+    if plan.engine == "batch":
         return simulate_protocol_fast_batch(
             opt["colors"], seeds, gamma=opt["gamma"],
             faulty=opt["faulty_list"],
-            seed_parity=(plan.engine == "batch-parity"),
         )
+    # The per-trial tiers: batch-parity is the per-run fastpath, so it
+    # equals tier 2 by construction; agent is the reference engine.
+    run = (simulate_protocol_fast if plan.engine == "batch-parity"
+           else _agent_run)
     runs = [
-        _agent_run(opt["colors"], opt["gamma"], f, s)
+        run(opt["colors"], opt["gamma"], f, s)
         for f, s in zip(opt["faulty_list"], seeds)
     ]
     return batch_from_runs(runs, opt["colors"])

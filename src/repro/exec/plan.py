@@ -19,7 +19,7 @@ Shard quantum
 -------------
 ``plan.shard_quantum`` is the trial-block granularity at which the
 plan may be split without changing any result bit.  The per-trial
-``agent`` tier, the parity modes, and the sequential tick simulator
+``agent`` tier, the parity tiers, and the sequential tick simulator
 derive one random stream per *trial*, so their quantum is 1.  The
 statistical batch engines derive one stream per fixed-size *block* of
 trials (``stat_block_trials`` / ``strategy_block_trials`` /
@@ -233,7 +233,8 @@ def compile_honest_plan(
     resolved = resolve_engine("honest", engine)
     colors = tuple(colors)
     seeds = tuple(int(s) for s in seeds)
-    faulty_list = tuple(normalise_faulty(faulty, len(seeds)))
+    # Validate once so every tier accepts and rejects the same inputs.
+    faulty_list = tuple(normalise_faulty(faulty, len(seeds), len(colors)))
     quantum = stat_block_trials(len(colors)) if resolved == "batch" else 1
     return ExecutionPlan(
         kind="honest",

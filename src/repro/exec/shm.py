@@ -10,8 +10,8 @@ pipe:
 * **The stub format** lives here too: :func:`scalar_stub` cuts a
   shard's stub, :func:`merge_stubs` folds the shards' stubs in
   shard-index order, and :func:`build_batch` rebuilds the merged
-  result over full-length NumPy views of the parent's own mapping of
-  the segment — no concatenation, no second copy.
+  result from full-length arrays — the parent copies each one out of
+  its mapping of the segment once, with no concatenation.
 
 Which arrays exist at what dtype is declared by the batch-result
 classes themselves via the **out-buffer protocol**: a class-level
@@ -26,12 +26,11 @@ name, immediately deregister the attachment from their resource
 tracker (the parent's registration is the only one), and never unlink.
 The parent unlinks on *every* exit path — success, worker crash, shard
 timeout, serial degradation, ``KeyboardInterrupt`` — via an idempotent
-``close()`` in a ``finally`` block.  Unlinking happens as soon as the
-merged result is constructed: on POSIX the mapping stays valid for the
-life of the result arrays while the ``/dev/shm`` entry is already
-gone, so a crash *after* the run can no longer leak a segment.  The
-only leak window is a hard kill of the parent between create and
-unlink, which no userspace design can close.
+``close()`` in a ``finally`` block.  The merged arrays are copied out
+before the segment is unlinked and its mapping closed, so neither a
+``/dev/shm`` entry nor a mapping (and its two file descriptors)
+outlives the run.  The only leak window is a hard kill of the parent
+between create and unlink, which no userspace design can close.
 
 A worker SIGKILLed mid-write leaves a torn slice; that is harmless by
 construction, because a shard's slice is only trusted once the
@@ -58,7 +57,6 @@ __all__ = [
     "merge_stubs",
     "plan_layout",
     "repo_segments",
-    "retain",
     "scalar_stub",
 ]
 
@@ -239,11 +237,8 @@ def build_batch(
     views: Mapping[str, np.ndarray],
     prefix: str = "",
 ) -> Any:
-    """Reassemble a batch result from a merged stub plus array views.
-
-    The arrays handed in are the full-length views over the result
-    segment — the zero-copy merge: no concatenation ever happens.
-    """
+    """Reassemble a batch result from a merged stub plus full-length
+    arrays, keyed by their schema paths."""
     nested = dict(getattr(cls, "NESTED_BATCH_FIELDS", ()))
     kwargs = dict(stub)
     for name, _ in getattr(cls, "ARRAY_FIELDS", ()):
@@ -286,8 +281,8 @@ def _attach_untracked(name: str) -> shared_memory.SharedMemory:
 class OwnedSegment:
     """A parent-owned shared-memory block with an idempotent unlink.
 
-    ``unlink()`` removes the name system-wide but leaves this process's
-    mapping valid, so result views built over ``buf`` survive it; it is
+    ``unlink()`` removes the name system-wide and closes this process's
+    mapping, so every view over ``buf`` must be dropped first; it is
     safe (and expected) to call from ``finally`` blocks on every path.
     """
 
@@ -312,22 +307,13 @@ class OwnedSegment:
                 self._shm.unlink()
             except FileNotFoundError:
                 pass
-
-
-# Result segments whose views escaped into a merged result.  A merged
-# batch holds ndarray views over the segment's mapping; if the
-# SharedMemory object were finalised while those views live, its
-# ``__del__`` → ``close()`` would trip a BufferError on the exported
-# memoryview.  Retaining the (already unlinked) segment for the life
-# of the process sidesteps the whole finalisation race: the mapping is
-# needed as long as the arrays anyway, and an unlinked segment holds
-# no /dev/shm entry — only the pages the result itself uses.
-_retained: list["OwnedSegment"] = []
-
-
-def retain(segment: "OwnedSegment") -> None:
-    """Keep ``segment``'s mapping alive for the rest of the process."""
-    _retained.append(segment)
+            try:
+                self._shm.close()
+            except BufferError:
+                # A view still lives (an exception traceback can hold
+                # one); the mapping then closes when the segment object
+                # is collected after it.
+                pass
 
 
 # Worker-side attach cache: pool workers are long-lived, so one run's

@@ -15,11 +15,12 @@ it returns a :class:`repro.fastpath.batch.FastBatchResult` regardless of
 which engine did the work.  Engines, from fastest to highest fidelity:
 
 ``batch``
-    The trial-axis batched fastpath (statistical mode) — the default
-    for Monte-Carlo tables.
+    The trial-axis batched fastpath (sufficient-statistic sampling) —
+    the default for Monte-Carlo tables.
 ``batch-parity``
-    The batched fastpath in seed-parity mode: per-trial results are
-    bit-identical to ``simulate_protocol_fast`` for the same seeds.
+    The per-run fastpath ``simulate_protocol_fast`` looped over the
+    seeds and stacked with ``batch_from_runs``: bit-identical to tier 2
+    by construction, the verification tier.
 ``agent``
     The exact agent engine (``run_protocol``), for fidelity spot checks.
     Two batch fields have no agent-engine counterpart and are reported

@@ -23,11 +23,14 @@ on first use, so ``repro list``/CLI start-up stays cheap.
 
 from __future__ import annotations
 
+import collections.abc
 import dataclasses
 import functools
 import importlib
 import numbers
 import time
+import types
+import typing
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
@@ -40,6 +43,7 @@ __all__ = [
     "EXECUTION_FIELDS",
     "ExperimentSpec",
     "check_counts",
+    "check_types",
     "experiment",
     "experiment_names",
     "get_experiment",
@@ -119,6 +123,63 @@ def check_counts(name: str, opts: Any) -> None:
                     f"{name}: option {field!r} must be >= {minimum}, "
                     f"got {v!r}"
                 )
+
+
+def _typed(value: Any, hint: Any) -> Any:
+    """``value`` (a decoded JSON value) in the form ``hint`` declares;
+    ``TypeError`` where it does not fit."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if hint is int and number and isinstance(value, int):
+        return value
+    if hint is float and number:
+        return float(value)
+    if hint in (str, bool) and isinstance(value, hint):
+        return value
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is collections.abc.Sequence and isinstance(value, list):
+        return tuple(_typed(v, args[0]) for v in value)
+    if origin in (typing.Union, types.UnionType):
+        if value is None and type(None) in args:
+            return None
+        (inner,) = (a for a in args if a is not type(None))
+        return _typed(value, inner)
+    raise TypeError(value)
+
+
+@functools.cache
+def _field_types(options_cls: type) -> tuple[dict[str, Any], dict[str, Any]]:
+    """The resolved type hints of an options dataclass, plus its
+    annotations as written (``Sequence[int]``) for messages.  Resolving
+    the hints costs ~0.1 ms, so it is done once per class."""
+    declared = {f.name: f.type for f in dataclasses.fields(options_cls)}
+    return typing.get_type_hints(options_cls), declared
+
+
+def check_types(
+    name: str, options_cls: type, overrides: Mapping[str, Any]
+) -> dict[str, Any]:
+    """Check JSON option overrides against their fields' declared types.
+
+    The type check behind ``POST /jobs``; the CLI parses ``--set`` text
+    into the same types itself.  ``int`` takes a JSON integer (not a
+    bool), ``float`` any JSON number, stored as ``float`` so ``3`` keys
+    the cell ``--set gamma=3`` keys; ``str`` and ``bool`` take a JSON
+    string and boolean, ``Sequence[T]`` an array of ``T`` (stored as a
+    tuple), and ``T | None`` also null.  Returns the overrides in that
+    form; a mismatch raises ``ValueError`` naming the experiment, the
+    field and the value.
+    """
+    hints, declared = _field_types(options_cls)
+    out: dict[str, Any] = {}
+    for field, value in overrides.items():
+        try:
+            out[field] = _typed(value, hints[field])
+        except TypeError:
+            raise ValueError(
+                f"{name}: option {field!r} must be {declared[field]}, "
+                f"got {value!r}"
+            ) from None
+    return out
 
 
 @dataclass(frozen=True)

@@ -102,12 +102,6 @@ class AsyncBatchResult:
         """Ticks normalised by the classic n log2 n sequential bound."""
         return self.minagg_ticks / (self.n * np.log2(self.n))
 
-    def election_converged_rate(self) -> float:
-        if self.n_trials == 0:
-            raise ValueError("empty batch has no rates")
-        return float(np.count_nonzero(self.election_converged)) \
-            / self.n_trials
-
 
 def _default_budget(n: int) -> int:
     """Default tick budget, far above the expected Theta(n log n)."""

@@ -8,8 +8,10 @@ process with NumPy array operations, orders of magnitude faster:
 
 * :func:`simulate_protocol_fast` — one run, vectorised within the run;
 * :func:`simulate_protocol_fast_batch` — B runs in one batched pass
-  (trial-axis vectorisation; a bit-exact seed-parity mode and a
-  sufficient-statistics mode, see :mod:`repro.fastpath.batch`);
+  (trial-axis vectorisation over sufficient statistics, see
+  :mod:`repro.fastpath.batch`); the bit-exact ``batch-parity`` tier is
+  :func:`simulate_protocol_fast` looped over seeds and stacked with
+  :func:`batch_from_runs`;
 * :func:`simulate_strategy_fast_batch` — B *paired* honest/deviant runs
   for every registered coalition strategy, compiled from the same plan
   registry as the agent engine (:mod:`repro.fastpath.strategies`).

@@ -4,21 +4,9 @@ Every experiment in the reproduction is a Monte-Carlo estimate over
 hundreds of independent runs of Protocol P.  The per-run fastpath
 (:mod:`repro.fastpath.simulate`) vectorises *within* a run but still pays
 ~10^2 NumPy dispatches of Python overhead per trial; this module batches
-the trial axis as well.  Two modes share one result type:
-
-**Seed-parity mode** (``seed_parity=True``) replays every trial's random
-stream exactly as the per-run fastpath consumes it (``SeedTree(seed) ->
-child("fast")`` through the shared ``_draw_run`` helper) and carries the
-whole batch through ``(B, n_a, q)`` tensors: row-offset flattened
-``bincount`` accumulation (trial ``b`` owns bins ``[b*n, (b+1)*n)``) with
-the exact-int64 vote-sum guarantee, batch-wide Find-Min round masks, and
-vectorised accounting.  Results are *bit-identical* to looping
-``simulate_protocol_fast`` over the same seeds — not merely
-statistically consistent (``tests/test_fastpath_batch.py``).
-
-**Statistical mode** (the default) samples each trial's sufficient
-statistics instead of materialising per-pull tensors, which removes the
-per-trial RNG volume (the actual wall-clock floor) entirely:
+the trial axis as well.  It samples each trial's sufficient statistics
+instead of materialising per-pull tensors, which removes the per-trial
+RNG volume (the actual wall-clock floor) entirely:
 
 * per-agent vote hashes ``k`` are drawn directly — conditioned on
   receiving at least one vote, ``k_u`` is uniform on ``[m)`` and
@@ -37,16 +25,18 @@ per-trial RNG volume (the actual wall-clock floor) entirely:
   the exact per-cell marginal under an independence approximation
   across cells — the multinomial total constraint induces only O(1/n)
   negative correlation.  This is the one documented approximation of
-  the mode (DESIGN.md §3); it touches the good-execution rate through
+  the engine (DESIGN.md §3); it touches the good-execution rate through
   the ``min_votes >= 1`` event (an O(1/n)-class perturbation), while
   fairness, rounds/agreement, and communication means stay exact.
 
-Memory is bounded in both modes: statistical mode works in fixed-size
-trial blocks (a function of ``n`` only, so results never depend on the
-chunking), and parity mode splits ``B`` so a chunk's ``B * n_a * q``
-tensor stays under ``max_chunk_elements``.  Chunked and unchunked runs
-produce identical arrays because every trial (parity) or block
-(statistical) owns its own random stream.
+Memory is bounded: the engine works in fixed-size trial blocks (a
+function of ``n`` only), and every block owns its random stream, so
+results never depend on how the trials are split.
+
+The bit-exact counterpart of this engine is no batched code at all:
+the ``batch-parity`` tier loops ``simulate_protocol_fast`` over the
+seeds and stacks the runs with :func:`batch_from_runs`
+(:mod:`repro.exec.backends`).
 """
 
 from __future__ import annotations
@@ -59,19 +49,10 @@ import numpy as np
 from scipy.special._ufuncs import _binom_cdf, _binom_isf
 
 from repro.core.params import ProtocolParams
-from repro.fastpath.simulate import (
-    _PULL_TOPIC_BITS,
-    FastRunResult,
-    _draw_run,
-    _exact_index_sums,
-    _offset_self,
-    _peer_dtype,
-)
+from repro.fastpath.simulate import _PULL_TOPIC_BITS, FastRunResult
 from repro.util.faults import normalise_faulty
-from repro.util.rng import SeedTree
 
 __all__ = [
-    "DEFAULT_CHUNK_ELEMENTS",
     "FastBatchResult",
     "active_matrix",
     "batch_from_runs",
@@ -79,13 +60,8 @@ __all__ = [
     "stat_block_trials",
 ]
 
-# Elements (trial x agent x round cells) a parity-mode chunk may
-# materialise.  The working set is a small constant number of such
-# tensors, so 2^23 cells keeps peak memory in the low hundreds of MB.
-DEFAULT_CHUNK_ELEMENTS = 1 << 23
-
-# Statistical mode materialises (block, n) arrays only; blocks are a
-# fixed function of n so results are chunking-independent.
+# The engine materialises (block, n) arrays only; blocks are a fixed
+# function of n so results are independent of how trials are split.
 _STAT_BLOCK_ELEMENTS = 1 << 22
 _STAT_STREAM_SALT = 0x_FA57_BA7C  # domain-separates block streams
 
@@ -93,7 +69,7 @@ _INT64_MAX = np.iinfo(np.int64).max
 
 
 def stat_block_trials(n: int) -> int:
-    """Trials per statistical-mode block — the engine's stream quantum.
+    """Trials per block — the engine's stream quantum.
 
     The statistical engine derives one RNG stream per fixed-size block
     of trials (a function of ``n`` only), so a workload split at
@@ -250,19 +226,11 @@ class FastBatchResult:
         return int(observed.min()) if observed.size else None
 
 
-# The shared faults-to-per-trial convention (kept under its historical
-# private name for in-package callers).
-_normalise_faulty = normalise_faulty
-
-
 def simulate_protocol_fast_batch(
     colors: Sequence[Hashable],
     seeds: Sequence[int],
     gamma: float = 3.0,
     faulty: frozenset[int] | Iterable[frozenset[int]] | None = frozenset(),
-    *,
-    seed_parity: bool = False,
-    max_chunk_elements: int | None = None,
 ) -> FastBatchResult:
     """Simulate ``len(seeds)`` executions of Protocol P in batched NumPy.
 
@@ -272,22 +240,11 @@ def simulate_protocol_fast_batch(
         Initial color per agent (shared by every trial).
     seeds:
         One root seed per trial.  Any fixed seed list gives a fully
-        deterministic batch in either mode.
+        deterministic batch: exact mechanism and distributions except
+        for the documented independence approximation on count
+        extremes (module docstring).
     faulty:
         A single fault set applied to every trial, or one set per trial.
-    seed_parity:
-        ``True`` replays each trial's per-run random stream so trial
-        ``b`` equals ``simulate_protocol_fast(colors, gamma, faulty_b,
-        seeds[b])`` bit-for-bit (slower: the full pull tensors are
-        drawn).  ``False`` (default) samples sufficient statistics —
-        exact mechanism and distributions except for the documented
-        independence approximation on count extremes (module docstring).
-    max_chunk_elements:
-        Parity-mode memory budget: trials are processed in chunks whose
-        ``B_chunk * n_a * q`` stays at or under this many cells (default
-        :data:`DEFAULT_CHUNK_ELEMENTS`).  Statistical mode's memory is
-        bounded by fixed-size blocks and ignores this knob; neither
-        mode's results depend on it.
     """
     colors = tuple(colors)
     n = len(colors)
@@ -300,13 +257,9 @@ def simulate_protocol_fast_batch(
     if n ** 4 >= 2 ** 62:
         raise ValueError(f"n={n} too large for the (k, label) winner key")
 
-    faulty_list = _normalise_faulty(faulty, n_trials)
-    for f in faulty_list:
-        if len(f) >= n:
-            raise ValueError("no active agent")
-        for label in f:
-            if not 0 <= label < n:
-                raise ValueError(f"faulty label {label} out of range")
+    faulty_list = normalise_faulty(faulty, n_trials, n)
+    if any(len(f) >= n for f in faulty_list):
+        raise ValueError("no active agent")
 
     if n_trials == 0:
         empty_i = np.zeros(0, dtype=np.int64)
@@ -322,20 +275,11 @@ def simulate_protocol_fast_batch(
             max_message_bits=empty_i.copy(),
         )
 
-    if seed_parity:
-        budget = (
-            DEFAULT_CHUNK_ELEMENTS if max_chunk_elements is None
-            else int(max_chunk_elements)
-        )
-        n_a_cap = n - min(len(f) for f in faulty_list)
-        block = max(1, budget // max(1, n_a_cap * q))
-        simulate = _simulate_parity_chunk
-    else:
-        block = stat_block_trials(n)
-        simulate = _simulate_stat_block
-
+    block = stat_block_trials(n)
     chunks = [
-        simulate(n, params, seeds[i:i + block], faulty_list[i:i + block])
+        _simulate_stat_block(
+            n, params, seeds[i:i + block], faulty_list[i:i + block]
+        )
         for i in range(0, n_trials, block)
     ]
 
@@ -366,8 +310,8 @@ def active_matrix(
 ) -> np.ndarray:
     """(trials, n) boolean mask of active agents for per-trial faults.
 
-    The shared faults-to-mask convention: both batch engines and the
-    experiment modules (E6's per-trial fairness targets) build their
+    The shared faults-to-mask convention: the honest and graph batch
+    engines and the experiment modules (E6's per-trial fairness targets) build their
     active masks here.
     """
     active = np.ones((len(faulty_list), n), dtype=bool)
@@ -409,140 +353,7 @@ def _accounting(
 
 
 # ---------------------------------------------------------------------------
-# Seed-parity mode: (B, n_a, q) tensors, bit-identical to the per-run path.
-# ---------------------------------------------------------------------------
-
-def _simulate_parity_chunk(
-    n: int,
-    params: ProtocolParams,
-    seeds: Sequence[int],
-    faulty_list: Sequence[frozenset[int]],
-) -> dict[str, np.ndarray]:
-    """One chunk of trials, fully vectorised over the trial axis."""
-    q, m = params.q, params.m
-    b_sz = len(seeds)
-    rows = np.arange(b_sz)
-
-    active = active_matrix(n, faulty_list)
-    n_a = active.sum(axis=1)
-    n_a_max = int(n_a.max())
-    all_active = not any(faulty_list)
-
-    # Active labels padded to n_a_max with the sentinel "agent n" (an
-    # extra informed-array column that no real draw ever reads).
-    if (n_a == n_a_max).all():
-        valid = None
-        act_pad = np.where(active)[1].reshape(b_sz, n_a_max)
-    else:
-        act_pad = np.full((b_sz, n_a_max), n, dtype=np.int64)
-        valid = np.zeros((b_sz, n_a_max), dtype=bool)
-        for b in range(b_sz):
-            idx = np.flatnonzero(active[b])
-            act_pad[b, : idx.size] = idx
-            valid[b, : idx.size] = True
-
-    # ------------------------------------------------------------------
-    # Draws + exact accumulation: the only per-trial loop.  Each trial
-    # replays the exact stream the per-run fastpath would consume for
-    # its seed, and accumulates its own n bins right away — per-trial
-    # bincounts keep the scatter targets cache-resident, which beats a
-    # batch-flattened (trial, receiver) bincount whose B*n bins thrash
-    # the cache (~4x on the benchmark machine).  Only the Find-Min pull
-    # tensor is kept, for the batch-wide round loop below.
-    pulls = np.zeros((b_sz, q, n_a_max), dtype=_peer_dtype(n))
-    pulls_received = np.empty((b_sz, n), dtype=np.int64)
-    counts = np.empty((b_sz, n), dtype=np.int64)
-    k_acc = np.empty((b_sz, n), dtype=np.int64)
-    naq = n_a.astype(np.int64) * q
-    commit_replies = naq.copy()
-    for b, seed in enumerate(seeds):
-        rng = SeedTree(seed).child("fast").generator()
-        nb = int(n_a[b])
-        act_idx = act_pad[b, :nb]
-        t, v, p = _draw_run(rng, n, nb, q, m)
-        _offset_self(t, act_idx[None, :, None])
-        pulls[b, :, :nb] = p
-        if not all_active:
-            commit_replies[b] = int(active[b, t[0]].sum())
-        both = np.concatenate([t[0].ravel(), t[1].ravel()]).astype(np.intp)
-        both[t[0].size:] += n
-        received = np.bincount(both, minlength=2 * n)
-        pulls_received[b] = received[:n]
-        counts[b] = received[n:]
-        k_acc[b] = _exact_index_sums(
-            t[1].ravel().astype(np.intp), v.ravel(), n,
-            int(counts[b].max()),
-        )
-    _offset_self(pulls, act_pad[:, None, :])
-    k = k_acc % m
-
-    # ------------------------------------------------------------------
-    # Winner (argmin of (k, label) among active) and Definition 2 events.
-    labels = np.arange(n, dtype=np.int64)
-    score = np.where(active, k * n + labels, _INT64_MAX)
-    winner_idx = score.argmin(axis=1)
-
-    k_sent = np.where(active, k, m)
-    k_sorted = np.sort(k_sent, axis=1)
-    k_collision = (
-        (k_sorted[:, 1:] == k_sorted[:, :-1]) & (k_sorted[:, 1:] < m)
-    ).any(axis=1)
-
-    min_votes = np.where(active, counts, _INT64_MAX).min(axis=1)
-    max_votes = np.where(active, counts, -1).max(axis=1)
-    min_pulls = np.where(active, pulls_received, _INT64_MAX).min(axis=1)
-
-    # Find-Min replies (pulls answered by active agents) for the
-    # accounting below; with no faults every pull is answered.
-    if all_active:
-        findmin_replies = naq.copy()
-    else:
-        act_at_pull = active[rows[:, None, None], pulls]
-        if valid is not None:
-            act_at_pull &= valid[:, None, :]
-        findmin_replies = act_at_pull.sum(axis=(1, 2), dtype=np.int64)
-
-    # ------------------------------------------------------------------
-    # Find-Min: q synchronous pull rounds, vectorised across trials.
-    # Column n of `informed` is the padding sentinel's scratch cell.
-    informed = np.zeros((b_sz, n + 1), dtype=bool)
-    informed[rows, winner_idx] = True
-    find_min_rounds = np.full(b_sz, -1, dtype=np.int64)
-    rows_col = rows[:, None]
-    for rnd in range(1, q + 1):
-        gathered = informed[rows_col, pulls[:, rnd - 1, :]]
-        now = informed[rows_col, act_pad] | gathered
-        informed[rows_col, act_pad] = now
-        if valid is not None:
-            now |= ~valid
-        done = now.all(axis=1)
-        find_min_rounds[(find_min_rounds < 0) & done] = rnd
-        if done.all():
-            break
-    agreement = find_min_rounds > 0
-
-    total_messages, total_bits, max_message_bits = _accounting(
-        params, n_a, counts[rows, winner_idx], max_votes,
-        commit_replies, findmin_replies,
-    )
-
-    return {
-        "n_active": n_a.astype(np.int64),
-        "winner": np.where(agreement, winner_idx, -1).astype(np.int64),
-        "min_votes": min_votes,
-        "max_votes": max_votes,
-        "k_collision": k_collision,
-        "find_min_agreement": agreement,
-        "find_min_rounds": find_min_rounds,
-        "min_commitment_pulls_received": min_pulls,
-        "total_messages": total_messages,
-        "total_bits": total_bits,
-        "max_message_bits": max_message_bits,
-    }
-
-
-# ---------------------------------------------------------------------------
-# Statistical mode: sufficient-statistic sampling, O(B * n) per block.
+# Sufficient-statistic sampling, O(B * n) per block.
 # ---------------------------------------------------------------------------
 
 class _CountMarginal:
@@ -734,7 +545,9 @@ def batch_from_runs(
 ) -> FastBatchResult:
     """Assemble per-trial :class:`FastRunResult` objects into a batch.
 
-    Used by the ``agent`` tier so every tier returns the same
+    Used by the per-trial tiers (``batch-parity`` over
+    :func:`~repro.fastpath.simulate.simulate_protocol_fast`, ``agent``
+    over the agent engine) so every tier returns the same
     struct-of-arrays interface.
     """
     colors = tuple(colors)

@@ -21,10 +21,10 @@ Integer-safety bound: per-receiver vote sums are ~``q`` values below
 this simulator is asked to run (guarded by an explicit check).
 
 The random draws of one run are centralised in :func:`_draw_run` in a
-fixed order, shape and dtype.  The trial-axis batched engine
-(:mod:`repro.fastpath.batch`) replays exactly the same per-trial streams,
-which is what makes batched and per-run results bit-identical
-(`tests/test_fastpath_batch.py`).
+fixed order, shape and dtype.  The ``batch-parity`` dispatch tier is
+:func:`simulate_protocol_fast` looped over seeds (its results stacked by
+:func:`repro.fastpath.batch.batch_from_runs`), so it is bit-identical
+to the per-run engine by construction.
 """
 
 from __future__ import annotations
@@ -100,8 +100,8 @@ def _draw_run(
     * ``vote_values`` — shape ``(n_a, q)``: vote values in ``[0, m)``;
     * ``pulls_raw`` — shape ``(q, n_a)``: Find-Min pull targets, raw.
 
-    Both the per-run and the batched fastpath draw through this helper,
-    so a trial's stream is identical in either engine.
+    Only the per-run fastpath (and so the ``batch-parity`` tier, which
+    loops it) draws through this helper.
     """
     dt = _peer_dtype(n)
     targets_raw = rng.integers(n - 1, size=(2, n_a, q), dtype=dt)

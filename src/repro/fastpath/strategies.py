@@ -6,9 +6,9 @@ not arbitrary: each one is a fixed, declarative set of effects on the
 protocol's random structure — votes dropped or rewritten, Commitment
 pulls left unanswered, a forged ``k = 0`` certificate injected into
 Find-Min, a detection event that makes verifiers output ⊥.  This module
-executes those effects *vectorised over the trial axis*, on the same
-``(B, n_a, q)`` tensor layout as the seed-parity batch engine, and
-derives every detection event exactly from the sampled tensors:
+executes those effects *vectorised over the trial axis*, on
+``(B, n_a, q)`` tensors of every pull and vote, and derives every
+detection event exactly from the sampled tensors:
 
 * **exposure** (Lemma 6.1): member ``v`` is exposed iff some honest
   agent's sampled Commitment pull hits ``v`` — the pooled attack forges

@@ -35,6 +35,7 @@ from typing import Any, Mapping
 
 from repro.experiments.registry import (
     check_counts,
+    check_types,
     get_experiment,
     options_dict,
 )
@@ -78,20 +79,14 @@ def _resolve_submission(body: Mapping[str, Any]) -> tuple[str, dict, str]:
             f"unknown option field(s) {unknown} for {spec.name}; "
             f"valid fields: {sorted(valid)}"
         )
-    # JSON arrays arrive as lists where the dataclasses hold tuples;
-    # canonical_json treats them identically, so the key is stable.
+    # Typed as --set would type them, so both front doors key alike.
     try:
-        opts = spec.options_cls(**dict(overrides))
-    except (TypeError, ValueError) as exc:
-        raise _BadRequest(
-            f"cannot build {spec.options_cls.__name__}: {exc}"
-        ) from None
-    try:
+        overrides = check_types(spec.name, spec.options_cls, overrides)
+        opts = spec.options_cls(**overrides)
         check_counts(spec.name, opts)
     except ValueError as exc:
         raise _BadRequest(str(exc)) from None
-    return spec.name, dict(overrides), result_key(spec.name,
-                                                  options_dict(opts))
+    return spec.name, overrides, result_key(spec.name, options_dict(opts))
 
 
 class _Handler(BaseHTTPRequestHandler):

@@ -206,10 +206,6 @@ class JobQueue:
         with self._lock:
             return [self._by_id[i] for i in self._order]
 
-    def depth(self) -> int:
-        with self._lock:
-            return len(self._pending)
-
     def stats(self) -> dict[str, Any]:
         with self._lock:
             states: dict[str, int] = {}

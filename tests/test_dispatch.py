@@ -33,6 +33,21 @@ class TestEngineAgreement:
                 engine="agent",
             )
 
+    @pytest.mark.parametrize("label", [-1, 99])
+    def test_out_of_range_faulty_rejected_on_every_engine(self, label):
+        """Labels are checked once, when the plan is compiled: the
+        per-run fastpath behind ``batch-parity`` would read -1 as agent
+        n-1, so no tier may see an unchecked label."""
+        for engine in ("batch", "batch-parity", "agent"):
+            with pytest.raises(
+                ValueError, match=rf"^faulty label {label} out of range "
+                                  r"for n=16$",
+            ):
+                run_trials_fast(
+                    two_color_split(16, 0.5), [0],
+                    faulty=frozenset({label}), engine=engine,
+                )
+
 
 class TestAgentEngine:
     """The exact agent engine behind the same batch interface."""

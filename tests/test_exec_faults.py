@@ -16,6 +16,7 @@ The heavier end-to-end chaos runs are gated on ``REPRO_CHAOS=1``
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import os
 import signal
@@ -45,7 +46,7 @@ from repro.exec import chaos
 from repro.exec import pool as exec_pool
 from repro.exec.plan import compile_honest_plan
 from repro.exec.pool import available_cpus, default_workers
-from repro.exec.shm import OwnedSegment, scalar_stub
+from repro.exec.shm import SEGMENT_PREFIX, OwnedSegment, scalar_stub
 from repro.experiments.dispatch import run_async_trials_fast, run_trials_fast
 from repro.experiments.registry import run_experiment
 from repro.experiments.workloads import balanced
@@ -502,6 +503,31 @@ class TestShmLifecycle:
         assert len(made) == 1
         assert self._segments() == before
         assert _fields_equal(result, run_plan(plan))
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="counts fds and mappings through /proc")
+    def test_sharded_plans_keep_no_mapping(self):
+        """A merged result owns its arrays, so the parent closes each
+        plan's segment: after a warm-up, 20 more sharded plans leave its
+        open fds and ``repro_exec_`` mappings where they were."""
+        def counts() -> tuple[int, int]:
+            with open("/proc/self/maps") as maps:
+                mapped = sum(SEGMENT_PREFIX in line for line in maps)
+            return len(os.listdir("/proc/self/fd")), mapped
+
+        def sharded_plan() -> None:
+            with collect_execution() as records:
+                run_trials_fast(self.COLORS, self.SEEDS,
+                                engine="batch-parity", jobs=2)
+            assert records[0].transport == "shm"
+
+        sharded_plan()
+        gc.collect()
+        before = counts()
+        for _ in range(20):
+            sharded_plan()
+        gc.collect()
+        assert counts() == before
 
     def test_shm_unavailable_runs_serially(self, monkeypatch):
         def no_shm(size):

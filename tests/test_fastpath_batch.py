@@ -2,9 +2,10 @@
 
 Three contracts, per DESIGN.md §3:
 
-* seed-parity mode reproduces ``simulate_protocol_fast`` bit-for-bit,
-  trial by trial, for shared and ragged fault patterns;
-* results never depend on the memory chunking, in either mode;
+* the ``batch-parity`` front door equals ``simulate_protocol_fast``
+  looped over the seeds and stacked, field for field and dtype for
+  dtype, for shared and ragged fault patterns and across job counts;
+* the statistical engine is deterministic in its seed list;
 * statistical-mode aggregates match per-trial loops on fixed seed lists
   within Monte-Carlo tolerance (exact mechanisms: fairness, Find-Min,
   message accounting; documented approximation: count extremes).
@@ -20,6 +21,7 @@ from repro.analysis.fairness import (
     expected_distribution,
     total_variation,
 )
+from repro.experiments.dispatch import run_trials_fast
 from repro.fastpath.batch import FastBatchResult, batch_from_runs, simulate_protocol_fast_batch
 from repro.fastpath.simulate import simulate_protocol_fast
 from tests.conftest import two_color_split
@@ -40,77 +42,39 @@ def _assert_batches_equal(a: FastBatchResult, b: FastBatchResult) -> None:
         assert np.array_equal(got, want), field
 
 
+_PARITY_FAULTS = {
+    "none": frozenset(),
+    "shared": frozenset(range(0, 60, 6)),
+    "ragged": [frozenset(range(0, 60, k)) for k in (3, 4, 6, 8, 12)] * 2,
+}
+
+
 class TestSeedParity:
-    """seed_parity=True replays the per-run streams exactly."""
+    """``batch-parity`` is the per-run fastpath stacked trial by trial."""
 
-    def test_trials_match_per_run_no_faults(self):
-        colors = two_color_split(64, 0.4)
-        seeds = list(range(17))
-        batch = simulate_protocol_fast_batch(colors, seeds, seed_parity=True)
-        for i, s in enumerate(seeds):
-            assert batch.trial(i) == simulate_protocol_fast(colors, seed=s)
-
-    def test_trials_match_per_run_shared_faults(self):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("faults", sorted(_PARITY_FAULTS))
+    def test_front_door_equals_stacked_per_run_loop(self, faults, jobs):
         colors = two_color_split(60, 0.5)
-        faulty = frozenset(range(0, 60, 6))
-        seeds = [3 * i + 1 for i in range(12)]
-        batch = simulate_protocol_fast_batch(
-            colors, seeds, gamma=4.0, faulty=faulty, seed_parity=True
+        seeds = [3 * i + 1 for i in range(10)]
+        faulty = _PARITY_FAULTS[faults]
+        per_trial = (
+            faulty if isinstance(faulty, list) else [faulty] * len(seeds)
         )
-        for i, s in enumerate(seeds):
-            assert batch.trial(i) == simulate_protocol_fast(
-                colors, gamma=4.0, faulty=faulty, seed=s
-            )
-
-    def test_trials_match_per_run_ragged_faults(self):
-        colors = two_color_split(48, 0.5)
-        seeds = list(range(10))
-        faulty = [frozenset(range(0, 48, k)) for k in (3, 4, 6, 8, 12)] * 2
-        batch = simulate_protocol_fast_batch(
-            colors, seeds, gamma=4.0, faulty=faulty, seed_parity=True
+        runs = [
+            simulate_protocol_fast(colors, gamma=4.0, faulty=f, seed=s)
+            for f, s in zip(per_trial, seeds)
+        ]
+        got = run_trials_fast(
+            colors, seeds, gamma=4.0, faulty=faulty,
+            engine="batch-parity", jobs=jobs,
         )
-        for i, s in enumerate(seeds):
-            assert batch.trial(i) == simulate_protocol_fast(
-                colors, gamma=4.0, faulty=faulty[i], seed=s
-            )
-
-    def test_matches_batch_from_runs(self):
-        colors = two_color_split(32, 0.5)
-        seeds = list(range(9))
-        runs = [simulate_protocol_fast(colors, seed=s) for s in seeds]
-        _assert_batches_equal(
-            simulate_protocol_fast_batch(colors, seeds, seed_parity=True),
-            batch_from_runs(runs, colors),
-        )
+        _assert_batches_equal(got, batch_from_runs(runs, colors))
+        assert got.colors == tuple(colors)
 
 
 class TestChunking:
-    """Chunked and unchunked runs produce identical arrays."""
-
-    @pytest.mark.parametrize("seed_parity", [True, False])
-    def test_chunk_budget_is_invisible(self, seed_parity):
-        colors = two_color_split(40, 0.3)
-        seeds = list(range(25))
-        unchunked = simulate_protocol_fast_batch(
-            colors, seeds, seed_parity=seed_parity
-        )
-        chunked = simulate_protocol_fast_batch(
-            colors, seeds, seed_parity=seed_parity, max_chunk_elements=97
-        )
-        _assert_batches_equal(unchunked, chunked)
-
-    def test_chunk_budget_is_invisible_ragged(self):
-        colors = two_color_split(40, 0.3)
-        seeds = list(range(12))
-        faulty = [frozenset(range(i % 4)) for i in range(12)]
-        unchunked = simulate_protocol_fast_batch(
-            colors, seeds, faulty=faulty, seed_parity=True
-        )
-        chunked = simulate_protocol_fast_batch(
-            colors, seeds, faulty=faulty, seed_parity=True,
-            max_chunk_elements=1,
-        )
-        _assert_batches_equal(unchunked, chunked)
+    """Statistical-mode blocks are a deterministic function of the seeds."""
 
     def test_statistical_mode_deterministic(self):
         colors = two_color_split(64, 0.5)

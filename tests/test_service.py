@@ -39,6 +39,8 @@ from repro.cli import main
 from repro.experiments.registry import (
     _REGISTRY,
     experiment,
+    experiment_names,
+    get_experiment,
     options_dict,
     run_experiment,
 )
@@ -50,7 +52,7 @@ from repro.service import (
     ResultStore,
     StoreConflictError,
 )
-from repro.service.api import ExperimentService
+from repro.service.api import ExperimentService, _resolve_submission
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.store import STORE_FILENAME, locate_store
 from repro.study import Study
@@ -453,6 +455,22 @@ class TestDaemon:
 # HTTP end to end
 # ---------------------------------------------------------------------------
 
+class TestSubmissionTypes:
+    @pytest.mark.parametrize("name", experiment_names())
+    def test_json_defaults_resolve_to_the_default_cell(self, name):
+        """Every option type in use has a JSON rule: each experiment's
+        defaults, sent as JSON, resolve to the default options object
+        (arrays as tuples, numbers as their field's type) and key the
+        default cell."""
+        spec = get_experiment(name)
+        defaults = options_dict(spec.default_options())
+        body = {"experiment": name,
+                "options": json.loads(json.dumps(defaults))}
+        _, overrides, key = _resolve_submission(body)
+        assert spec.options_cls(**overrides) == spec.default_options()
+        assert key == result_key(name, defaults)
+
+
 @pytest.fixture
 def service(tmp_path):
     with ExperimentService(tmp_path / "svc.sqlite3", port=0) as svc:
@@ -596,6 +614,12 @@ class TestServiceHTTP:
             {"experiment": "e1", "options": [1, 2]},   # wrong shape
             {"experiment": "e1", "options": {"trials": 0}},  # no trials
             {"experiment": "e1", "options": {"sizes": [1]}},  # one agent
+            # Values of the wrong JSON type:
+            {"experiment": "e1", "options": {"trials": 5.0}},
+            {"experiment": "e1", "options": {"trials": "5"}},
+            {"experiment": "e1", "options": {"trials": True}},
+            {"experiment": "e1", "options": {"sizes": 64}},
+            {"experiment": "e1", "options": {"gamma": "3"}},
         ]
         for body in cases:
             with pytest.raises(ServiceError) as err:
@@ -620,11 +644,29 @@ class TestServiceHTTP:
         with pytest.raises(urllib.error.HTTPError) as raw:
             urllib.request.urlopen(req, timeout=10)
         assert raw.value.code == 400
-        # Structurally valid but mis-typed values pass the front door
-        # (dataclasses don't type-check) and surface as a failed job.
-        sub = client.submit("e1", {"trials": "many"})
-        with pytest.raises(ServiceError, match="failed"):
-            client.wait(sub)
+        # Mis-typed values are refused at the front door, naming the
+        # experiment, field and value; no job is created.
+        with pytest.raises(ServiceError) as err:
+            client.submit("e1", {"trials": "many"})
+        assert err.value.status == 400
+        assert "e1: option 'trials' must be int, got 'many'" \
+            in str(err.value)
+        assert client.jobs() == []
+
+    def test_json_number_keys_like_cli_set(self, service, tmp_path):
+        """DESIGN.md §11: a daemon cell and a CLI cell share their key.
+        JSON ``3`` for a float field is the cell ``--set gamma=3`` is,
+        not one of its own."""
+        assert main(["experiment", "e1", "--set", "gamma=3",
+                     "--set", "sizes=16", "--set", "workloads=balanced",
+                     "--trials", "6", "--format", "json",
+                     "--out", str(tmp_path / "cli")]) == 0
+        (archived,) = (tmp_path / "cli").glob("e1-*.json")
+        client = ServiceClient(service.url)
+        sub = client.submit("e1", {"gamma": 3, "sizes": [16],
+                                   "workloads": ["balanced"], "trials": 6})
+        assert archived.name == f"e1-{sub['key']}.json"
+        client.wait(sub)
 
     def test_unknown_routes_reply_404(self, service):
         client = ServiceClient(service.url)
