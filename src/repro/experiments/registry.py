@@ -99,21 +99,23 @@ def options_dict(opts: Any) -> dict[str, Any]:
 
 
 #: Lower bounds of the count options: a run needs one trial and one
-#: worker, and a protocol needs two agents.  Sequence fields bound each
-#: entry.
+#: worker, a coalition one member, and a protocol two agents.  Sequence
+#: fields bound each entry.
 _COUNT_MINIMUMS = (
-    ("trials", 1), ("jobs", 1), ("n", 2), ("sizes", 2), ("async_sizes", 2),
+    ("trials", 1), ("jobs", 1), ("coalition_sizes", 1), ("n", 2),
+    ("sizes", 2), ("async_sizes", 2), ("scaling_n", 2),
 )
 
 
 def check_counts(name: str, opts: Any) -> None:
-    """Reject trial, worker and agent counts below their minimum.
+    """Reject counts below their minimum and fractions outside (0, 1).
 
     The one range check behind ``repro experiment``, ``POST /jobs`` and
     every registered runner: ``trials`` must be >= 1, ``jobs`` None or
-    >= 1, and ``n`` and every entry of ``sizes`` and ``async_sizes``
-    >= 2.  The ``ValueError`` names the experiment, the field and the
-    value.
+    >= 1, every entry of ``coalition_sizes`` >= 1, ``n``,
+    ``scaling_n`` and every entry of ``sizes`` and ``async_sizes``
+    >= 2, and ``minority`` strictly between 0 and 1.  The
+    ``ValueError`` names the experiment, the field and the value.
     """
     for field, minimum in _COUNT_MINIMUMS:
         value = getattr(opts, field, None)
@@ -123,6 +125,11 @@ def check_counts(name: str, opts: Any) -> None:
                     f"{name}: option {field!r} must be >= {minimum}, "
                     f"got {v!r}"
                 )
+    minority = getattr(opts, "minority", None)
+    if isinstance(minority, numbers.Real) and not 0 < minority < 1:
+        raise ValueError(
+            f"{name}: option 'minority' must be in (0, 1), got {minority!r}"
+        )
 
 
 def _typed(value: Any, hint: Any) -> Any:

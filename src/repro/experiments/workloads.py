@@ -25,7 +25,10 @@ def balanced(n: int) -> list[str]:
 
 
 def skewed(n: int, minority: float = 0.1) -> list[str]:
-    """Two colors with a ``minority`` fraction of 'blue'."""
+    """Two colors with a ``minority`` fraction of 'blue' (at least one
+    blue); ``minority`` must lie strictly between 0 and 1."""
+    if not 0 < minority < 1:
+        raise ValueError(f"minority must be in (0, 1), got {minority!r}")
     blues = max(1, round(n * minority))
     return ["red"] * (n - blues) + ["blue"] * blues
 

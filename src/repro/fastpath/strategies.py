@@ -84,12 +84,17 @@ _STRAT_STREAM_SALT = 0x_57A7_0FFE  # domain-separates strategy-tier streams
 
 _INT64_MAX = np.iinfo(np.int64).max
 
-# Single-entry memo of the honest baseline's per-chunk evaluations.
-# The honest side of a pairing depends only on (colors, seeds, gamma,
+# LRU memo of the honest baseline, one read-only entry per trial block.
+# A block's honest side depends only on (colors, block seeds, gamma,
 # faulty, defenses) — never the strategy (shared tensors are drawn
-# before any strategy-specific extras) — and E7-style grids replay the
-# same baseline for every (strategy, coalition) cell.
-_honest_memo: dict = {"key": None, "chunks": None}
+# before any strategy-specific extras) — so E7-style grids replay it
+# for every (strategy, coalition) cell.  Per-block keys let a pool
+# worker replay every block it has seen, whatever shards it is handed
+# (shards are block-aligned).  Bounded in trials (~112 bytes each), not
+# entries: a grid cycles through its spine's blocks, so an entry cap
+# below the spine's block count would miss every block (DESIGN.md §5).
+_HONEST_MEMO_TRIALS = 1 << 17
+_honest_memo: dict[tuple, dict] = {}
 
 
 @dataclass(frozen=True)
@@ -254,22 +259,28 @@ def simulate_strategy_fast_batch(
     n_a = n - len(faulty)
     block = strategy_block_trials(n_a, q)
     starts = list(range(0, n_trials, block)) or [0]
-    memo_key = (colors, tuple(seeds), gamma, faulty, defenses)
-    cached = (
-        _honest_memo["chunks"] if _honest_memo["key"] == memo_key else None
-    )
+    held = sum(len(key[1]) for key in _honest_memo)
     chunks = []
-    honest_sides = []
-    for ci, i in enumerate(starts):
+    for i in starts:
+        block_seeds = tuple(seeds[i:i + block])
+        key = (colors, block_seeds, gamma, faulty, defenses)
+        honest_side = _honest_memo.pop(key, None)
         out = _simulate_strategy_chunk(
-            n, params, colors, seeds[i:i + block], mem, spec, faulty,
-            defenses,
-            honest_side=cached[ci] if cached is not None else None,
+            n, params, colors, block_seeds, mem, spec, faulty, defenses,
+            honest_side=honest_side,
         )
         chunks.append(out)
-        honest_sides.append(out["honest_side"])
-    _honest_memo["key"] = memo_key
-    _honest_memo["chunks"] = honest_sides
+        if honest_side is None:
+            honest_side = out["honest_side"]
+            for arr in (*honest_side["result"].values(),
+                        honest_side["detected"], honest_side["split"]):
+                arr.setflags(write=False)
+            held += len(block_seeds)
+        _honest_memo[key] = honest_side          # most recently used
+        while held > _HONEST_MEMO_TRIALS:
+            oldest = next(iter(_honest_memo))
+            del _honest_memo[oldest]
+            held -= len(oldest[1])
 
     def cat(side: str, field: str) -> np.ndarray:
         return np.concatenate([c[side][field] for c in chunks])

@@ -183,6 +183,7 @@ class TestOverrideValidation:
     @pytest.mark.parametrize("exp, override, field", [
         ("e1", "sizes=64,1", "sizes"),
         ("e7", "n=1", "n"),
+        ("e8", "scaling_n=1", "scaling_n"),
         ("e10", "async_sizes=1", "async_sizes"),
     ])
     def test_agent_counts_below_two_exit_2(self, exp, override, field,
@@ -192,6 +193,23 @@ class TestOverrideValidation:
         captured = capsys.readouterr()
         assert rc == 2
         assert f"{exp}: option '{field}' must be >= 2, got 1" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("exp, override, message", [
+        ("e7", "coalition_sizes=1,-1",
+         "option 'coalition_sizes' must be >= 1, got -1"),
+        ("e7", "minority=1.5", "option 'minority' must be in (0, 1), got 1.5"),
+        ("e8", "minority=1.5", "option 'minority' must be in (0, 1), got 1.5"),
+        ("e9", "minority=1.5", "option 'minority' must be in (0, 1), got 1.5"),
+    ])
+    def test_coalition_and_minority_out_of_range_exit_2(
+            self, exp, override, message, capsys, tmp_path):
+        out = tmp_path / "archive"
+        rc = main(["experiment", exp, "--set", override, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert f"{exp}: {message}" in captured.err
         assert captured.out == ""
         assert not out.exists()
 

@@ -41,6 +41,11 @@ class TestWorkloads:
     def test_skewed_never_empty_minority(self):
         assert "blue" in workloads.skewed(5, 0.01)
 
+    @pytest.mark.parametrize("minority", [0.0, 1.0, 1.5, -0.25])
+    def test_skewed_minority_outside_unit_interval_rejected(self, minority):
+        with pytest.raises(ValueError, match=r"minority must be in \(0, 1\)"):
+            workloads.skewed(48, minority)
+
     def test_multiway_partition(self):
         colors = workloads.multiway(100)
         assert len(colors) == 100

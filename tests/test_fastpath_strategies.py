@@ -7,7 +7,13 @@ import pytest
 
 from repro.agents.plans import plan
 from repro.core.defenses import Defenses
-from repro.fastpath.strategies import simulate_strategy_fast_batch
+from repro.core.params import ProtocolParams
+from repro.fastpath import strategies as strat
+from repro.fastpath.batch import FastBatchResult
+from repro.fastpath.strategies import (
+    StrategyBatchResult,
+    simulate_strategy_fast_batch,
+)
 from tests.conftest import two_color_split
 
 COLORS = two_color_split(48, 0.75)   # 36 red, 12 blue
@@ -38,8 +44,7 @@ class TestPairing:
         import repro.fastpath.strategies as strat
 
         a = run("silent", BLUES[:2])
-        strat._honest_memo["key"] = None
-        strat._honest_memo["chunks"] = None
+        strat._honest_memo.clear()
         b = run("griefing", BLUES[:2])
         assert np.array_equal(a.honest.winner, b.honest.winner)
         assert np.array_equal(a.honest.total_bits, b.honest.total_bits)
@@ -51,8 +56,7 @@ class TestPairing:
 
         warm = run("silent", BLUES[:2])
         cached = run("vote_switch", BLUES[:1])      # memo hit
-        strat._honest_memo["key"] = None
-        strat._honest_memo["chunks"] = None
+        strat._honest_memo.clear()
         cold = run("vote_switch", BLUES[:1])        # memo miss
         assert np.array_equal(cached.honest.winner, cold.honest.winner)
         assert np.array_equal(cached.honest.winner, warm.honest.winner)
@@ -75,6 +79,107 @@ class TestPairing:
         res = run(None, ())
         assert np.array_equal(res.honest.winner, res.deviant.winner)
         assert res.honest.success_rate() > 0.9
+
+
+class TestHonestMemo:
+    """The honest baseline is memoised per trial block, so a call
+    replays every block seen before whatever seed list carries it —
+    the way a pool worker sees a grid's shards in any order."""
+
+    SEEDS_A = list(range(40))
+    SEEDS_B = list(range(100, 140))
+
+    @pytest.fixture(autouse=True)
+    def sides(self, monkeypatch):
+        """Empty memo; counts ``_evaluate_side`` calls (honest and
+        deviant sides alike) in the returned list."""
+        calls = []
+        evaluate = strat._evaluate_side
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(strat, "_evaluate_side", counting)
+        strat._honest_memo.clear()
+        yield calls
+        strat._honest_memo.clear()
+
+    @staticmethod
+    def evaluations(calls, *args, **kwargs):
+        before = len(calls)
+        res = run(*args, **kwargs)
+        return res, len(calls) - before
+
+    @staticmethod
+    def memoised_trials():
+        return sum(len(key[1]) for key in strat._honest_memo)
+
+    def test_replays_block_after_another_seed_list(self, sides):
+        run("silent", BLUES[:2], seeds=self.SEEDS_A)
+        run("silent", BLUES[:2], seeds=self.SEEDS_B)
+        res, n_eval = self.evaluations(
+            sides, "griefing", BLUES[:2], seeds=self.SEEDS_A)
+        assert n_eval == 1                  # the deviant side only
+        assert len(res) == len(self.SEEDS_A)
+
+    def test_replays_blocks_across_shard_cuts(self, sides, monkeypatch):
+        """Blocks of 40 trials: two one-block calls, then their
+        concatenation (two blocks) replays both honest sides."""
+        n_a = len(COLORS)
+        q = ProtocolParams(n=n_a, gamma=2.5, num_colors=2).q
+        monkeypatch.setattr(strat, "_STRAT_BLOCK_ELEMENTS", 40 * n_a * q)
+        assert strat.strategy_block_trials(n_a, q) == 40
+        run("silent", BLUES[:2], seeds=self.SEEDS_A)
+        run("silent", BLUES[:2], seeds=self.SEEDS_B)
+        _, n_eval = self.evaluations(
+            sides, "pooled", BLUES[:4], seeds=self.SEEDS_A + self.SEEDS_B)
+        assert n_eval == 2                  # one deviant side per block
+
+    def test_replay_equals_cold_evaluation(self, sides):
+        run("silent", BLUES[:2], seeds=self.SEEDS_A)
+        run("silent", BLUES[:2], seeds=self.SEEDS_B)
+        warm, n_eval = self.evaluations(
+            sides, "pooled", BLUES[:4], seeds=self.SEEDS_A)
+        assert n_eval == 1
+        strat._honest_memo.clear()
+        cold, n_eval = self.evaluations(
+            sides, "pooled", BLUES[:4], seeds=self.SEEDS_A)
+        assert n_eval == 2
+        for side in ("honest", "deviant"):
+            for field, _ in FastBatchResult.ARRAY_FIELDS:
+                a = getattr(getattr(warm, side), field)
+                b = getattr(getattr(cold, side), field)
+                assert a.dtype == b.dtype, (side, field)
+                assert np.array_equal(a, b), (side, field)
+        for field, _ in StrategyBatchResult.ARRAY_FIELDS:
+            a, b = getattr(warm, field), getattr(cold, field)
+            assert a.dtype == b.dtype and np.array_equal(a, b), field
+
+    def test_bounded_by_trial_budget(self, sides, monkeypatch):
+        monkeypatch.setattr(strat, "_HONEST_MEMO_TRIALS", 100)
+        lists = [list(range(1000 * k, 1000 * k + 40)) for k in range(5)]
+        for seeds in lists:
+            run("silent", BLUES[:2], seeds=seeds)
+            assert self.memoised_trials() <= 100
+        assert len(strat._honest_memo) == 2
+        _, n_eval = self.evaluations(
+            sides, "griefing", BLUES[:2], seeds=lists[-1])
+        assert n_eval == 1
+        _, n_eval = self.evaluations(
+            sides, "griefing", BLUES[:2], seeds=lists[0])
+        assert n_eval == 2                  # evicted: evaluated again
+
+    def test_entries_read_only_results_writable(self):
+        run("silent", BLUES[:2], seeds=self.SEEDS_A)
+        res = run(None, (), seeds=self.SEEDS_A)      # replays the block
+        (side,) = strat._honest_memo.values()
+        frozen = [*side["result"].values(), side["detected"], side["split"]]
+        assert not any(a.flags.writeable for a in frozen)
+        with pytest.raises(ValueError, match="read-only"):
+            side["result"]["winner"][0] = 0
+        for arr in (res.honest.winner, res.deviant.winner, res.detected):
+            assert arr.flags.writeable
 
 
 class TestValidation:

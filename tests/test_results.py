@@ -111,16 +111,17 @@ class TestPerExperiment:
                 f"{name}: option {field!r} must be >= 1, got 0")
 
     def test_agent_counts_below_two_rejected(self, name):
-        # A protocol needs two agents: ``n`` and every entry of ``sizes``
-        # and ``async_sizes`` (the bad one placed last) are checked
-        # before anything runs.
+        # A protocol needs two agents: ``n``, ``scaling_n`` and every
+        # entry of ``sizes`` and ``async_sizes`` (the bad one placed
+        # last) are checked before anything runs.
         spec = get_experiment(name)
         opts = spec.options_cls(**GOLDEN_OPTS[name])
         fields = [f.name for f in spec.option_fields()
-                  if f.name in ("n", "sizes", "async_sizes")]
+                  if f.name in ("n", "scaling_n", "sizes", "async_sizes")]
         assert fields
         for field in fields:
-            value = 1 if field == "n" else (*getattr(opts, field), 1)
+            value = (1 if field in ("n", "scaling_n")
+                     else (*getattr(opts, field), 1))
             with pytest.raises(ValueError) as err:
                 spec.run(opts, **{field: value})
             assert str(err.value) == \

@@ -614,6 +614,8 @@ class TestServiceHTTP:
             {"experiment": "e1", "options": [1, 2]},   # wrong shape
             {"experiment": "e1", "options": {"trials": 0}},  # no trials
             {"experiment": "e1", "options": {"sizes": [1]}},  # one agent
+            {"experiment": "e7", "options": {"minority": 1.5}},
+            {"experiment": "e7", "options": {"coalition_sizes": [0]}},
             # Values of the wrong JSON type:
             {"experiment": "e1", "options": {"trials": 5.0}},
             {"experiment": "e1", "options": {"trials": "5"}},
