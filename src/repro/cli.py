@@ -366,6 +366,46 @@ def _coerce_overrides(
     return out
 
 
+def _checked_options(
+    args: argparse.Namespace, names: Sequence[str], *, sweep: bool = False,
+) -> list[tuple[ExperimentSpec, dict[str, Any], Any]]:
+    """``(spec, overrides, options)`` per named experiment.
+
+    Folds ``--trials``/``--jobs`` (where the subcommand has them) into
+    the ``--set`` overrides, then coerces, builds and range-checks
+    (:func:`check_counts`) each experiment's options, so a bad value
+    raises :class:`_OverrideError` (exit 2) before anything runs,
+    archives or is submitted.  A ``sweep`` skips fields an experiment
+    lacks.
+    """
+    raw = _parse_overrides(args.overrides)
+    for field in ("trials", "jobs"):
+        flag = getattr(args, field, None)
+        if flag is None:
+            continue
+        if field in raw:
+            raise _OverrideError(
+                f"conflicting --{field} and --set {field}=...; pick one"
+            )
+        raw[field] = str(flag)
+    checked = []
+    for name in names:
+        spec = get_experiment(name)
+        overrides = _coerce_overrides(spec, raw, skip_unknown=sweep)
+        try:
+            opts = spec.options_cls(**overrides)
+        except TypeError as exc:
+            raise _OverrideError(
+                f"cannot build {spec.options_cls.__name__}: {exc}"
+            ) from exc
+        try:
+            check_counts(spec.name, opts)
+        except ValueError as exc:
+            raise _OverrideError(str(exc)) from exc
+        checked.append((spec, overrides, opts))
+    return checked
+
+
 def _emit_result(result: ExperimentResult, fmt: str,
                  out_dir: Path | None) -> None:
     if fmt == "table":
@@ -412,36 +452,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     try:
-        raw = _parse_overrides(args.overrides)
-        if args.trials is not None and "trials" in raw:
-            raise _OverrideError(
-                "conflicting --trials and --set trials=...; pick one"
-            )
-        if args.jobs is not None and "jobs" in raw:
-            raise _OverrideError(
-                "conflicting --jobs and --set jobs=...; pick one"
-            )
-        if args.trials is not None:
-            raw["trials"] = str(args.trials)
-        if args.jobs is not None:
-            raw["jobs"] = str(args.jobs)
-        # Validate and build every options instance up front, so a bad
-        # override exits 2 before any experiment runs (or archives).
-        runs = []
-        for name in names:
-            spec = get_experiment(name)
-            overrides = _coerce_overrides(spec, raw, skip_unknown=sweep)
-            try:
-                opts = spec.options_cls(**overrides)
-            except TypeError as exc:
-                raise _OverrideError(
-                    f"cannot build {spec.options_cls.__name__}: {exc}"
-                ) from exc
-            try:
-                check_counts(spec.name, opts)
-            except ValueError as exc:
-                raise _OverrideError(str(exc)) from exc
-            runs.append((spec, opts))
+        runs = _checked_options(args, names, sweep=sweep)
     except _OverrideError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -453,7 +464,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     scope = (fault_policy(policy) if policy is not None
              else contextlib.nullcontext())
     with scope:
-        for spec, opts in runs:
+        for spec, _, opts in runs:
             result = spec.run(opts)
             _emit_result(result, args.fmt, args.out)
             if sweep:
@@ -518,18 +529,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_submit(args: argparse.Namespace) -> int:
     from repro.service.client import ServiceClient, ServiceError
 
-    spec = get_experiment(args.name)
     try:
-        raw = _parse_overrides(args.overrides)
-        if args.trials is not None and "trials" in raw:
-            raise _OverrideError(
-                "conflicting --trials and --set trials=...; pick one"
-            )
-        if args.trials is not None:
-            raw["trials"] = str(args.trials)
-        overrides = _coerce_overrides(spec, raw)
-        spec.options_cls(**overrides)  # validate before the network hop
-    except (_OverrideError, TypeError) as exc:
+        [(spec, overrides, _)] = _checked_options(args, [args.name])
+    except _OverrideError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     client = ServiceClient(args.url)

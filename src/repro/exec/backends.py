@@ -73,6 +73,7 @@ from repro.agents.plans import plan as make_plan
 from repro.exec import chaos
 from repro.exec import shm as shm_transport
 from repro.core.defenses import Defenses
+from repro.core.outcome import RunResult
 from repro.core.protocol import ProtocolConfig, run_protocol
 from repro.exec.plan import ExecutionPlan, shard_size_hint
 from repro.exec.pool import (
@@ -102,6 +103,7 @@ from repro.fastpath.strategies import (
     StrategyBatchResult,
     simulate_strategy_fast_batch,
 )
+from repro.util.batches import concat_batch, stack_batch
 
 __all__ = [
     "BACKENDS",
@@ -772,17 +774,12 @@ def _compute_deviation(plan: ExecutionPlan) -> StrategyBatchResult:
                        opt["members"], opt["faulty"], opt["defenses"], s)
         for s in seeds
     ]
-    honest_runs = [r[0] for r in rows]
-    dev_runs = [r[1] for r in rows]
-    return StrategyBatchResult(
+    return stack_batch(
+        StrategyBatchResult, [r[2] for r in rows],
         strategy=opt["strategy"] or "honest_shadow",
         members=tuple(sorted(opt["members"])),
-        honest=batch_from_runs(honest_runs, opt["colors"]),
-        deviant=batch_from_runs(dev_runs, opt["colors"]),
-        detected=np.array([r[2] for r in rows], dtype=bool),
-        split=np.array([r[3] for r in rows], dtype=bool),
-        forged=np.array([r[4] for r in rows], dtype=bool),
-        exposed_members=np.array([r[5] for r in rows], dtype=np.int64),
+        honest=batch_from_runs([r[0] for r in rows], opt["colors"]),
+        deviant=batch_from_runs([r[1] for r in rows], opt["colors"]),
     )
 
 
@@ -808,56 +805,34 @@ def _compute_graph(plan: ExecutionPlan) -> GraphBatchResult:
         _graph_agent_run(c, opt["colors"], opt["gamma"], f, s)
         for c, f, s in zip(csrs, opt["faulty_list"], seeds)
     ]
-    cols = list(zip(*rows)) if rows else [[]] * 7
-    return GraphBatchResult(
-        n=len(opt["colors"]),
-        n_trials=len(seeds),
-        colors=opt["colors"],
-        n_active=np.array(cols[0], dtype=np.int64),
-        success=np.array(cols[1], dtype=bool),
-        winner=np.array(cols[2], dtype=np.int64),
-        outcome_idx=np.array(cols[3], dtype=np.int64),
-        zero_vote_agents=np.array(cols[4], dtype=np.int64),
-        split=np.array(cols[5], dtype=bool),
-        failed_agents=np.array(cols[6], dtype=np.int64),
-    )
+    return stack_batch(GraphBatchResult, rows, n=len(opt["colors"]),
+                       colors=opt["colors"])
 
 
 def _compute_async(plan: ExecutionPlan) -> AsyncBatchResult:
     opt = plan.options
     n = opt["n"]
     seeds = list(plan.seeds)
-    if plan.engine == "batch":
-        values = np.stack([async_minagg_values(n, s) for s in seeds]) \
-            if seeds else np.zeros((0, n), dtype=np.int64)
-        minagg = async_min_ticks_batch(values, seeds) if seeds else \
-            np.zeros(0, dtype=np.int64)
-        if seeds:
-            conv, winner, eticks = run_async_leader_election_batch(
-                opt["colors"], seeds, opt["tick_budget_factor"]
-            )
-        else:
-            conv = np.zeros(0, dtype=bool)
-            winner = np.zeros(0, dtype=np.int64)
-            eticks = np.zeros(0, dtype=np.int64)
-        return AsyncBatchResult(
-            n=n, n_trials=len(seeds), minagg_ticks=minagg,
-            election_converged=conv, election_winner=winner,
-            election_ticks=eticks,
+    if plan.engine != "batch":
+        rows = [
+            _async_agent_run(n, opt["colors"], opt["tick_budget_factor"], s)
+            for s in seeds
+        ]
+        return stack_batch(AsyncBatchResult, rows, n=n)
+    chunks = []
+    if seeds:
+        values = np.stack([async_minagg_values(n, s) for s in seeds])
+        minagg = async_min_ticks_batch(values, seeds)
+        conv, winner, ticks = run_async_leader_election_batch(
+            opt["colors"], seeds, opt["tick_budget_factor"]
         )
-    rows = [
-        _async_agent_run(n, opt["colors"], opt["tick_budget_factor"], s)
-        for s in seeds
-    ]
-    cols = list(zip(*rows)) if rows else [[]] * 4
-    return AsyncBatchResult(
-        n=n,
-        n_trials=len(seeds),
-        minagg_ticks=np.array(cols[0], dtype=np.int64),
-        election_converged=np.array(cols[1], dtype=bool),
-        election_winner=np.array(cols[2], dtype=np.int64),
-        election_ticks=np.array(cols[3], dtype=np.int64),
-    )
+        chunks.append({
+            "minagg_ticks": minagg,
+            "election_converged": conv,
+            "election_winner": winner,
+            "election_ticks": ticks,
+        })
+    return concat_batch(AsyncBatchResult, chunks, n=n)
 
 
 _COMPUTE = {
@@ -879,47 +854,19 @@ def _agent_run(
     res = run_protocol(ProtocolConfig(
         colors=list(colors), gamma=gamma, faulty=faulty, seed=seed,
     ))
-    return FastRunResult(
-        n=res.n,
-        n_active=res.n - len(faulty),
-        outcome=res.outcome,
-        winner=res.winner,
-        rounds=res.rounds,
-        min_votes=res.good.min_votes,
-        max_votes=res.good.max_votes,
-        k_collision=res.good.k_collision,
-        find_min_agreement=res.good.find_min_agreement,
-        find_min_rounds=-1,                   # not observed by the engine
-        min_commitment_pulls_received=-1,     # not observed by the engine
-        total_messages=res.metrics.total_messages,
-        total_bits=res.metrics.total_bits,
-        max_message_bits=res.metrics.max_message_bits,
-    )
+    return _run_result_to_fast(res, len(faulty), res.winner)
 
 
 def _run_result_to_fast(
-    res, colors: tuple[Hashable, ...], n_faulty: int
+    res: RunResult, n_faulty: int, winner: int | None
 ) -> FastRunResult:
     """Compact a ``RunResult`` into the batch record shape.
 
-    When the engine reports a winning color without a unique
-    certificate owner (same-color certificates from different owners),
-    ``winner`` falls back to the smallest owner among the followers'
-    final certificates — the same representative the strategy fastpath
-    uses.
+    Each caller keeps its own ``winner`` rule: the honest ``agent``
+    tier records the engine's (``None`` when same-color certificates
+    have different owners), the deviation tier the smallest owner
+    (:func:`_deviation_winner`).
     """
-    winner = res.winner
-    if winner is None and res.outcome is not None:
-        nodes = res.extras.get("nodes", {})
-        owners = [
-            nodes[i].min_certificate.owner
-            for i in res.decisions
-            if i in nodes
-            and getattr(nodes[i], "min_certificate", None) is not None
-        ]
-        winner = min(owners) if owners else next(
-            i for i, c in enumerate(colors) if c == res.outcome
-        )
     return FastRunResult(
         n=res.n,
         n_active=res.n - n_faulty,
@@ -938,12 +885,35 @@ def _run_result_to_fast(
     )
 
 
+def _deviation_winner(
+    res: RunResult, colors: tuple[Hashable, ...]
+) -> int | None:
+    """The deviation tier's winner: the engine's, or — when it reports a
+    winning color without a unique certificate owner (same-color
+    certificates from different owners) — the smallest owner among the
+    followers' final certificates, the same representative the
+    strategy fastpath uses."""
+    if res.winner is not None or res.outcome is None:
+        return res.winner
+    nodes = res.extras.get("nodes", {})
+    owners = [
+        nodes[i].min_certificate.owner
+        for i in res.decisions
+        if i in nodes
+        and getattr(nodes[i], "min_certificate", None) is not None
+    ]
+    return min(owners) if owners else next(
+        i for i, c in enumerate(colors) if c == res.outcome
+    )
+
+
 def _deviation_run(
     colors: tuple[Hashable, ...], gamma: float, strategy: str | None,
     members: frozenset[int], faulty_set: frozenset[int],
     defenses: Defenses, seed: int,
-) -> tuple[FastRunResult, FastRunResult, bool, bool, bool, int]:
-    """One paired (honest, deviant) agent-engine trial."""
+) -> tuple[FastRunResult, FastRunResult, dict[str, Any]]:
+    """One paired (honest, deviant) agent-engine trial, plus the
+    deviant run's observer-side row."""
     honest_res = run_protocol(ProtocolConfig(
         colors=list(colors), gamma=gamma, faulty=faulty_set, seed=seed,
         defenses=defenses,
@@ -973,40 +943,48 @@ def _deviation_run(
         if getattr(node, "forged", None) is not None:
             forged = True
     return (
-        _run_result_to_fast(honest_res, colors, len(faulty_set)),
-        _run_result_to_fast(dev_res, colors, len(faulty_set)),
-        detected, split, forged, exposed,
+        _run_result_to_fast(honest_res, len(faulty_set),
+                            _deviation_winner(honest_res, colors)),
+        _run_result_to_fast(dev_res, len(faulty_set),
+                            _deviation_winner(dev_res, colors)),
+        {"detected": detected, "split": split, "forged": forged,
+         "exposed_members": exposed},
     )
 
 
 def _graph_agent_run(
     csr: GraphCSR, colors: tuple[Hashable, ...], gamma: float,
     faulty: frozenset[int], seed: int,
-) -> tuple[int, bool, int, int, int, bool, int]:
-    """One per-agent graph trial, packed into the batch record shape."""
+) -> dict[str, Any]:
+    """One per-agent graph trial, as a row of the batch record."""
     from repro.extensions.topologies import run_graph_protocol
 
     res = run_graph_protocol(
         csr.to_networkx(), colors, gamma=gamma, seed=seed, faulty=faulty,
     )
     palette = list(dict.fromkeys(colors))
-    return (
-        csr.n - len(faulty),
-        res.outcome is not None,
-        res.winner if res.winner is not None else -1,
-        palette.index(res.outcome) if res.outcome is not None else -1,
-        res.zero_vote_agents,
-        res.split,
-        res.failed_agents,
-    )
+    return {
+        "n_active": csr.n - len(faulty),
+        "success": res.outcome is not None,
+        "winner": res.winner if res.winner is not None else -1,
+        "outcome_idx": (palette.index(res.outcome)
+                        if res.outcome is not None else -1),
+        "zero_vote_agents": res.zero_vote_agents,
+        "split": res.split,
+        "failed_agents": res.failed_agents,
+    }
 
 
 def _async_agent_run(
     n: int, colors: tuple[Hashable, ...], factor: float, seed: int,
-) -> tuple[int, bool, int, int]:
+) -> dict[str, Any]:
     ticks = int(async_min_ticks(async_minagg_values(n, seed), seed=seed))
     el = run_async_leader_election(
         colors, seed=seed, tick_budget_factor=factor
     )
-    return (ticks, el.converged,
-            el.winner if el.winner is not None else -1, el.ticks)
+    return {
+        "minagg_ticks": ticks,
+        "election_converged": el.converged,
+        "election_winner": el.winner if el.winner is not None else -1,
+        "election_ticks": el.ticks,
+    }

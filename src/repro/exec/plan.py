@@ -108,13 +108,11 @@ class ExecutionPlan:
 
     ``options`` holds the normalised engine inputs (picklable, so a
     sliced plan travels to pool workers as-is); ``engine`` is always a
-    concrete tier (``auto`` resolves at compile time, the original
-    request is kept for result metadata).
+    concrete tier (``auto`` resolves at compile time).
     """
 
     kind: str                     # honest | deviation | graph | async
     engine: str                   # resolved tier, never "auto"
-    requested_engine: str
     seeds: tuple[int, ...]        # the trial seed spine, one per trial
     options: Mapping[str, Any]
     shard_quantum: int = 1
@@ -239,7 +237,6 @@ def compile_honest_plan(
     return ExecutionPlan(
         kind="honest",
         engine=resolved,
-        requested_engine=engine,
         seeds=seeds,
         options={
             "colors": colors,
@@ -276,7 +273,6 @@ def compile_deviation_plan(
     return ExecutionPlan(
         kind="deviation",
         engine=resolved,
-        requested_engine=engine,
         seeds=seeds,
         options={
             "colors": colors,
@@ -347,7 +343,6 @@ def compile_graph_plan(
     return ExecutionPlan(
         kind="graph",
         engine=resolved,
-        requested_engine=engine,
         seeds=seeds,
         options={
             "colors": colors,
@@ -383,7 +378,6 @@ def compile_async_plan(
     return ExecutionPlan(
         kind="async",
         engine=resolved,
-        requested_engine=engine,
         seeds=seeds,
         options={
             "n": int(n),

@@ -13,11 +13,10 @@ pipe:
   result from full-length arrays — the parent copies each one out of
   its mapping of the segment once, with no concatenation.
 
-Which arrays exist at what dtype is declared by the batch-result
-classes themselves via the **out-buffer protocol**: a class-level
-``ARRAY_FIELDS`` tuple of ``(field, dtype)`` pairs, plus
-``NESTED_BATCH_FIELDS`` for results that embed other batch results
-(the strategy tier's honest/deviant pair).
+The layout comes from the one record schema every tier builds from
+(:mod:`repro.util.batches`): each batch-result class's
+``ARRAY_FIELDS`` and ``NESTED_BATCH_FIELDS``.  :func:`batch_schema`
+and :func:`build_batch` live there and are re-exported here.
 
 Ownership and unlink contract (DESIGN.md §9)
 --------------------------------------------
@@ -48,6 +47,8 @@ from typing import Any, Mapping
 
 import numpy as np
 
+from repro.util.batches import batch_schema, build_batch, check_dtype
+
 __all__ = [
     "SEGMENT_PREFIX",
     "ResultLayout",
@@ -67,21 +68,6 @@ SEGMENT_PREFIX = "repro_exec_"
 #: Field offsets are aligned to cache lines; adjacent shards then only
 #: ever share a line at their own boundary, never across fields.
 _ALIGN = 64
-
-def batch_schema(cls: type, prefix: str = "") -> tuple[
-    tuple[str, np.dtype], ...
-]:
-    """Ordered ``(path, dtype)`` pairs of every trial-axis array.
-
-    Nested batch results contribute dotted paths (``honest.winner``),
-    so one flat schema describes the whole result tree.
-    """
-    entries: list[tuple[str, np.dtype]] = []
-    for name, dtype in getattr(cls, "ARRAY_FIELDS", ()):
-        entries.append((prefix + name, np.dtype(dtype)))
-    for name, sub in getattr(cls, "NESTED_BATCH_FIELDS", ()):
-        entries.extend(batch_schema(sub, prefix=f"{prefix}{name}."))
-    return tuple(entries)
 
 
 @dataclass(frozen=True)
@@ -122,7 +108,7 @@ def plan_layout(cls: type, n_trials: int) -> ResultLayout:
 
 
 # ---------------------------------------------------------------------------
-# The out-buffer protocol: export / stub / merge / rebuild
+# Shard results: export / stub / merge
 # ---------------------------------------------------------------------------
 
 def _get_path(result: Any, path: str) -> Any:
@@ -155,13 +141,8 @@ def export_batch(
         if kill_after is not None and index == kill_after:
             fault.die()
         arr = _get_path(result, path)
-        view = views[path]
-        if arr.dtype != view.dtype:
-            raise TypeError(
-                f"out-buffer dtype mismatch for {path!r}: result has "
-                f"{arr.dtype}, layout declares {view.dtype}"
-            )
-        view[lo:hi] = arr
+        check_dtype(path, arr, dtype)
+        views[path][lo:hi] = arr
 
 
 def scalar_stub(result: Any) -> dict[str, Any]:
@@ -229,24 +210,6 @@ def merge_stubs(
         else:
             merged[name] = _merge_field(name, values)
     return merged
-
-
-def build_batch(
-    cls: type,
-    stub: Mapping[str, Any],
-    views: Mapping[str, np.ndarray],
-    prefix: str = "",
-) -> Any:
-    """Reassemble a batch result from a merged stub plus full-length
-    arrays, keyed by their schema paths."""
-    nested = dict(getattr(cls, "NESTED_BATCH_FIELDS", ()))
-    kwargs = dict(stub)
-    for name, _ in getattr(cls, "ARRAY_FIELDS", ()):
-        kwargs[name] = views[prefix + name]
-    for name, sub in nested.items():
-        kwargs[name] = build_batch(sub, stub[name], views,
-                                   prefix=f"{prefix}{name}.")
-    return cls(**kwargs)
 
 
 # ---------------------------------------------------------------------------

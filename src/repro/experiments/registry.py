@@ -34,7 +34,7 @@ import typing
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
-from repro.exec.backends import collect_execution
+from repro.exec.backends import ExecRecord, collect_execution
 from repro.exec.plan import AUTO_ENGINE as _PLAN_AUTO_ENGINE
 from repro.results import ExperimentResult, ResultSection, build_meta
 from repro.util.tables import Table
@@ -106,6 +106,10 @@ _COUNT_MINIMUMS = (
     ("sizes", 2), ("async_sizes", 2), ("scaling_n", 2),
 )
 
+#: Experiments that fit a scaling curve across ``sizes`` (E2–E4), and
+#: so need at least two distinct sizes.
+_FITS_ACROSS_SIZES = ("e2", "e3", "e4")
+
 
 def check_counts(name: str, opts: Any) -> None:
     """Reject counts below their minimum and fractions outside (0, 1).
@@ -114,8 +118,10 @@ def check_counts(name: str, opts: Any) -> None:
     every registered runner: ``trials`` must be >= 1, ``jobs`` None or
     >= 1, every entry of ``coalition_sizes`` >= 1, ``n``,
     ``scaling_n`` and every entry of ``sizes`` and ``async_sizes``
-    >= 2, and ``minority`` strictly between 0 and 1.  The
-    ``ValueError`` names the experiment, the field and the value.
+    >= 2, ``sizes`` at least two distinct values where the experiment
+    fits a curve across them, and ``minority`` strictly between 0 and
+    1.  The ``ValueError`` names the experiment, the field and the
+    limit.
     """
     for field, minimum in _COUNT_MINIMUMS:
         value = getattr(opts, field, None)
@@ -125,6 +131,11 @@ def check_counts(name: str, opts: Any) -> None:
                     f"{name}: option {field!r} must be >= {minimum}, "
                     f"got {v!r}"
                 )
+    if name in _FITS_ACROSS_SIZES and len(set(opts.sizes)) < 2:
+        raise ValueError(
+            f"{name}: option 'sizes' needs >= 2 distinct values for the "
+            f"scaling fit, got {tuple(opts.sizes)!r}"
+        )
     minority = getattr(opts, "minority", None)
     if isinstance(minority, numbers.Real) and not 0 < minority < 1:
         raise ValueError(
@@ -216,6 +227,29 @@ def _seed_spine(opts: Any, strides: Sequence[int]) -> dict[str, Any]:
     }
 
 
+#: The :class:`ExecRecord` counters that sum, over a run's plans, into
+#: the :class:`~repro.results.ResultMeta` fields of the same name.
+_SUMMED_EXEC_FIELDS = (
+    "shards", "retries", "shard_failures", "degraded_shards",
+    "recovery_wall_s",
+)
+
+
+def _execution_meta(records: Sequence[ExecRecord]) -> dict[str, Any]:
+    """A run's plan records folded into its metadata: the backend is
+    ``parallel`` if any plan sharded, the counters sum, and a run that
+    executed no plan keeps every field's default."""
+    if not records:
+        return {}
+    folded = {name: sum(getattr(r, name) for r in records)
+              for name in _SUMMED_EXEC_FIELDS}
+    folded["backend"] = (
+        "parallel" if any(r.backend == "parallel" for r in records)
+        else "serial"
+    )
+    return folded
+
+
 def experiment(
     name: str,
     *,
@@ -262,22 +296,6 @@ def experiment(
                 )
             engine = getattr(opts, "engine", None)
             resolved = _AUTO_ENGINE[kind] if engine == "auto" else engine
-            backend = shards = None
-            retries = shard_failures = degraded = 0
-            recovery_wall = 0.0
-            if exec_records:
-                backend = (
-                    "parallel"
-                    if any(r.backend == "parallel" for r in exec_records)
-                    else "serial"
-                )
-                shards = sum(r.shards for r in exec_records)
-                retries = sum(r.retries for r in exec_records)
-                shard_failures = sum(r.shard_failures for r in exec_records)
-                degraded = sum(r.degraded_shards for r in exec_records)
-                recovery_wall = sum(
-                    r.recovery_wall_s for r in exec_records
-                )
             return ExperimentResult(
                 experiment=name,
                 title=title,
@@ -289,14 +307,9 @@ def experiment(
                     wall_time_s=wall,
                     engine=engine,
                     resolved_engine=resolved,
-                    backend=backend,
                     jobs=getattr(opts, "jobs", None),
-                    shards=shards,
-                    retries=retries,
-                    shard_failures=shard_failures,
-                    degraded_shards=degraded,
-                    recovery_wall_s=recovery_wall,
                     seed_spine=_seed_spine(opts, seed_strides),
+                    **_execution_meta(exec_records),
                 ),
             )
 

@@ -76,11 +76,12 @@ class AsyncBatchResult:
     a fresh value vector (``child("vals")`` of the trial seed, see
     :func:`async_minagg_values`) and the fair leader election.
 
-    ``ARRAY_FIELDS`` is the out-buffer protocol of the zero-copy
-    parallel transport (:mod:`repro.exec.shm`)."""
+    ``ARRAY_FIELDS`` is the record's one schema
+    (:mod:`repro.util.batches`), which the lockstep tier, the ``agent``
+    tier and the shard transport all build from."""
 
     #: Trial-axis arrays and their dtypes, in declaration order (the
-    #: out-buffer protocol; dtypes must match the constructed arrays).
+    #: schema the arrays are checked against on assembly).
     ARRAY_FIELDS: ClassVar[tuple[tuple[str, str], ...]] = (
         ("minagg_ticks", "int64"),
         ("election_converged", "bool"),

@@ -16,6 +16,11 @@ process with NumPy array operations, orders of magnitude faster:
   for every registered coalition strategy, compiled from the same plan
   registry as the agent engine (:mod:`repro.fastpath.strategies`).
 
+Each batch result type declares its trial-axis arrays once, in
+``ARRAY_FIELDS``: the one schema that the engines, the per-trial tiers
+and the shard transport all build records from
+(:mod:`repro.util.batches`).
+
 The fastpaths are cross-validated against the agent engine in
 ``tests/test_fastpath.py`` / ``tests/test_strategy_conformance.py`` and
 against each other in ``tests/test_fastpath_batch.py``: identical

@@ -50,6 +50,7 @@ from scipy.special._ufuncs import _binom_cdf, _binom_isf
 
 from repro.core.params import ProtocolParams
 from repro.fastpath.simulate import _PULL_TOPIC_BITS, FastRunResult
+from repro.util.batches import concat_batch, stack_batch
 from repro.util.faults import normalise_faulty
 
 __all__ = [
@@ -89,15 +90,14 @@ class FastBatchResult:
     ``winner`` is the winning agent's label, or ``-1`` where the run
     failed (⊥) — mirroring ``FastRunResult.winner is None``.
 
-    ``ARRAY_FIELDS`` is the out-buffer protocol of the parallel
-    backend's zero-copy transport (:mod:`repro.exec.shm`): it declares
-    every trial-axis array field and its exact dtype, so a pool worker
-    can write its shard's slice of each array straight into a parent-
-    owned shared-memory block instead of pickling it back.
+    ``ARRAY_FIELDS`` is the record's one schema
+    (:mod:`repro.util.batches`): every trial-axis array and its exact
+    dtype.  The engines, the per-trial tiers and the shard transport
+    all build the record from it.
     """
 
     #: Trial-axis arrays and their dtypes, in declaration order (the
-    #: out-buffer protocol; dtypes must match the constructed arrays).
+    #: schema the arrays are checked against on assembly).
     ARRAY_FIELDS: ClassVar[tuple[tuple[str, str], ...]] = (
         ("n_active", "int64"),
         ("winner", "int64"),
@@ -154,24 +154,13 @@ class FastBatchResult:
 
     def trial(self, i: int) -> FastRunResult:
         """Reconstruct trial ``i`` as a :class:`FastRunResult`."""
-        w = int(self.winner[i])
+        row = {name: getattr(self, name)[i].item()
+               for name, _ in self.ARRAY_FIELDS}
+        w = row.pop("winner")
         return FastRunResult(
-            n=self.n,
-            n_active=int(self.n_active[i]),
+            n=self.n, rounds=self.rounds, **row,
             outcome=self.colors[w] if w >= 0 else None,
             winner=w if w >= 0 else None,
-            rounds=self.rounds,
-            min_votes=int(self.min_votes[i]),
-            max_votes=int(self.max_votes[i]),
-            k_collision=bool(self.k_collision[i]),
-            find_min_agreement=bool(self.find_min_agreement[i]),
-            find_min_rounds=int(self.find_min_rounds[i]),
-            min_commitment_pulls_received=int(
-                self.min_commitment_pulls_received[i]
-            ),
-            total_messages=int(self.total_messages[i]),
-            total_bits=int(self.total_bits[i]),
-            max_message_bits=int(self.max_message_bits[i]),
         )
 
     # -- cheap aggregate reducers ------------------------------------------
@@ -261,20 +250,6 @@ def simulate_protocol_fast_batch(
     if any(len(f) >= n for f in faulty_list):
         raise ValueError("no active agent")
 
-    if n_trials == 0:
-        empty_i = np.zeros(0, dtype=np.int64)
-        empty_b = np.zeros(0, dtype=bool)
-        return FastBatchResult(
-            n=n, n_trials=0, rounds=params.total_rounds, colors=colors,
-            n_active=empty_i, winner=empty_i.copy(),
-            min_votes=empty_i.copy(), max_votes=empty_i.copy(),
-            k_collision=empty_b, find_min_agreement=empty_b.copy(),
-            find_min_rounds=empty_i.copy(),
-            min_commitment_pulls_received=empty_i.copy(),
-            total_messages=empty_i.copy(), total_bits=empty_i.copy(),
-            max_message_bits=empty_i.copy(),
-        )
-
     block = stat_block_trials(n)
     chunks = [
         _simulate_stat_block(
@@ -282,27 +257,8 @@ def simulate_protocol_fast_batch(
         )
         for i in range(0, n_trials, block)
     ]
-
-    def cat(field: str) -> np.ndarray:
-        return np.concatenate([c[field] for c in chunks])
-
-    return FastBatchResult(
-        n=n,
-        n_trials=n_trials,
-        rounds=params.total_rounds,
-        colors=colors,
-        n_active=cat("n_active"),
-        winner=cat("winner"),
-        min_votes=cat("min_votes"),
-        max_votes=cat("max_votes"),
-        k_collision=cat("k_collision"),
-        find_min_agreement=cat("find_min_agreement"),
-        find_min_rounds=cat("find_min_rounds"),
-        min_commitment_pulls_received=cat("min_commitment_pulls_received"),
-        total_messages=cat("total_messages"),
-        total_bits=cat("total_bits"),
-        max_message_bits=cat("max_message_bits"),
-    )
+    return concat_batch(FastBatchResult, chunks, n=n,
+                        rounds=params.total_rounds, colors=colors)
 
 
 def active_matrix(
@@ -551,29 +507,9 @@ def batch_from_runs(
     struct-of-arrays interface.
     """
     colors = tuple(colors)
-    n = len(colors)
-
-    def arr(get, dtype):
-        return np.array([get(r) for r in runs], dtype=dtype)
-
-    return FastBatchResult(
-        n=n,
-        n_trials=len(runs),
-        rounds=runs[0].rounds if runs else 0,
-        colors=colors,
-        n_active=arr(lambda r: r.n_active, np.int64),
-        winner=arr(
-            lambda r: r.winner if r.winner is not None else -1, np.int64
-        ),
-        min_votes=arr(lambda r: r.min_votes, np.int64),
-        max_votes=arr(lambda r: r.max_votes, np.int64),
-        k_collision=arr(lambda r: r.k_collision, bool),
-        find_min_agreement=arr(lambda r: r.find_min_agreement, bool),
-        find_min_rounds=arr(lambda r: r.find_min_rounds, np.int64),
-        min_commitment_pulls_received=arr(
-            lambda r: r.min_commitment_pulls_received, np.int64
-        ),
-        total_messages=arr(lambda r: r.total_messages, np.int64),
-        total_bits=arr(lambda r: r.total_bits, np.int64),
-        max_message_bits=arr(lambda r: r.max_message_bits, np.int64),
-    )
+    rows = [
+        dict(vars(r), winner=-1 if r.winner is None else r.winner)
+        for r in runs
+    ]
+    return stack_batch(FastBatchResult, rows, n=len(colors),
+                       rounds=runs[0].rounds if runs else 0, colors=colors)

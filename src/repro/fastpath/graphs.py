@@ -57,6 +57,7 @@ from repro.core.params import ProtocolParams
 from repro.extensions.families import GraphCSR
 from repro.fastpath.batch import active_matrix
 from repro.fastpath.simulate import _exact_index_sums
+from repro.util.batches import concat_batch
 from repro.util.faults import normalise_faulty
 from repro.util.rng import SeedTree
 
@@ -109,12 +110,13 @@ class GraphBatchResult:
         Active agents that entered the invalid state (Coherence
         mismatch — the only failure an honest graph run can produce).
 
-    ``ARRAY_FIELDS`` is the out-buffer protocol of the zero-copy
-    parallel transport (:mod:`repro.exec.shm`).
+    ``ARRAY_FIELDS`` is the record's one schema
+    (:mod:`repro.util.batches`), which the engine, the ``agent`` tier
+    and the shard transport all build from.
     """
 
     #: Trial-axis arrays and their dtypes, in declaration order (the
-    #: out-buffer protocol; dtypes must match the constructed arrays).
+    #: schema the arrays are checked against on assembly).
     ARRAY_FIELDS: ClassVar[tuple[tuple[str, str], ...]] = (
         ("n_active", "int64"),
         ("success", "bool"),
@@ -408,17 +410,6 @@ def simulate_graph_fast_batch(
     color_of_label = np.array([palette.index(c) for c in colors],
                               dtype=np.int64)
 
-    if n_trials == 0:
-        empty_i = np.zeros(0, dtype=np.int64)
-        empty_b = np.zeros(0, dtype=bool)
-        return GraphBatchResult(
-            n=n, n_trials=0, colors=colors, n_active=empty_i,
-            success=empty_b, winner=empty_i.copy(),
-            outcome_idx=empty_i.copy(),
-            zero_vote_agents=empty_i.copy(), split=empty_b.copy(),
-            failed_agents=empty_i.copy(),
-        )
-
     block = graph_block_trials(n, params.q)
     chunks = [
         _simulate_block(
@@ -427,19 +418,4 @@ def simulate_graph_fast_batch(
         )
         for i in range(0, n_trials, block)
     ]
-
-    def cat(field: str) -> np.ndarray:
-        return np.concatenate([c[field] for c in chunks])
-
-    return GraphBatchResult(
-        n=n,
-        n_trials=n_trials,
-        colors=colors,
-        n_active=cat("n_active"),
-        success=cat("success"),
-        winner=cat("winner"),
-        outcome_idx=cat("outcome_idx"),
-        zero_vote_agents=cat("zero_vote_agents"),
-        split=cat("split"),
-        failed_agents=cat("failed_agents"),
-    )
+    return concat_batch(GraphBatchResult, chunks, n=n, colors=colors)

@@ -60,6 +60,7 @@ from repro.fastpath.simulate import (
     _offset_self,
     _peer_dtype,
 )
+from repro.util.batches import concat_batch
 
 __all__ = [
     "StrategyBatchResult",
@@ -122,21 +123,21 @@ class StrategyBatchResult:
         How many coalition members were exposed during Commitment
         (Lemma 6.1's count; ``pooled`` forges iff it is below ``t``).
 
-    ``ARRAY_FIELDS``/``NESTED_BATCH_FIELDS`` form the out-buffer
-    protocol (:mod:`repro.exec.shm`): the observer arrays plus both
-    nested honest/deviant batches land in one parent-owned shared-
-    memory block, so a shard's tensors never round-trip through pickle.
+    ``ARRAY_FIELDS``/``NESTED_BATCH_FIELDS`` form the record's one
+    schema (:mod:`repro.util.batches`): the observer arrays plus both
+    nested honest/deviant batches.  The engine, the ``agent`` tier and
+    the shard transport all build the record from it.
     """
 
-    #: Trial-axis arrays of the observer-side measurements (the
-    #: out-buffer protocol; dtypes must match the constructed arrays).
+    #: Trial-axis arrays of the observer-side measurements (the schema
+    #: the arrays are checked against on assembly).
     ARRAY_FIELDS: ClassVar[tuple[tuple[str, str], ...]] = (
         ("detected", "bool"),
         ("split", "bool"),
         ("forged", "bool"),
         ("exposed_members", "int64"),
     )
-    #: Nested batch results whose arrays join the same out-buffer.
+    #: Nested batch results, whose schemas join this one.
     NESTED_BATCH_FIELDS: ClassVar[tuple[tuple[str, type], ...]] = (
         ("honest", FastBatchResult),
         ("deviant", FastBatchResult),
@@ -258,10 +259,9 @@ def simulate_strategy_fast_batch(
     n_trials = len(seeds)
     n_a = n - len(faulty)
     block = strategy_block_trials(n_a, q)
-    starts = list(range(0, n_trials, block)) or [0]
     held = sum(len(key[1]) for key in _honest_memo)
     chunks = []
-    for i in starts:
+    for i in range(0, n_trials, block):
         block_seeds = tuple(seeds[i:i + block])
         key = (colors, block_seeds, gamma, faulty, defenses)
         honest_side = _honest_memo.pop(key, None)
@@ -282,39 +282,14 @@ def simulate_strategy_fast_batch(
             del _honest_memo[oldest]
             held -= len(oldest[1])
 
-    def cat(side: str, field: str) -> np.ndarray:
-        return np.concatenate([c[side][field] for c in chunks])
+    def side(name: str) -> FastBatchResult:
+        return concat_batch(FastBatchResult, [c[name] for c in chunks],
+                            n=n, rounds=params.total_rounds, colors=colors)
 
-    def batch(side: str) -> FastBatchResult:
-        return FastBatchResult(
-            n=n, n_trials=n_trials, rounds=params.total_rounds,
-            colors=colors,
-            n_active=cat(side, "n_active"),
-            winner=cat(side, "winner"),
-            min_votes=cat(side, "min_votes"),
-            max_votes=cat(side, "max_votes"),
-            k_collision=cat(side, "k_collision"),
-            find_min_agreement=cat(side, "find_min_agreement"),
-            find_min_rounds=cat(side, "find_min_rounds"),
-            min_commitment_pulls_received=cat(
-                side, "min_commitment_pulls_received"
-            ),
-            total_messages=cat(side, "total_messages"),
-            total_bits=cat(side, "total_bits"),
-            max_message_bits=cat(side, "max_message_bits"),
-        )
-
-    return StrategyBatchResult(
-        strategy=built.name or spec.name,
+    return concat_batch(
+        StrategyBatchResult, chunks, strategy=built.name or spec.name,
         members=tuple(int(v) for v in mem),
-        honest=batch("honest"),
-        deviant=batch("deviant"),
-        detected=np.concatenate([c["detected"] for c in chunks]),
-        split=np.concatenate([c["split"] for c in chunks]),
-        forged=np.concatenate([c["forged"] for c in chunks]),
-        exposed_members=np.concatenate(
-            [c["exposed_members"] for c in chunks]
-        ),
+        honest=side("honest"), deviant=side("deviant"),
     )
 
 
@@ -501,30 +476,6 @@ def _simulate_strategy_chunk(
         [color_palette.index(c) for c in colors], dtype=np.int64
     )
 
-    if b_sz == 0:
-        empty_i = np.zeros(0, dtype=np.int64)
-        empty_b = np.zeros(0, dtype=bool)
-        side = {
-            "n_active": empty_i, "winner": empty_i.copy(),
-            "min_votes": empty_i.copy(), "max_votes": empty_i.copy(),
-            "k_collision": empty_b, "find_min_agreement": empty_b.copy(),
-            "find_min_rounds": empty_i.copy(),
-            "min_commitment_pulls_received": empty_i.copy(),
-            "total_messages": empty_i.copy(), "total_bits": empty_i.copy(),
-            "max_message_bits": empty_i.copy(),
-        }
-        empty_side = {
-            "result": side, "detected": empty_b.copy(),
-            "split": empty_b.copy(),
-        }
-        return {
-            "honest": side, "deviant": {k: v.copy() for k, v in side.items()},
-            "honest_side": empty_side,
-            "detected": empty_b.copy(), "split": empty_b.copy(),
-            "forged": empty_b.copy(),
-            "exposed_members": empty_i.copy(),
-        }
-
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(entropy=(_STRAT_STREAM_SALT, *seeds))
     ))
@@ -595,7 +546,7 @@ def _simulate_strategy_chunk(
     if t == 0:
         return {
             "honest": honest["result"],
-            "deviant": {k: v.copy() for k, v in honest["result"].items()},
+            "deviant": honest["result"],
             "honest_side": honest,
             "detected": honest["detected"],
             "split": honest["split"],

@@ -46,7 +46,7 @@ import os
 import shutil
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -233,39 +233,16 @@ class ResultMeta:
     created_unix: float | None = None
 
     def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "version": self.version,
-            "wall_time_s": self.wall_time_s,
-            "engine": self.engine,
-            "resolved_engine": self.resolved_engine,
-            "backend": self.backend,
-            "jobs": self.jobs,
-            "shards": self.shards,
-            "retries": self.retries,
-            "shard_failures": self.shard_failures,
-            "degraded_shards": self.degraded_shards,
-            "recovery_wall_s": self.recovery_wall_s,
-            "seed_spine": _jsonify(self.seed_spine),
-            "created_unix": self.created_unix,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["seed_spine"] = _jsonify(self.seed_spine)  # the one non-scalar
+        return doc
 
     @classmethod
     def from_json_dict(cls, data: Mapping[str, Any]) -> "ResultMeta":
-        return cls(
-            version=data.get("version", ""),
-            wall_time_s=data.get("wall_time_s"),
-            engine=data.get("engine"),
-            resolved_engine=data.get("resolved_engine"),
-            backend=data.get("backend"),
-            jobs=data.get("jobs"),
-            shards=data.get("shards"),
-            retries=data.get("retries", 0),
-            shard_failures=data.get("shard_failures", 0),
-            degraded_shards=data.get("degraded_shards", 0),
-            recovery_wall_s=data.get("recovery_wall_s", 0.0),
-            seed_spine=dict(data.get("seed_spine", {})),
-            created_unix=data.get("created_unix"),
-        )
+        """Missing keys (documents from older versions) take the field
+        defaults."""
+        return cls(**{f.name: data[f.name] for f in fields(cls)
+                      if f.name in data})
 
 
 @dataclass(frozen=True)
@@ -508,33 +485,8 @@ def result_path(
     )
 
 
-def build_meta(
-    *,
-    wall_time_s: float | None = None,
-    engine: str | None = None,
-    resolved_engine: str | None = None,
-    backend: str | None = None,
-    jobs: int | None = None,
-    shards: int | None = None,
-    retries: int = 0,
-    shard_failures: int = 0,
-    degraded_shards: int = 0,
-    recovery_wall_s: float = 0.0,
-    seed_spine: Mapping[str, Any] | None = None,
-) -> ResultMeta:
-    """A :class:`ResultMeta` stamped with the package version and time."""
-    return ResultMeta(
-        version=_package_version(),
-        wall_time_s=wall_time_s,
-        engine=engine,
-        resolved_engine=resolved_engine,
-        backend=backend,
-        jobs=jobs,
-        shards=shards,
-        retries=retries,
-        shard_failures=shard_failures,
-        degraded_shards=degraded_shards,
-        recovery_wall_s=recovery_wall_s,
-        seed_spine=dict(seed_spine or {}),
-        created_unix=time.time(),
-    )
+def build_meta(**meta: Any) -> ResultMeta:
+    """A :class:`ResultMeta` stamped with the package version and time;
+    ``meta`` sets any of its other fields."""
+    return ResultMeta(version=_package_version(), created_unix=time.time(),
+                      **meta)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from repro.core.params import ProtocolParams
@@ -38,3 +41,20 @@ def two_color_split(n: int, frac_red: float) -> list[str]:
     """A deterministic red/blue initial configuration."""
     reds = round(n * frac_red)
     return ["red"] * reds + ["blue"] * (n - reds)
+
+
+def fields_equal(a, b) -> bool:
+    """Every dataclass field of two batch results compares equal; arrays
+    must match in dtype too (``np.array_equal`` alone takes
+    ``[True, False]`` for ``[1, 0]``)."""
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            if x.dtype != y.dtype or not np.array_equal(x, y):
+                return False
+        elif dataclasses.is_dataclass(x) and not isinstance(x, type):
+            if not fields_equal(x, y):
+                return False
+        elif x != y:
+            return False
+    return True

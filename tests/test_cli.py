@@ -213,6 +213,39 @@ class TestOverrideValidation:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("exp, sizes", [
+        ("e2", "32"), ("e3", "32"), ("e4", "32"), ("e2", "32,32"),
+        ("e3", ""),
+    ])
+    def test_fits_need_two_distinct_sizes_exit_2(self, exp, sizes, capsys,
+                                                 tmp_path):
+        out = tmp_path / "archive"
+        rc = main(["experiment", exp, "--set", f"sizes={sizes}",
+                   "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert f"{exp}: option 'sizes' needs >= 2 distinct values" \
+            in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_one_size_stays_valid_without_a_fit(self, capsys):
+        for exp in ("e1", "e5"):
+            rc = main(["experiment", exp, "--set", "sizes=16",
+                       "--trials", "2", "--format", "json"])
+            assert rc == 0, capsys.readouterr().err
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["options"]["sizes"] == [16]
+
+    def test_submit_checks_ranges_before_the_network(self, capsys):
+        # Nothing listens on the discard port: only a local check can
+        # answer with exit 2 (an unreachable service exits 1).
+        rc = main(["submit", "e1", "--trials", "0",
+                   "--url", "http://127.0.0.1:9"])
+        assert rc == 2
+        assert "e1: option 'trials' must be >= 1, got 0" \
+            in capsys.readouterr().err
+
     def test_sequence_coercion(self, capsys):
         rc = main(["experiment", "e1", "--format", "json",
                    "--set", "sizes=16,24", "--set", "workloads=balanced",

@@ -26,7 +26,6 @@ import textwrap
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
@@ -58,6 +57,7 @@ from repro.results import (
     save_result,
 )
 from repro.study import Study, StudyJournal
+from tests.conftest import fields_equal
 
 needs_chaos_env = pytest.mark.skipif(
     not chaos_enabled(),
@@ -71,20 +71,6 @@ def _no_leaked_fault_policy():
     before = get_fault_policy()
     yield
     assert get_fault_policy() == before
-
-
-def _fields_equal(a, b) -> bool:
-    for f in dataclasses.fields(a):
-        x, y = getattr(a, f.name), getattr(b, f.name)
-        if isinstance(x, np.ndarray):
-            if not np.array_equal(x, y):
-                return False
-        elif dataclasses.is_dataclass(x) and not isinstance(x, type):
-            if not _fields_equal(x, y):
-                return False
-        elif x != y:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +322,7 @@ class TestShardRecovery:
         assert rec.shard_failures > 0
         assert rec.retries > 0
         assert rec.degraded_shards == 0
-        assert _fields_equal(serial, recovered)
+        assert fields_equal(serial, recovered)
 
     def test_shard_timeout_respawns_and_recovers(self):
         serial = self._serial()
@@ -353,7 +339,7 @@ class TestShardRecovery:
         assert rec.retries > 0
         # The hung first attempts were abandoned, not waited out.
         assert time.monotonic() - start < 10.0
-        assert _fields_equal(serial, recovered)
+        assert fields_equal(serial, recovered)
 
     def test_persistent_failure_degrades_serially(self):
         serial = self._serial()
@@ -367,7 +353,7 @@ class TestShardRecovery:
         (rec,) = records
         assert rec.degraded_shards >= 1
         assert rec.recovery_wall_s > 0
-        assert _fields_equal(serial, recovered)
+        assert fields_equal(serial, recovered)
 
     def test_poisoned_plan_raises_instead_of_hanging(self):
         """A shard that fails deterministically (a real bug, not a
@@ -391,7 +377,7 @@ class TestShardRecovery:
         ):
             recovered = run_async_trials_fast(16, range(8),
                                               colors=balanced(16), jobs=2)
-        assert _fields_equal(serial, recovered)
+        assert fields_equal(serial, recovered)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +409,7 @@ class TestShmLifecycle:
         assert rec.transport == "shm"
         assert rec.workers == 2
         assert self._segments() == before
-        assert _fields_equal(result, run_trials_fast(
+        assert fields_equal(result, run_trials_fast(
             self.COLORS, self.SEEDS, engine="batch-parity"))
 
     def test_worker_sigkill_mid_write_leaks_nothing(self):
@@ -448,7 +434,7 @@ class TestShmLifecycle:
         assert self._segments() == before
         # A torn slice never reaches the merged result: the retry
         # rewrote the whole slice.
-        assert _fields_equal(serial, recovered)
+        assert fields_equal(serial, recovered)
 
     def test_timeout_respawn_leaks_nothing(self):
         before = self._segments()
@@ -462,7 +448,7 @@ class TestShmLifecycle:
             recovered = run_trials_fast(self.COLORS, self.SEEDS,
                                         engine="batch-parity", jobs=2)
         assert self._segments() == before
-        assert _fields_equal(serial, recovered)
+        assert fields_equal(serial, recovered)
 
     def test_serial_degradation_leaks_nothing(self):
         before = self._segments()
@@ -480,7 +466,7 @@ class TestShmLifecycle:
         assert self._segments() == before
         # Degraded shards were written into the segment by the parent
         # itself — same bytes as the pool path.
-        assert _fields_equal(serial, recovered)
+        assert fields_equal(serial, recovered)
 
     def test_sharded_run_allocates_one_segment(self, monkeypatch):
         """Sub-plans travel in the pool tasks: a sharded plan needs
@@ -502,7 +488,7 @@ class TestShmLifecycle:
         assert rec.transport == "shm"
         assert len(made) == 1
         assert self._segments() == before
-        assert _fields_equal(result, run_plan(plan))
+        assert fields_equal(result, run_plan(plan))
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
                         reason="counts fds and mappings through /proc")
@@ -543,7 +529,7 @@ class TestShmLifecycle:
         assert rec.transport == "inline"
         assert rec.backend == "serial"
         assert rec.shards == 1
-        assert _fields_equal(serial, result)
+        assert fields_equal(serial, result)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ into a result.  Checked here at three levels:
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -47,9 +47,11 @@ from repro.experiments.dispatch import (
 )
 from repro.experiments.registry import run_experiment
 from repro.experiments.workloads import balanced, skewed
+from repro.extensions.async_gossip import AsyncBatchResult
 from repro.extensions.families import sample_scenario_workload
 from repro.fastpath.batch import stat_block_trials
-from tests.conftest import two_color_split
+from repro.util.batches import concat_batch, stack_batch
+from tests.conftest import fields_equal, two_color_split
 
 
 def _merge_through_buffers(shards):
@@ -65,21 +67,6 @@ def _merge_through_buffers(shards):
         lo += shard.n_trials
     stub = merge_stubs([shm.scalar_stub(s) for s in shards], cls)
     return shm.build_batch(cls, stub, views)
-
-
-def _fields_equal(a, b) -> bool:
-    """Every dataclass field of two batch results compares equal."""
-    for f in dataclasses.fields(a):
-        x, y = getattr(a, f.name), getattr(b, f.name)
-        if isinstance(x, np.ndarray):
-            if not np.array_equal(x, y):
-                return False
-        elif dataclasses.is_dataclass(x) and not isinstance(x, type):
-            if not _fields_equal(x, y):
-                return False
-        elif x != y:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +109,6 @@ class TestPlans:
     def test_honest_plan_quantum(self):
         plan = compile_honest_plan(balanced(64), range(10))
         assert plan.engine == "batch"
-        assert plan.requested_engine == "auto"
         assert plan.shard_quantum == stat_block_trials(64)
         parity = compile_honest_plan(
             balanced(64), range(10), engine="batch-parity"
@@ -208,7 +194,7 @@ class TestBackends:
         assert rec.backend == "parallel"
         assert rec.shards > 1
         assert rec.transport == "shm"
-        assert _fields_equal(serial, sharded)
+        assert fields_equal(serial, sharded)
 
     def test_collectors_nest(self):
         with collect_execution() as outer:
@@ -240,7 +226,7 @@ class TestReducers:
         batch = run_trials_fast(balanced(16), range(4))
         stub = shm.scalar_stub(batch)
         assert merge_stubs([stub], type(batch)) == stub
-        assert _fields_equal(_merge_through_buffers([batch]), batch)
+        assert fields_equal(_merge_through_buffers([batch]), batch)
 
     def test_merge_concatenates_in_order(self):
         colors = balanced(24)
@@ -251,7 +237,7 @@ class TestReducers:
         ]
         merged = _merge_through_buffers(parts)
         assert merged.n_trials == 10
-        assert _fields_equal(merged, whole)
+        assert fields_equal(merged, whole)
 
     def test_merge_nested_strategy_batches(self):
         colors = skewed(16, 0.25)
@@ -287,6 +273,51 @@ class TestReducers:
 
 
 # ---------------------------------------------------------------------------
+# Schema: every tier builds its record from ARRAY_FIELDS
+# ---------------------------------------------------------------------------
+
+_FRONT_DOORS = {
+    "honest": lambda seeds, engine: run_trials_fast(
+        balanced(16), seeds, engine=engine),
+    "deviation": lambda seeds, engine: run_deviation_trials_fast(
+        skewed(16, 0.25), seeds, "underbid_alter", {0}, engine=engine),
+    "graph": lambda seeds, engine: run_graph_trials_fast(
+        sample_scenario_workload("complete", 16, 1, 0).csrs[0],
+        balanced(16), seeds, engine=engine),
+    "async": lambda seeds, engine: run_async_trials_fast(
+        16, seeds, colors=balanced(16), engine=engine),
+}
+
+
+@pytest.mark.parametrize("n_trials", [0, 3])
+@pytest.mark.parametrize("kind, engine", [
+    (kind, engine) for kind in sorted(ENGINES) for engine in ENGINES[kind]
+])
+def test_serial_results_carry_the_schema(kind, engine, n_trials):
+    """On every tier, zero trials included, the serial result's arrays
+    have exactly the declared dtypes and one entry per trial — what the
+    sharded path's layout assumes."""
+    result = _FRONT_DOORS[kind](list(range(n_trials)), engine)
+    assert len(result) == n_trials
+    for path, dtype in shm.batch_schema(type(result)):
+        array = functools.reduce(getattr, path.split("."), result)
+        assert array.dtype == dtype, path
+        assert array.shape == (n_trials,), path
+
+
+def test_assemblers_raise_instead_of_casting():
+    chunk = {name: np.zeros(2, dtype)
+             for name, dtype in AsyncBatchResult.ARRAY_FIELDS}
+    chunk["election_winner"] = chunk["election_winner"].astype(np.int32)
+    with pytest.raises(TypeError, match="'election_winner'"):
+        concat_batch(AsyncBatchResult, [chunk], n=16)
+    row = {"minagg_ticks": 5, "election_converged": 1,
+           "election_winner": 3, "election_ticks": 7}
+    with pytest.raises(TypeError, match="'election_converged'"):
+        stack_batch(AsyncBatchResult, [row], n=16)
+
+
+# ---------------------------------------------------------------------------
 # Determinism under parallelism: front-door arrays
 # ---------------------------------------------------------------------------
 
@@ -306,7 +337,7 @@ class TestFrontDoorDeterminism:
             serial = run_trials_fast(colors, trials, engine=engine)
             sharded = run_trials_fast(colors, trials, engine=engine,
                                       jobs=jobs)
-            assert _fields_equal(serial, sharded), engine
+            assert fields_equal(serial, sharded), engine
 
     def test_honest_statistical_real_shards(self):
         """n=16384 drops the stat quantum to 256 trials: 300 trials is
@@ -320,7 +351,7 @@ class TestFrontDoorDeterminism:
         assert records[0].backend == "parallel"
         assert records[0].shards == 2
         serial = run_trials_fast(colors, seeds)
-        assert _fields_equal(serial, sharded)
+        assert fields_equal(serial, sharded)
 
     def test_graph_front_door_jobs_identical(self):
         wl = sample_scenario_workload("er_dense", 24, 10, 17,
@@ -335,7 +366,7 @@ class TestFrontDoorDeterminism:
                     wl.csrs, colors, wl.seeds, faulty=wl.faulty,
                     engine=engine, jobs=jobs,
                 )
-                assert _fields_equal(serial, again), (engine, jobs)
+                assert fields_equal(serial, again), (engine, jobs)
 
     def test_async_front_door_jobs_identical(self):
         for engine in ("batch", "agent"):
@@ -346,7 +377,7 @@ class TestFrontDoorDeterminism:
                     16, range(12), colors=balanced(16), engine=engine, jobs=4
                 )
             assert records[0].shards > 1, engine
-            assert _fields_equal(serial, sharded), engine
+            assert fields_equal(serial, sharded), engine
 
     def test_deviation_front_door_jobs_identical(self):
         colors = skewed(20, 0.25)
@@ -360,7 +391,7 @@ class TestFrontDoorDeterminism:
                     colors, range(n_trials), "underbid_alter", {0},
                     engine=engine, jobs=jobs,
                 )
-                assert _fields_equal(serial, again), (engine, jobs)
+                assert fields_equal(serial, again), (engine, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +410,7 @@ class TestTransports:
             over_shm = fn(2)
         assert shm_rec[0].transport == "shm"
         assert shm_rec[0].backend == "parallel"
-        assert _fields_equal(serial, over_shm)
+        assert fields_equal(serial, over_shm)
 
     def test_honest_front_door(self):
         colors = balanced(24)
@@ -453,7 +484,7 @@ class TestShardTuning:
         seeds = list(range(300))
         serial = run_trials_fast(colors, seeds)
         sharded = run_trials_fast(colors, seeds, jobs=2)
-        assert _fields_equal(serial, sharded)
+        assert fields_equal(serial, sharded)
 
 
 # ---------------------------------------------------------------------------

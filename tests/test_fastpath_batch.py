@@ -26,17 +26,9 @@ from repro.fastpath.batch import FastBatchResult, batch_from_runs, simulate_prot
 from repro.fastpath.simulate import simulate_protocol_fast
 from tests.conftest import two_color_split
 
-_ARRAY_FIELDS = (
-    "n_active", "winner", "min_votes", "max_votes", "k_collision",
-    "find_min_agreement", "find_min_rounds",
-    "min_commitment_pulls_received", "total_messages", "total_bits",
-    "max_message_bits",
-)
-
-
 def _assert_batches_equal(a: FastBatchResult, b: FastBatchResult) -> None:
     assert a.n == b.n and a.n_trials == b.n_trials and a.rounds == b.rounds
-    for field in _ARRAY_FIELDS:
+    for field, _ in FastBatchResult.ARRAY_FIELDS:
         got, want = getattr(a, field), getattr(b, field)
         assert got.dtype == want.dtype, field
         assert np.array_equal(got, want), field

@@ -616,6 +616,7 @@ class TestServiceHTTP:
             {"experiment": "e1", "options": {"sizes": [1]}},  # one agent
             {"experiment": "e7", "options": {"minority": 1.5}},
             {"experiment": "e7", "options": {"coalition_sizes": [0]}},
+            {"experiment": "e3", "options": {"sizes": [32]}},  # no fit
             # Values of the wrong JSON type:
             {"experiment": "e1", "options": {"trials": 5.0}},
             {"experiment": "e1", "options": {"trials": "5"}},
