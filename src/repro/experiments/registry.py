@@ -27,6 +27,7 @@ import collections.abc
 import dataclasses
 import functools
 import importlib
+import math
 import numbers
 import time
 import types
@@ -36,6 +37,11 @@ from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from repro.exec.backends import ExecRecord, collect_execution
 from repro.exec.plan import AUTO_ENGINE as _PLAN_AUTO_ENGINE
+from repro.extensions.families import (
+    GRAPH_KINDS,
+    MIN_GRAPH_N,
+    split_scenario,
+)
 from repro.results import ExperimentResult, ResultSection, build_meta
 from repro.util.tables import Table
 
@@ -110,22 +116,33 @@ _COUNT_MINIMUMS = (
 #: so need at least two distinct sizes.
 _FITS_ACROSS_SIZES = ("e2", "e3", "e4")
 
+#: The γ options (the certificate-size factor): finite and > 0.
+_GAMMA_FIELDS = ("gamma", "gammas", "pooled_gammas", "starvation_gamma")
+
+
+def _entries(value: Any) -> tuple[Any, ...]:
+    """A sequence option's entries, or a scalar option as one entry."""
+    return tuple(value) if isinstance(value, (list, tuple)) else (value,)
+
 
 def check_counts(name: str, opts: Any) -> None:
-    """Reject counts below their minimum and fractions outside (0, 1).
+    """Reject counts below their minimum and values outside their range.
 
     The one range check behind ``repro experiment``, ``POST /jobs`` and
     every registered runner: ``trials`` must be >= 1, ``jobs`` None or
     >= 1, every entry of ``coalition_sizes`` >= 1, ``n``,
     ``scaling_n`` and every entry of ``sizes`` and ``async_sizes``
     >= 2, ``sizes`` at least two distinct values where the experiment
-    fits a curve across them, and ``minority`` strictly between 0 and
-    1.  The ``ValueError`` names the experiment, the field and the
-    limit.
+    fits a curve across them, ``minority`` strictly between 0 and 1,
+    every γ (``gamma``, ``gammas``, ``pooled_gammas``,
+    ``starvation_gamma``) finite and > 0, and every fault fraction in
+    ``alphas`` and the ``churn_rate`` in [0, 1).  Every entry of
+    ``scenarios`` must be a graph kind with an optional ``+churn``, and
+    ``n`` >= 4 when there is one.  The ``ValueError`` names the
+    experiment, the field and the limit.
     """
     for field, minimum in _COUNT_MINIMUMS:
-        value = getattr(opts, field, None)
-        for v in value if isinstance(value, (list, tuple)) else (value,):
+        for v in _entries(getattr(opts, field, None)):
             if isinstance(v, numbers.Real) and v < minimum:
                 raise ValueError(
                     f"{name}: option {field!r} must be >= {minimum}, "
@@ -140,6 +157,33 @@ def check_counts(name: str, opts: Any) -> None:
     if isinstance(minority, numbers.Real) and not 0 < minority < 1:
         raise ValueError(
             f"{name}: option 'minority' must be in (0, 1), got {minority!r}"
+        )
+    for field in _GAMMA_FIELDS:
+        for v in _entries(getattr(opts, field, None)):
+            if isinstance(v, numbers.Real) and not (
+                    math.isfinite(v) and v > 0):
+                raise ValueError(
+                    f"{name}: option {field!r} must be finite and > 0, "
+                    f"got {v!r}"
+                )
+    for field in ("alphas", "churn_rate"):
+        for v in _entries(getattr(opts, field, None)):
+            if isinstance(v, numbers.Real) and not 0 <= v < 1:
+                raise ValueError(
+                    f"{name}: option {field!r} must be in [0, 1), got {v!r}"
+                )
+    scenarios = getattr(opts, "scenarios", ())
+    for scenario in scenarios:
+        if split_scenario(scenario)[0] not in GRAPH_KINDS:
+            raise ValueError(
+                f"{name}: option 'scenarios' entries must be one of "
+                f"{', '.join(GRAPH_KINDS)}, optionally with '+churn', "
+                f"got {scenario!r}"
+            )
+    if scenarios and opts.n < MIN_GRAPH_N:
+        raise ValueError(
+            f"{name}: option 'n' must be >= {MIN_GRAPH_N} for graph "
+            f"scenarios, got {opts.n!r}"
         )
 
 

@@ -11,19 +11,21 @@ the scenario matrix end to end:
   neighbour list, so "neighbour index i" means the same vertex on every
   engine.
 * the family registry (:data:`GRAPH_KINDS` / :func:`sample_graph`) —
-  numpy-native samplers for every family except ``regular8`` (which
-  keeps networkx's pairing-model sampler).  The Barabási–Albert and
+  samplers that emit sorted, unique edge codes ``u * n + v`` (u < v),
+  none of them through networkx.  The Barabási–Albert and
   Watts–Strogatz samplers are this module's own specs: each one
   pre-draws its full uniform tensor from the family's named
   :class:`~repro.util.rng.SeedTree` stream and then applies pure
   arithmetic, so the vectorized samplers (:func:`sample_graph`,
   :func:`sample_graph_batch`) and the scalar per-edge references
   (:func:`sample_graph_reference`) are byte-identical per seed — the
-  sampler-conformance suite pins this.  :data:`SAMPLER_VERSION` names
-  the current byte-level sampler spec; the workload-artifact cache
-  (:mod:`repro.workloads`) keys artifacts on it so a sampler change
-  invalidates every cached workload instead of silently serving stale
-  bytes.
+  sampler-conformance suite pins this.  ``regular8`` is a port of
+  networkx's pairing model on the same ``random.Random`` stream, and
+  its reference is the networkx call itself.  :data:`SAMPLER_VERSION`
+  names the current byte-level sampler spec; the workload-artifact
+  cache (:mod:`repro.workloads`) keys artifacts on it so a sampler
+  change invalidates every cached workload instead of silently serving
+  stale bytes.
 * **explicit connectivity patching** — kinds whose samplers can emit
   disconnected graphs (:data:`PATCHED_KINDS`) get the Hamiltonian-cycle
   patch, and the number of edges the patch *added* is reported per
@@ -42,6 +44,7 @@ the scenario matrix end to end:
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Sequence
@@ -53,6 +56,7 @@ from repro.util.rng import SeedTree
 __all__ = [
     "DETERMINISTIC_KINDS",
     "GRAPH_KINDS",
+    "MIN_GRAPH_N",
     "PATCHED_KINDS",
     "SAMPLER_VERSION",
     "GraphCSR",
@@ -82,6 +86,9 @@ GRAPH_KINDS = (
     "ba", "ws", "torus", "star",
 )
 
+#: The fewest nodes a scenario graph is sampled on.
+MIN_GRAPH_N = 4
+
 #: Kinds whose samplers may emit disconnected graphs (or isolated
 #: vertices) and therefore receive the explicit Hamiltonian-cycle patch.
 #: The structured families (complete/ring/torus/star) are connected by
@@ -94,6 +101,8 @@ PATCHED_KINDS = frozenset({"er_dense", "er_sparse", "regular8", "ws"})
 #: the CSR (the batched tier then skips replicating the flat
 #: neighbour array across the block).
 DETERMINISTIC_KINDS = frozenset({"complete", "ring", "torus", "star"})
+
+_ER_KINDS = ("er_dense", "er_sparse")
 
 _CHURN_SUFFIX = "+churn"
 
@@ -143,16 +152,20 @@ class GraphSample:
 
 
 def _codes_to_csr(n: int, codes: np.ndarray) -> GraphCSR:
-    """CSR from unique undirected edge codes ``u * n + v`` with u < v."""
-    u, v = codes // n, codes % n
-    ends = np.concatenate([u, v])
-    other = np.concatenate([v, u])
-    order = np.lexsort((other, ends))
-    nbrs = other[order]
-    counts = np.bincount(ends, minlength=n)
+    """CSR from unique undirected edge codes ``u * n + v`` with u < v.
+
+    Each edge enters once per end as the key ``end * n + other``.  The
+    keys are unique, so one sort orders the rows by end and each row by
+    neighbour.  (``x - x // n * n`` is ``x % n``: numpy divides int64 by
+    a scalar far faster than it takes the remainder.)
+    """
+    u = codes // n
+    v = codes - u * n
+    keys = np.concatenate([codes, v * n + u])
+    keys.sort()
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return GraphCSR(n=n, indptr=indptr, nbrs=nbrs.astype(np.int64))
+    indptr[1:] = np.searchsorted(keys, np.arange(1, n + 1) * n)
+    return GraphCSR(n=n, indptr=indptr, nbrs=keys - keys // n * n)
 
 
 def csr_from_edges(n: int, edges: np.ndarray) -> GraphCSR:
@@ -182,17 +195,40 @@ def csr_from_networkx(graph) -> GraphCSR:
     return csr_from_edges(n, edges)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @lru_cache(maxsize=32)
 def _ring_codes(n: int) -> np.ndarray:
+    """The Hamiltonian cycle's codes, ascending (shared: read-only)."""
     i = np.arange(n, dtype=np.int64)
     j = (i + 1) % n
-    return np.unique(np.minimum(i, j) * n + np.maximum(i, j))
+    return _read_only(np.unique(np.minimum(i, j) * n + np.maximum(i, j)))
+
+
+def _upper_codes(n: int) -> np.ndarray:
+    """The code of every pair u < v, ascending (``np.triu_indices``
+    order).  ``n * (n - 1) / 2`` int64s — 67 MB at n = 4096 — so
+    callers build it once per batch and never cache it globally."""
+    u, v = np.triu_indices(n, k=1)
+    return _read_only(u.astype(np.int64) * n + v)
 
 
 def _patch_connected(n: int, codes: np.ndarray) -> tuple[np.ndarray, int]:
-    """Union with the Hamiltonian cycle; returns (codes, edges added)."""
-    patched = np.union1d(codes, _ring_codes(n))
-    return patched, int(patched.size - codes.size)
+    """Union with the Hamiltonian cycle; returns (codes, edges added).
+
+    ``codes`` must be sorted and unique, as every sampler emits them.
+    The ring codes it lacks are found by binary search and inserted in
+    place, so the result equals ``np.union1d(codes, ring)`` without
+    re-sorting the whole array.
+    """
+    ring = _ring_codes(n)
+    at = np.searchsorted(codes, ring)
+    missing = (codes.take(at, mode="clip") != ring if codes.size
+               else np.ones(ring.size, dtype=bool))
+    return np.insert(codes, at[missing], ring[missing]), int(missing.sum())
 
 
 def _torus_dims(n: int) -> tuple[int, int]:
@@ -203,21 +239,25 @@ def _torus_dims(n: int) -> tuple[int, int]:
     return a, n // a
 
 
-def _sample_codes(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Edge codes for the numpy-native families."""
+def _er_codes(
+    kind: str, n: int, seed: int, upper: np.ndarray
+) -> np.ndarray:
+    """Erdős–Rényi: one uniform per pair of ``upper`` (the ascending
+    pair codes), each pair kept when its uniform falls below p."""
+    p = 0.5 if kind == "er_dense" else min(1.0, 3 * math.log(n) / n)
+    rng = SeedTree(seed).child("graph", kind).generator()
+    return upper.compress(rng.random(upper.size) < p)
+
+
+def _structured_codes(kind: str, n: int) -> np.ndarray:
+    """Edge codes for the seed-free families (:data:`DETERMINISTIC_KINDS`)."""
     i = np.arange(n, dtype=np.int64)
     if kind == "complete":
-        u, v = np.triu_indices(n, k=1)
-        return u.astype(np.int64) * n + v
-    if kind in ("er_dense", "er_sparse"):
-        p = 0.5 if kind == "er_dense" else min(1.0, 3 * math.log(n) / n)
-        u, v = np.triu_indices(n, k=1)
-        keep = rng.random(u.size) < p
-        return np.sort(u[keep].astype(np.int64) * n + v[keep])
+        return _upper_codes(n)
     if kind == "ring":
         return _ring_codes(n)
     if kind == "star":
-        return i[1:].copy()  # codes 0 * n + v for the hub edges (0, v)
+        return i[1:]  # codes 0 * n + v for the hub edges (0, v)
     if kind == "torus":
         a, b = _torus_dims(n)
         if a < 2:  # prime n: the torus degenerates to the cycle
@@ -230,7 +270,7 @@ def _sample_codes(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
         lo = np.minimum(starts, ends)
         hi = np.maximum(starts, ends)
         return np.unique(lo * n + hi)
-    raise ValueError(f"unknown numpy-native graph kind {kind!r}")
+    raise ValueError(f"unknown structured graph kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -405,15 +445,119 @@ def _torus_codes_reference(n: int) -> np.ndarray:
 def _validate_kind_n(kind: str, n: int) -> None:
     if kind not in GRAPH_KINDS:
         raise ValueError(f"unknown graph kind {kind!r}; known: {GRAPH_KINDS}")
-    if n < 4:
-        raise ValueError(f"graph scenarios need n >= 4, got {n}")
+    if n < MIN_GRAPH_N:
+        raise ValueError(
+            f"graph scenarios need n >= {MIN_GRAPH_N}, got {n}")
+
+
+# ---------------------------------------------------------------------------
+# regular8: the pairing model, ported from networkx
+# ---------------------------------------------------------------------------
+#
+# A port of networkx 3.x's ``random_regular_graph`` (its ``_try_creation``
+# and ``_suitable``; networkx is BSD-3-Clause, (c) NetworkX Developers;
+# the model is Steger & Wormald, "Generating random regular graphs
+# quickly", 1999).  ``d`` stubs per node are shuffled and paired off in
+# order.  A pair becomes an edge unless it is a self-loop or an edge
+# made already, this round or before; the rejected pairs' stubs, grouped
+# per node in the order each node first appears among them, make the
+# next round's stub list.  When ``_suitable`` finds no two leftover
+# nodes that can still be joined, the attempt restarts from scratch on
+# the same stream.
+#
+# The port draws exactly what networkx's ``random.Random(seed).shuffle``
+# calls draw, one shuffle for one, so the edge set is the same; the pair
+# bookkeeping runs in numpy over sorted edge codes, and no ``nx.Graph``
+# is built.  ``sample_graph_reference`` keeps the networkx call, and the
+# sampler-conformance suite pins the port to it (and ``_shuffle`` to
+# ``random.Random.shuffle``) on the running interpreter.
+
+def _regular8_degree(n: int) -> int:
+    return min(8, n - 1)
 
 
 def _regular8_codes(n: int, seed: int) -> np.ndarray:
-    """The one family still sampled through networkx (pairing model)."""
+    """regular8 edge codes: the pairing model on ``random.Random(seed)``."""
+    rng, d = random.Random(seed), _regular8_degree(n)
+    codes = None
+    while codes is None:
+        codes = _pairing_attempt(n, d, rng)
+    return codes
+
+
+def _shuffle(x: list, rng: random.Random) -> None:
+    """``rng.shuffle(x)``, draw for draw, at about twice the speed.
+
+    CPython's shuffle is Fisher–Yates whose ``_randbelow(i + 1)`` draws
+    ``getrandbits(k)``, ``k = (i + 1).bit_length()``, until a draw is
+    at most ``i``; inlining it saves two Python calls per element.
+    """
+    getrandbits = rng.getrandbits
+    for i in range(len(x) - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        x[i], x[j] = x[j], x[i]
+
+
+def _pairing_attempt(
+    n: int, d: int, rng: random.Random
+) -> np.ndarray | None:
+    """One ``_try_creation``: sorted unique edge codes, or None when the
+    leftover stubs can no longer be paired."""
+    edges = np.empty(0, dtype=np.int64)
+    stubs = list(range(n)) * d
+    while stubs:
+        _shuffle(stubs, rng)
+        pairs = np.array(stubs, dtype=np.int64).reshape(-1, 2)
+        pairs.sort(axis=1)
+        codes = pairs[:, 0] * n + pairs[:, 1]
+        # An edge is made by the first pair of its code this round, if
+        # that pair is no self-loop and the edge is not made already.
+        made = np.zeros(codes.size, dtype=bool)
+        made[np.unique(codes, return_index=True)[1]] = True
+        made &= pairs[:, 0] != pairs[:, 1]
+        if edges.size:
+            made &= edges.take(np.searchsorted(edges, codes),
+                               mode="clip") != codes
+        edges = np.sort(np.concatenate([edges, codes[made]]))
+        left = pairs[~made].ravel()
+        if not left.size:
+            break
+        nodes, first, counts = np.unique(
+            left, return_index=True, return_counts=True)
+        order = np.argsort(first)
+        nodes, counts = nodes[order], counts[order]
+        if not _suitable(n, edges, nodes.tolist()):
+            return None
+        stubs = np.repeat(nodes, counts).tolist()
+    return edges
+
+
+def _suitable(n: int, edges: np.ndarray, nodes: list[int]) -> bool:
+    """networkx's ``_suitable``, loop for loop, over the leftover nodes
+    in first-seen order: does some pair it checks lack an edge?  Its
+    inner loop rebinds ``s1`` to the smaller end of each checked pair,
+    which decides the pairs it checks, so the port keeps the loop."""
+    for s1 in nodes:
+        for s2 in nodes:
+            if s1 == s2:
+                break
+            if s1 > s2:
+                s1, s2 = s2, s1
+            code = s1 * n + s2
+            at = int(np.searchsorted(edges, code))
+            if at == edges.size or edges[at] != code:
+                return True
+    return False
+
+
+def _regular8_codes_networkx(n: int, seed: int) -> np.ndarray:
+    """regular8 edge codes from ``nx.random_regular_graph`` itself."""
     import networkx as nx
 
-    g = nx.random_regular_graph(min(8, n - 1), n, seed=seed)
+    g = nx.random_regular_graph(_regular8_degree(n), n, seed=seed)
     ends = np.array(list(g.edges), dtype=np.int64).reshape(-1, 2)
     lo, hi = ends.min(axis=1), ends.max(axis=1)
     return np.unique(lo * n + hi)
@@ -427,6 +571,24 @@ def _finish_sample(kind: str, n: int, codes: np.ndarray) -> GraphSample:
                        patched_edges=patched)
 
 
+def _sample_codes(
+    kind: str, n: int, seed: int, upper: np.ndarray | None = None
+) -> np.ndarray:
+    """One sample's sorted unique edge codes, before the patch.  The ER
+    kinds draw over ``upper`` (:func:`_upper_codes`), which a batch
+    builds once and shares."""
+    if kind == "ba":
+        return _ba_codes(n, _ba_uniforms(n, seed))
+    if kind == "ws":
+        return _ws_codes(n, *_ws_draws(n, seed))
+    if kind == "regular8":
+        return _regular8_codes(n, seed)
+    if kind in _ER_KINDS:
+        return _er_codes(kind, n, seed,
+                         _upper_codes(n) if upper is None else upper)
+    return _structured_codes(kind, n)
+
+
 def sample_graph(kind: str, n: int, seed: int) -> GraphSample:
     """Sample one scenario graph (deterministic in ``(kind, n, seed)``).
 
@@ -435,25 +597,17 @@ def sample_graph(kind: str, n: int, seed: int) -> GraphSample:
     patch added (0 for the never-patched kinds).
     """
     _validate_kind_n(kind, n)
-    if kind == "ba":
-        codes = _ba_codes(n, _ba_uniforms(n, seed))
-    elif kind == "ws":
-        codes = _ws_codes(n, *_ws_draws(n, seed))
-    elif kind == "regular8":
-        codes = _regular8_codes(n, seed)
-    else:
-        rng = SeedTree(seed).child("graph", kind).generator()
-        codes = _sample_codes(kind, n, rng)
-    return _finish_sample(kind, n, codes)
+    return _finish_sample(kind, n, _sample_codes(kind, n, seed))
 
 
 def sample_graph_reference(kind: str, n: int, seed: int) -> GraphSample:
-    """The scalar per-edge reference samplers, same outputs bit-for-bit.
+    """The reference samplers, same outputs bit-for-bit.
 
     ``ba``/``ws``/``torus`` route through explicit Python loops over the
-    same pre-drawn uniforms as :func:`sample_graph`; every other kind is
-    already a one-shot numpy expression and delegates.  The
-    sampler-conformance suite pins ``sample_graph_reference(...) ==
+    same pre-drawn uniforms as :func:`sample_graph`, and ``regular8``
+    through ``nx.random_regular_graph``, which its sampler ports; every
+    other kind is already a one-shot numpy expression and delegates.
+    The sampler-conformance suite pins ``sample_graph_reference(...) ==
     sample_graph(...)`` byte-for-byte per (kind, n, seed).
     """
     _validate_kind_n(kind, n)
@@ -463,6 +617,8 @@ def sample_graph_reference(kind: str, n: int, seed: int) -> GraphSample:
         codes = _ws_codes_reference(n, *_ws_draws(n, seed))
     elif kind == "torus":
         codes = _torus_codes_reference(n)
+    elif kind == "regular8":
+        codes = _regular8_codes_networkx(n, seed)
     else:
         return sample_graph(kind, n, seed)
     return _finish_sample(kind, n, codes)
@@ -476,10 +632,9 @@ def sample_graph_batch(
     Deterministic kinds sample once and share the object (callers and
     the batch tier rely on the ``is`` identity to skip replicating the
     flat neighbour arrays); ``ba`` advances all trials together through
-    the batch sampler; the remaining families loop per seed (their
-    samplers are already one-shot numpy expressions, or networkx for
-    ``regular8``).  Per-seed outputs are byte-identical to
-    :func:`sample_graph`.
+    the batch sampler; the ER kinds build their pair codes once and
+    draw per seed over them; ``regular8`` and ``ws`` loop per seed.
+    Per-seed outputs are byte-identical to :func:`sample_graph`.
     """
     _validate_kind_n(kind, n)
     seeds = [int(s) for s in seeds]
@@ -493,7 +648,9 @@ def sample_graph_batch(
             _finish_sample(kind, n, codes)
             for codes in _ba_codes_batch(n, uniforms)
         ]
-    return [sample_graph(kind, n, s) for s in seeds]
+    upper = _upper_codes(n) if kind in _ER_KINDS else None
+    return [_finish_sample(kind, n, _sample_codes(kind, n, s, upper))
+            for s in seeds]
 
 
 def split_scenario(scenario: str) -> tuple[str, bool]:

@@ -213,6 +213,50 @@ class TestOverrideValidation:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("exp, override, message", [
+        ("e1", "gamma=0", "option 'gamma' must be finite and > 0, got 0.0"),
+        ("e1", "gamma=nan", "option 'gamma' must be finite and > 0, got nan"),
+        ("e1", "gamma=inf", "option 'gamma' must be finite and > 0, got inf"),
+        ("e5", "gammas=1,0",
+         "option 'gammas' must be finite and > 0, got 0.0"),
+        ("e6", "gammas=2,-1",
+         "option 'gammas' must be finite and > 0, got -1.0"),
+        ("e9", "pooled_gammas=2.5,nan",
+         "option 'pooled_gammas' must be finite and > 0, got nan"),
+        ("e9", "starvation_gamma=0",
+         "option 'starvation_gamma' must be finite and > 0, got 0.0"),
+        ("e6", "alphas=0,1.5", "option 'alphas' must be in [0, 1), got 1.5"),
+        ("e10", "scenarios=ring,bogus",
+         "option 'scenarios' entries must be one of complete, er_dense, "
+         "regular8, er_sparse, ring, ba, ws, torus, star, optionally with "
+         "'+churn', got 'bogus'"),
+        ("e10", "scenarios=ws+churn+churn",
+         "option 'scenarios' entries must be one of"),
+        ("e10", "n=3", "option 'n' must be >= 4 for graph scenarios, got 3"),
+        ("e10", "churn_rate=1.5",
+         "option 'churn_rate' must be in [0, 1), got 1.5"),
+        ("e10", "churn_rate=nan",
+         "option 'churn_rate' must be in [0, 1), got nan"),
+    ])
+    def test_values_out_of_range_exit_2_before_running(
+            self, exp, override, message, capsys, tmp_path):
+        out = tmp_path / "archive"
+        rc = main(["experiment", exp, "--set", override, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert f"{exp}: {message}" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_small_n_stays_valid_without_graph_scenarios(self, capsys):
+        rc = main(["experiment", "e10", "--set", "n=3", "--set",
+                   "scenarios=", "--set", "async_sizes=16", "--trials", "2",
+                   "--format", "json"])
+        assert rc == 0, capsys.readouterr().err
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["options"]["scenarios"] == []
+
     @pytest.mark.parametrize("exp, sizes", [
         ("e2", "32"), ("e3", "32"), ("e4", "32"), ("e2", "32,32"),
         ("e3", ""),
@@ -244,6 +288,11 @@ class TestOverrideValidation:
                    "--url", "http://127.0.0.1:9"])
         assert rc == 2
         assert "e1: option 'trials' must be >= 1, got 0" \
+            in capsys.readouterr().err
+        rc = main(["submit", "e10", "--set", "churn_rate=nan",
+                   "--url", "http://127.0.0.1:9"])
+        assert rc == 2
+        assert "e10: option 'churn_rate' must be in [0, 1), got nan" \
             in capsys.readouterr().err
 
     def test_sequence_coercion(self, capsys):

@@ -49,6 +49,23 @@ class TestImportContract:
         ).stdout
         assert out.strip() == "[]"
 
+    def test_sampling_loads_no_networkx(self):
+        # regular8 samples through the module's own pairing-model port,
+        # so no graph family (churn included) needs networkx.
+        code = (
+            "import sys\n"
+            "from repro.extensions.families import (\n"
+            "    GRAPH_KINDS, sample_scenario_workload)\n"
+            "for scenario in GRAPH_KINDS + ('regular8+churn',):\n"
+            "    sample_scenario_workload(scenario, 16, 2, 1010)\n"
+            "print('networkx' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, env={**os.environ, "PYTHONPATH": _SRC},
+        ).stdout
+        assert out.strip() == "False"
+
 
 class TestSubpackagesImportClean:
     @pytest.mark.parametrize("module", [

@@ -6,10 +6,16 @@ pre-drawn uniform tensors, so their outputs must agree exactly — not
 statistically, bit for bit.  This suite pins that contract per family,
 plus the structural invariants of the sampled graphs (hypothesis), and
 the end-to-end guarantee the workload cache rides on: the e10 result
-payload is byte-identical with the cache off, cold, and warm.
+payload is byte-identical with the cache off, cold, and warm.  A digest
+over a grid of sampled workloads pins the bytes themselves, so a kernel
+rewrite that moves any byte fails here instead of silently changing
+results under an unchanged ``SAMPLER_VERSION``.
 """
 
 from __future__ import annotations
+
+import hashlib
+import random
 
 import numpy as np
 import pytest
@@ -19,7 +25,15 @@ from repro.extensions.families import (
     DETERMINISTIC_KINDS,
     GRAPH_KINDS,
     PATCHED_KINDS,
+    SAMPLER_VERSION,
     GraphCSR,
+    _codes_to_csr,
+    _patch_connected,
+    _regular8_codes,
+    _regular8_codes_networkx,
+    _ring_codes,
+    _shuffle,
+    _upper_codes,
     sample_churn_faulty,
     sample_graph,
     sample_graph_batch,
@@ -94,6 +108,107 @@ class TestScalarReferenceParity:
             sample_graph_batch("mystery", 16, [1])
         with pytest.raises(ValueError, match="n >= 4"):
             sample_graph_reference("ba", 2, 1)
+
+
+#: sha256 over every byte :func:`sample_scenario_workload` emits on the
+#: grid below: each sample's ``indptr``/``nbrs`` dtypes and bytes, its
+#: ``patched_edges`` and its fault set.  Recorded from the samplers as
+#: they stood before the sorted-code kernels and the in-module regular8
+#: port (lexsort CSR, ``np.union1d`` patch, networkx's regular graphs).
+#: A change that moves it must bump ``SAMPLER_VERSION``.
+SAMPLE_DIGEST = (
+    "633e3e025894ee69b49850fc7d01cde0edacd5094ebc9c3ff8c00e4b4211f045")
+DIGEST_SCENARIOS = GRAPH_KINDS + ("regular8+churn", "er_dense+churn")
+DIGEST_SIZES = (5, 8, 24, 256)
+DIGEST_SEEDS = (0, 1, 1010)
+
+
+def workload_digest() -> str:
+    h = hashlib.sha256()
+    for scenario in DIGEST_SCENARIOS:
+        for n in DIGEST_SIZES:
+            for seed in DIGEST_SEEDS:
+                wl = sample_scenario_workload(scenario, n, 3, seed)
+                h.update(f"{scenario} {n} {seed}".encode())
+                for sample, faulty in zip(wl.samples, wl.faulty):
+                    for a in (sample.csr.indptr, sample.csr.nbrs):
+                        h.update(a.dtype.str.encode())
+                        h.update(a.tobytes())
+                    h.update(
+                        f"{sample.patched_edges} {sorted(faulty)}".encode())
+    return h.hexdigest()
+
+
+def sorted_codes(n: int):
+    """Sorted, unique edge codes ``u * n + v`` (u < v) on ``n`` nodes."""
+    pairs = n * (n - 1) // 2
+    return st.sets(st.integers(0, pairs - 1), max_size=pairs).map(
+        lambda picked: _upper_codes(n)[sorted(picked)])
+
+
+def lexsort_csr(n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR formulation the sort-based kernel replaced."""
+    u, v = codes // n, codes % n
+    ends = np.concatenate([u, v])
+    other = np.concatenate([v, u])
+    order = np.lexsort((other, ends))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ends, minlength=n), out=indptr[1:])
+    return indptr, other[order].astype(np.int64)
+
+
+class TestSampleBytes:
+    """The sampled bytes themselves, and the kernels that make them."""
+
+    def test_workload_digest_unchanged(self):
+        assert SAMPLER_VERSION == 2
+        assert workload_digest() == SAMPLE_DIGEST
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(4, 40))
+    def test_patch_equals_union_with_ring(self, data, n):
+        codes = data.draw(sorted_codes(n))
+        patched, added = _patch_connected(n, codes)
+        want = np.union1d(codes, _ring_codes(n))
+        assert patched.dtype == np.int64
+        assert np.array_equal(patched, want)
+        assert added == want.size - codes.size
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(4, 40))
+    def test_csr_equals_lexsort_formulation(self, data, n):
+        codes = data.draw(sorted_codes(n))
+        csr = _codes_to_csr(n, codes)
+        indptr, nbrs = lexsort_csr(n, codes)
+        assert csr.indptr.dtype == np.int64 and csr.nbrs.dtype == np.int64
+        assert np.array_equal(csr.indptr, indptr)
+        assert np.array_equal(csr.nbrs, nbrs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(size=st.integers(0, 600), seed=st.integers(0, 2**32 - 1))
+    def test_shuffle_is_random_shuffle(self, size, seed):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        x = list(range(size)) * 2
+        y = list(x)
+        _shuffle(x, ours)
+        theirs.shuffle(y)
+        assert x == y
+        assert ours.getstate() == theirs.getstate()
+
+    @pytest.mark.parametrize(
+        "n", (4, 5, 6, 7, 8, 9, 10, 16, 24, 33, 64, 128))
+    def test_regular8_port_matches_networkx(self, n):
+        for seed in range(25):
+            ours = _regular8_codes(n, seed)
+            theirs = _regular8_codes_networkx(n, seed)
+            assert ours.dtype == theirs.dtype
+            assert np.array_equal(ours, theirs), (n, seed)
+
+    def test_shared_code_arrays_are_read_only(self):
+        for codes in (_ring_codes(16), _upper_codes(16)):
+            assert not codes.flags.writeable
+            with pytest.raises(ValueError):
+                codes[0] = 1
 
 
 class TestSamplerProperties:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import re
 import sqlite3
 import threading
 import time
@@ -617,6 +618,15 @@ class TestServiceHTTP:
             {"experiment": "e7", "options": {"minority": 1.5}},
             {"experiment": "e7", "options": {"coalition_sizes": [0]}},
             {"experiment": "e3", "options": {"sizes": [32]}},  # no fit
+            # Values out of range, which used to fail mid-run:
+            {"experiment": "e1", "options": {"gamma": 0}},
+            {"experiment": "e1", "options": {"gamma": float("nan")}},
+            {"experiment": "e5", "options": {"gammas": [1.0, -2.0]}},
+            {"experiment": "e9", "options": {"starvation_gamma": 0}},
+            {"experiment": "e6", "options": {"alphas": [1.5]}},
+            {"experiment": "e10", "options": {"scenarios": ["bogus"]}},
+            {"experiment": "e10", "options": {"n": 3}},
+            {"experiment": "e10", "options": {"churn_rate": 1.5}},
             # Values of the wrong JSON type:
             {"experiment": "e1", "options": {"trials": 5.0}},
             {"experiment": "e1", "options": {"trials": "5"}},
@@ -639,6 +649,12 @@ class TestServiceHTTP:
         with pytest.raises(ServiceError,
                            match="e1: option 'sizes' must be >= 2, got 1"):
             client.submit("e1", {"sizes": [1]})
+        with pytest.raises(ServiceError, match=re.escape(
+                "e6: option 'alphas' must be in [0, 1), got 1.5")):
+            client.submit("e6", {"alphas": [1.5]})
+        with pytest.raises(ServiceError, match=re.escape(
+                "e1: option 'gamma' must be finite and > 0, got nan")):
+            client.submit("e1", {"gamma": float("nan")})
         # Malformed JSON body.
         req = urllib.request.Request(
             f"{service.url}/jobs", data=b"{oops",
