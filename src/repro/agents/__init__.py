@@ -2,61 +2,52 @@
 
 Theorem 7 quantifies over *every* restricted protocol P'_C of a coalition
 C.  A simulation cannot enumerate all strategies, but the proof machinery
-identifies exactly the deviation surfaces that could pay off; this package
-implements the strongest concrete attack on each surface, plus a pooled
-adaptive attack that combines them, and a positive control (the same
-attacks demolish the unverified baseline — see ``repro.baselines``).
+identifies exactly the deviation surfaces that could pay off.  Each
+registered strategy is one :class:`EffectSpec` in :data:`EFFECT_SPECS`
+(which also says why it fails); the agent engine runs it through the one
+deviating agent, :class:`SpecAgent`, and the strategy fastpath as tensor
+effects.  The same attacks demolish the unverified baseline (see
+``repro.baselines``), the positive control.
 
-==========================  =================================================
-Strategy                    Deviation surface / proof ingredient it probes
-==========================  =================================================
-:class:`SilentAgent`        Full abstention (pretend faulty everywhere);
-                            tests that shrinking A never helps a color.
-:class:`PretendFaulty-      Ignore Commitment pulls only (footnote 4's
-Agent`                      faulty-marking) but still vote.
-:class:`ForgedCertificate-  Lie about ``k`` in Find-Min: underbid with
-Agent`                      altered / dropped / fabricated votes
-                            (Verification's k and ledger checks).
-:class:`EquivocatingAgent`  Declare different intentions to different
-                            pullers (set-union ledger, Lemma 6.1).
-:class:`VoteSwitchAgent`    Vote differently than declared (alteration
-                            check at the winner's verifiers).
-:class:`GriefingAgent`      Split-brain certificates in Coherence
-                            (Lemma 6.2); pure sabotage, utility -chi.
-:class:`PooledAttackAgent`  Adaptive coalition: pool exposure knowledge,
-                            forge only votes no honest agent can check
-                            (directly probes Lemma 6 properties 1+3).
-==========================  =================================================
+=========================  ===============================================
+Strategy                   Deviation surface / proof ingredient it probes
+=========================  ===============================================
+``honest_shadow``          None: a coalition that follows P gains nothing.
+``silent``                 Full abstention (pretend faulty everywhere);
+                           shrinking A never helps a color.
+``pretend_faulty``         Ignore Commitment pulls only (footnote 4's
+                           faulty-marking) but still vote.
+``underbid_alter``,        Lie about ``k`` in Find-Min: underbid with
+``_drop``, ``_fabricate``  altered / dropped / fabricated votes, or a
+and ``_klie``              bare ``k`` lie (Verification's checks).
+``equivocate``             Declare different intentions to different
+                           pullers (set-union ledger, Lemma 6.1).
+``vote_switch``,           Vote differently than declared: values, or
+``vote_switch_targets``    values and targets (alteration/omission).
+``griefing``               Split-brain certificates in Coherence
+                           (Lemma 6.2); pure sabotage, utility -chi.
+``findmin_suppress``       Refuse Find-Min service and Coherence: t
+                           extra faults, absorbed by the schedule.
+``pooled``,                Adaptive coalition: pool exposure knowledge,
+``pooled_gamble``          forge only votes no honest agent can check
+                           (Lemma 6 properties 1+3); or gamble.
+=========================  ===============================================
 
-All strategies obey the communication model (the engine enforces it); they
-only choose payloads, targets and whether to reply — the paper's feasible
-local rules.
+``StrategyPlan(members, spec)`` runs any spec, registered or not, on
+both tiers; :func:`plan` builds a registered one by name.
 """
 
-from repro.agents.base import DeviantAgent
 from repro.agents.coalition import CoalitionState
-from repro.agents.equivocate import EquivocatingAgent
-from repro.agents.griefing import GriefingAgent
-from repro.agents.plans import StrategyPlan, plan
-from repro.agents.pooled import PooledAttackAgent, PooledState
-from repro.agents.pretend_faulty import PretendFaultyAgent
-from repro.agents.silent import SilentAgent
-from repro.agents.suppress import FindMinSuppressAgent
-from repro.agents.underbid import ForgedCertificateAgent
-from repro.agents.vote_switch import VoteSwitchAgent
+from repro.agents.effects import EFFECT_SPECS, EffectSpec
+from repro.agents.plans import STRATEGY_NAMES, StrategyPlan, plan
+from repro.agents.spec_agent import SpecAgent
 
 __all__ = [
     "CoalitionState",
-    "DeviantAgent",
-    "EquivocatingAgent",
-    "FindMinSuppressAgent",
-    "ForgedCertificateAgent",
-    "GriefingAgent",
-    "PooledAttackAgent",
-    "PooledState",
-    "PretendFaultyAgent",
-    "SilentAgent",
+    "EFFECT_SPECS",
+    "EffectSpec",
+    "STRATEGY_NAMES",
+    "SpecAgent",
     "StrategyPlan",
-    "VoteSwitchAgent",
     "plan",
 ]

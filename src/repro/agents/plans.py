@@ -1,118 +1,58 @@
-"""Deviation plans: bind a coalition to a strategy.
+"""Deviation plans: bind a coalition to a strategy's effect spec.
 
 A :class:`StrategyPlan` implements the
 :class:`repro.core.protocol.DeviationPlan` protocol: it owns the member
-set, builds the shared blackboard once per run, and instantiates one
-agent per member.  The :func:`plan` factory builds plans by strategy
-name — the experiment harness and benchmarks select strategies by these
-names.
+set and the :class:`~repro.agents.effects.EffectSpec`, builds the shared
+blackboard once per run, and one :class:`~repro.agents.spec_agent.
+SpecAgent` per member.  The batched strategy engine
+(:mod:`repro.fastpath.strategies`) reads the same two fields, so
+``StrategyPlan(members, spec)`` runs any spec on both tiers.  The
+:func:`plan` factory builds a registered strategy's plan by name — the
+experiment harness and benchmarks select strategies by these names.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable
+from dataclasses import dataclass
+from typing import Hashable
 
-from repro.agents.base import DeviantAgent
 from repro.agents.coalition import CoalitionState
 from repro.agents.effects import EFFECT_SPECS, EffectSpec
-from repro.agents.equivocate import EquivocatingAgent
-from repro.agents.griefing import GriefingAgent
-from repro.agents.pooled import PooledAttackAgent, PooledState
-from repro.agents.pretend_faulty import PretendFaultyAgent
-from repro.agents.silent import SilentAgent
-from repro.agents.suppress import FindMinSuppressAgent
-from repro.agents.underbid import ForgedCertificateAgent
-from repro.agents.vote_switch import VoteSwitchAgent
+from repro.agents.spec_agent import SpecAgent
 from repro.core.params import ProtocolParams
 from repro.gossip.node import Node
 from repro.util.rng import SeedTree
 
 __all__ = ["StrategyPlan", "plan", "STRATEGY_NAMES"]
 
+STRATEGY_NAMES = tuple(sorted(EFFECT_SPECS))
 
-@dataclass
+
+@dataclass(frozen=True)
 class StrategyPlan:
-    """members + agent class + kwargs, satisfying ``DeviationPlan``.
-
-    ``effects`` is the declarative counterpart of ``agent_cls``: the
-    same strategy expressed as vectorised effects on trial tensors,
-    consumed by the batched strategy engine
-    (:mod:`repro.fastpath.strategies`).  Both are bound here so the two
-    simulation tiers are compiled from one registry entry.
-    """
+    """A coalition and its spec, satisfying ``DeviationPlan``."""
 
     members: frozenset[int]
-    agent_cls: type[DeviantAgent]
-    state_cls: type[CoalitionState] = CoalitionState
-    agent_kwargs: dict[str, Any] = field(default_factory=dict)
-    state_kwargs: dict[str, Any] = field(default_factory=dict)
-    name: str = ""
-    effects: EffectSpec | None = None
+    effects: EffectSpec
+
+    @property
+    def name(self) -> str:
+        return self.effects.name
 
     def build_shared(self, params: ProtocolParams, tree: SeedTree) -> object:
-        shared = self.state_cls(params, self.members, tree)
-        for key, value in self.state_kwargs.items():
-            setattr(shared, key, value)
-        return shared
+        return CoalitionState(params, self.members)
 
     def build_agent(self, node_id: int, params: ProtocolParams,
                     color: Hashable, tree: SeedTree, shared: object) -> Node:
-        return self.agent_cls(
-            node_id, params, color, tree, shared, **self.agent_kwargs
-        )
-
-
-def _simple(cls: type[DeviantAgent], **kwargs: Any) -> Callable[[frozenset[int]], StrategyPlan]:
-    def make(members: frozenset[int]) -> StrategyPlan:
-        return StrategyPlan(members=members, agent_cls=cls, agent_kwargs=dict(kwargs))
-    return make
-
-
-_REGISTRY: dict[str, Callable[[frozenset[int]], StrategyPlan]] = {
-    "honest_shadow": _simple(DeviantAgent),  # deviation that does nothing
-    "silent": _simple(SilentAgent),
-    "pretend_faulty": _simple(PretendFaultyAgent),
-    "underbid_alter": _simple(ForgedCertificateAgent, mode="alter"),
-    "underbid_drop": _simple(ForgedCertificateAgent, mode="drop_all"),
-    "underbid_fabricate": _simple(ForgedCertificateAgent, mode="fabricate"),
-    "underbid_klie": _simple(ForgedCertificateAgent, mode="klie"),
-    "equivocate": _simple(EquivocatingAgent),
-    "vote_switch": _simple(VoteSwitchAgent),
-    "vote_switch_targets": _simple(VoteSwitchAgent, switch_targets=True),
-    "griefing": _simple(GriefingAgent),
-    "findmin_suppress": _simple(FindMinSuppressAgent),
-}
-
-
-def _pooled(members: frozenset[int]) -> StrategyPlan:
-    return StrategyPlan(
-        members=members, agent_cls=PooledAttackAgent, state_cls=PooledState
-    )
-
-
-def _pooled_gamble(members: frozenset[int]) -> StrategyPlan:
-    return StrategyPlan(
-        members=members, agent_cls=PooledAttackAgent, state_cls=PooledState,
-        state_kwargs={"gamble": True},
-    )
-
-
-_REGISTRY["pooled"] = _pooled
-_REGISTRY["pooled_gamble"] = _pooled_gamble
-
-STRATEGY_NAMES = tuple(sorted(_REGISTRY))
+        return SpecAgent(node_id, params, color, tree, shared, self.effects)
 
 
 def plan(strategy: str, members: frozenset[int] | set[int]) -> StrategyPlan:
     """Build the named strategy's plan for the given coalition."""
     try:
-        factory = _REGISTRY[strategy]
+        spec = EFFECT_SPECS[strategy]
     except KeyError:
         raise ValueError(
             f"unknown strategy {strategy!r}; known: {', '.join(STRATEGY_NAMES)}"
         ) from None
-    built = factory(frozenset(members))
-    built.name = strategy
-    built.effects = EFFECT_SPECS[strategy]
-    return built
+    return StrategyPlan(frozenset(members), spec)

@@ -9,8 +9,9 @@ shared randomness):
 * the coalition color's winning probability under honest play and under
   the deviation,
 * the failure (⊥) probability of both,
-* the members' expected-utility gain at chi = 1
-  (``gain = Δwin − chi·Δfail``; any chi >= 0 derivable from the columns).
+* the members' expected-utility gain at the ``chi`` option (1 by
+  default; ``gain = Δwin − chi·Δfail``, any chi >= 0 derivable from
+  the columns).
 
 Theorem 7's prediction: gain <= 0 up to Monte-Carlo noise, for *every*
 strategy and size — deviations either trigger failure (negative gain) or
@@ -82,7 +83,7 @@ class E7Options:
 def run(opts: E7Options = E7Options()) -> Table:
     table = Table(
         headers=["strategy", "t", "honest win", "deviant win",
-                 "honest fail", "deviant fail", "gain (chi=1)",
+                 "honest fail", "deviant fail", f"gain (chi={opts.chi:g})",
                  "gain CI +/-", "profitable?"],
         title=(
             f"E7  Deviation gains (Theorem 7), n = {opts.n}, "

@@ -35,13 +35,16 @@ import typing
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
+from repro.agents.plans import STRATEGY_NAMES
 from repro.exec.backends import ExecRecord, collect_execution
 from repro.exec.plan import AUTO_ENGINE as _PLAN_AUTO_ENGINE
+from repro.exec.plan import ENGINES
 from repro.extensions.families import (
     GRAPH_KINDS,
     MIN_GRAPH_N,
     split_scenario,
 )
+from repro.experiments.workloads import WORKLOADS
 from repro.results import ExperimentResult, ResultSection, build_meta
 from repro.util.tables import Table
 
@@ -119,6 +122,13 @@ _FITS_ACROSS_SIZES = ("e2", "e3", "e4")
 #: The γ options (the certificate-size factor): finite and > 0.
 _GAMMA_FIELDS = ("gamma", "gammas", "pooled_gammas", "starvation_gamma")
 
+#: Options whose every entry must be one of a fixed set of names.
+_NAME_FIELDS = {
+    "strategies": STRATEGY_NAMES,
+    "workloads": tuple(WORKLOADS),
+    "placements": ("random", "color_targeted"),
+}
+
 
 def _entries(value: Any) -> tuple[Any, ...]:
     """A sequence option's entries, or a scalar option as one entry."""
@@ -136,10 +146,14 @@ def check_counts(name: str, opts: Any) -> None:
     fits a curve across them, ``minority`` strictly between 0 and 1,
     every γ (``gamma``, ``gammas``, ``pooled_gammas``,
     ``starvation_gamma``) finite and > 0, and every fault fraction in
-    ``alphas`` and the ``churn_rate`` in [0, 1).  Every entry of
-    ``scenarios`` must be a graph kind with an optional ``+churn``, and
-    ``n`` >= 4 when there is one.  The ``ValueError`` names the
-    experiment, the field and the limit.
+    ``alphas`` and the ``churn_rate`` in [0, 1), and ``chi`` finite and
+    >= 0.  Every entry of ``scenarios`` must be a graph kind with an
+    optional ``+churn``, and ``n`` >= 4 when there is one.  ``engine``
+    must be a tier of the experiment's kind (honest experiments, E10
+    included, take the honest tiers; deviation and mixed ones the
+    deviation tiers), and every entry of ``strategies``, ``workloads``
+    and ``placements`` a registered name.  The ``ValueError`` names the
+    experiment, the field and the limit or the valid values.
     """
     for field, minimum in _COUNT_MINIMUMS:
         for v in _entries(getattr(opts, field, None)):
@@ -171,6 +185,27 @@ def check_counts(name: str, opts: Any) -> None:
             if isinstance(v, numbers.Real) and not 0 <= v < 1:
                 raise ValueError(
                     f"{name}: option {field!r} must be in [0, 1), got {v!r}"
+                )
+    chi = getattr(opts, "chi", None)
+    if isinstance(chi, numbers.Real) and not (math.isfinite(chi) and chi >= 0):
+        raise ValueError(
+            f"{name}: option 'chi' must be finite and >= 0, got {chi!r}"
+        )
+    engine = getattr(opts, "engine", None)
+    if engine is not None:
+        kind = get_experiment(name).kind
+        valid = ENGINES["honest" if kind == "honest" else "deviation"]
+        if engine not in valid:
+            raise ValueError(
+                f"{name}: option 'engine' must be one of "
+                f"{', '.join(valid)}, got {engine!r}"
+            )
+    for field, valid in _NAME_FIELDS.items():
+        for v in _entries(getattr(opts, field, ())):
+            if v not in valid:
+                raise ValueError(
+                    f"{name}: option {field!r} entries must be one of "
+                    f"{', '.join(valid)}, got {v!r}"
                 )
     scenarios = getattr(opts, "scenarios", ())
     for scenario in scenarios:

@@ -1,11 +1,11 @@
 """Batched strategy fastpath: coalition deviations as tensor effects.
 
-The agent engine is the only tier that can run *arbitrary* deviating
-agents, but the registered strategies (:mod:`repro.agents.plans`) are
-not arbitrary: each one is a fixed, declarative set of effects on the
-protocol's random structure — votes dropped or rewritten, Commitment
-pulls left unanswered, a forged ``k = 0`` certificate injected into
-Find-Min, a detection event that makes verifiers output ⊥.  This module
+A strategy is an :class:`~repro.agents.effects.EffectSpec`: a fixed,
+declarative set of effects on the protocol's random structure — votes
+dropped or rewritten, Commitment pulls left unanswered, a forged
+``k = 0`` certificate injected into Find-Min, a detection event that
+makes verifiers output ⊥.  The agent engine plays a spec message by
+message (:class:`~repro.agents.spec_agent.SpecAgent`); this module
 executes those effects *vectorised over the trial axis*, on
 ``(B, n_a, q)`` tensors of every pull and vote, and derives every
 detection event exactly from the sampled tensors:
@@ -227,11 +227,6 @@ def simulate_strategy_fast_batch(
         built = make_plan(strategy or "honest_shadow", frozenset(members))
     else:
         built = strategy
-    if built.effects is None:
-        raise ValueError(
-            f"plan {built.name!r} carries no effect spec; build it via "
-            "repro.agents.plans.plan()"
-        )
     spec: EffectSpec = built.effects
     mem = np.array(sorted(built.members), dtype=np.int64)
 
@@ -287,7 +282,7 @@ def simulate_strategy_fast_batch(
                             n=n, rounds=params.total_rounds, colors=colors)
 
     return concat_batch(
-        StrategyBatchResult, chunks, strategy=built.name or spec.name,
+        StrategyBatchResult, chunks, strategy=spec.name,
         members=tuple(int(v) for v in mem),
         honest=side("honest"), deviant=side("deviant"),
     )
@@ -568,7 +563,7 @@ def _simulate_strategy_chunk(
         dev_targets = dev_targets.copy()
         n_intra = min(q, max(1, round(q * spec.intra_fraction)))
         # others[(slot + node_id) % (t - 1)], others sorted excluding
-        # self — exactly PooledAttackAgent._rewrite_intention.
+        # self — exactly SpecAgent._aim_at_coalition.
         for j in range(t):
             others = np.delete(mem, j)
             for slot in range(n_intra):
@@ -877,7 +872,7 @@ def _underbid_hold_fail(
                 (have & (k_f != 0))[:, None]
                 & pulled_per_trial(np.maximum(v0, 0))
             )
-        # No received votes: forge_certificate_with_k fabricates one
+        # No received votes: the alter forgery fabricates one
         # vote from agent 0 (or 1) claiming round 0 with value k = 0.
         fake_voter = 0 if f != 0 else 1
         no_votes = count_f == 0

@@ -249,6 +249,46 @@ class TestOverrideValidation:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("exp, override, message", [
+        ("e7", "strategies=silent,bogus",
+         "option 'strategies' entries must be one of equivocate, "
+         "findmin_suppress, griefing, honest_shadow, pooled, pooled_gamble, "
+         "pretend_faulty, silent, underbid_alter, underbid_drop, "
+         "underbid_fabricate, underbid_klie, vote_switch, "
+         "vote_switch_targets, got 'bogus'"),
+        ("e1", "workloads=bogus",
+         "option 'workloads' entries must be one of balanced, skewed, "
+         "multiway, leader_election, got 'bogus'"),
+        ("e6", "placements=bogus",
+         "option 'placements' entries must be one of random, "
+         "color_targeted, got 'bogus'"),
+        ("e1", "engine=bogus",
+         "option 'engine' must be one of auto, batch, batch-parity, agent, "
+         "got 'bogus'"),
+        ("e10", "engine=batch-strategy",
+         "option 'engine' must be one of auto, batch, batch-parity, agent, "
+         "got 'batch-strategy'"),
+        ("e7", "engine=bogus",
+         "option 'engine' must be one of auto, batch-strategy, agent, "
+         "got 'bogus'"),
+        ("e8", "engine=batch",
+         "option 'engine' must be one of auto, batch-strategy, agent, "
+         "got 'batch'"),
+        ("e7", "chi=nan", "option 'chi' must be finite and >= 0, got nan"),
+        ("e7", "chi=-1", "option 'chi' must be finite and >= 0, got -1.0"),
+    ])
+    def test_unknown_names_exit_2_before_running(
+            self, exp, override, message, capsys, tmp_path):
+        out = tmp_path / "archive"
+        rc = main(["experiment", exp, "--set", override, "--trials", "2",
+                   "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert f"{exp}: {message}" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_small_n_stays_valid_without_graph_scenarios(self, capsys):
         rc = main(["experiment", "e10", "--set", "n=3", "--set",
                    "scenarios=", "--set", "async_sizes=16", "--trials", "2",
@@ -293,6 +333,11 @@ class TestOverrideValidation:
                    "--url", "http://127.0.0.1:9"])
         assert rc == 2
         assert "e10: option 'churn_rate' must be in [0, 1), got nan" \
+            in capsys.readouterr().err
+        rc = main(["submit", "e7", "--set", "strategies=bogus",
+                   "--url", "http://127.0.0.1:9"])
+        assert rc == 2
+        assert "e7: option 'strategies' entries must be one of" \
             in capsys.readouterr().err
 
     def test_sequence_coercion(self, capsys):

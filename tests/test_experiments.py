@@ -143,3 +143,15 @@ class TestE7Smoke:
         )).tables()
         for profitable in table.column("profitable?"):
             assert not profitable
+
+
+class TestE7GainHeader:
+    def test_header_names_the_chi_it_uses(self):
+        from repro.experiments.e7_equilibrium import E7Options, run as run_e7
+
+        for chi, header in ((0.5, "gain (chi=0.5)"), (1.0, "gain (chi=1)")):
+            table, = run_e7(E7Options(
+                n=16, trials=2, strategies=("silent",), coalition_sizes=(1,),
+                chi=chi,
+            )).tables()
+            assert header in table.headers

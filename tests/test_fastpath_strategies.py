@@ -191,14 +191,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="marked faulty"):
             run("silent", {BLUES[0]}, faulty=frozenset({BLUES[0]}))
 
-    def test_plan_without_effects_rejected(self):
-        from repro.agents.plans import StrategyPlan
-        from repro.agents.base import DeviantAgent
-
-        bare = StrategyPlan(members=frozenset({0}), agent_cls=DeviantAgent)
-        with pytest.raises(ValueError, match="effect spec"):
-            simulate_strategy_fast_batch(COLORS, SEEDS, bare)
-
 
 class TestAbstention:
     def test_silent_members_never_win(self):

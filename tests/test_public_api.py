@@ -97,7 +97,7 @@ class TestSubpackagesImportClean:
 class TestDocstrings:
     @pytest.mark.parametrize("module", [
         "repro", "repro.gossip.engine", "repro.core.agent",
-        "repro.core.verification", "repro.agents.pooled",
+        "repro.core.verification", "repro.agents.spec_agent",
         "repro.fastpath.simulate", "repro.baselines.halpern_vilaca",
     ])
     def test_key_modules_documented(self, module):

@@ -627,6 +627,15 @@ class TestServiceHTTP:
             {"experiment": "e10", "options": {"scenarios": ["bogus"]}},
             {"experiment": "e10", "options": {"n": 3}},
             {"experiment": "e10", "options": {"churn_rate": 1.5}},
+            # Unknown names and a chi out of range, which used to fail
+            # mid-run or run the wrong thing:
+            {"experiment": "e7", "options": {"strategies": ["bogus"]}},
+            {"experiment": "e1", "options": {"workloads": ["bogus"]}},
+            {"experiment": "e6", "options": {"placements": ["bogus"]}},
+            {"experiment": "e1", "options": {"engine": "bogus"}},
+            {"experiment": "e8", "options": {"engine": "batch"}},
+            {"experiment": "e7", "options": {"chi": -1.0}},
+            {"experiment": "e7", "options": {"chi": float("nan")}},
             # Values of the wrong JSON type:
             {"experiment": "e1", "options": {"trials": 5.0}},
             {"experiment": "e1", "options": {"trials": "5"}},
@@ -655,6 +664,9 @@ class TestServiceHTTP:
         with pytest.raises(ServiceError, match=re.escape(
                 "e1: option 'gamma' must be finite and > 0, got nan")):
             client.submit("e1", {"gamma": float("nan")})
+        with pytest.raises(ServiceError, match=re.escape(
+                "e7: option 'strategies' entries must be one of")):
+            client.submit("e7", {"strategies": ["bogus"]})
         # Malformed JSON body.
         req = urllib.request.Request(
             f"{service.url}/jobs", data=b"{oops",

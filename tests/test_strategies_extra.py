@@ -4,6 +4,7 @@ switching, fabrication) and coalition-blackboard mechanics."""
 from __future__ import annotations
 
 from repro.agents.plans import plan
+from repro.agents.spec_agent import SpecAgent
 from repro.core.protocol import ProtocolConfig, run_protocol
 from tests.conftest import two_color_split
 
@@ -62,8 +63,7 @@ class TestCoalitionBlackboard:
     def test_members_register_and_share(self):
         res = run_with("pooled", 3, seed=1)
         nodes = res.extras["nodes"]
-        members = [a for a in nodes.values()
-                   if type(a).__name__ == "PooledAttackAgent"]
+        members = [a for a in nodes.values() if isinstance(a, SpecAgent)]
         shared = members[0].shared
         assert all(m.shared is shared for m in members)
         assert set(shared.agents) == {m.node_id for m in members}
@@ -72,15 +72,16 @@ class TestCoalitionBlackboard:
         res = run_with("pooled", 3, seed=2)
         nodes = res.extras["nodes"]
         shared = next(a for a in nodes.values()
-                      if type(a).__name__ == "PooledAttackAgent").shared
+                      if isinstance(a, SpecAgent)).shared
         assert shared.most_common_color() == "blue"
-        assert set(shared.members_supporting("blue")) == shared.members
+        assert all(shared.agents[m].color == "blue" for m in shared.members)
 
     def test_intra_coalition_votes_rewired(self):
         res = run_with("pooled", 3, seed=3)
         nodes = res.extras["nodes"]
         members = {a.node_id: a for a in nodes.values()
-                   if type(a).__name__ == "PooledAttackAgent"}
+                   if isinstance(a, SpecAgent)}
+        assert len(members) == 3
         for m in members.values():
             intra = [pv for pv in m.intention if pv.target in members]
             assert intra  # every member aims some votes at the coalition
