@@ -22,7 +22,7 @@ affinity mask, not ``os.cpu_count()``) is >= 4; on narrower boxes the
 gate is skipped with an explicit log line and every point is flagged
 ``cpu_limited`` (workers timeslicing fewer cores is not parallelism).
 Each point archives the worker count that actually ran and the
-shard-result transport (``shm``/``inline``).  Results are archived to
+shard-result transport (``pool``/``inline``).  Results are archived to
 ``BENCH_parallel.json`` at the repo root.
 
 Runs standalone too:

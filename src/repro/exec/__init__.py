@@ -8,13 +8,11 @@ One sharded, multi-core backend behind every fastpath front door:
 * :mod:`repro.exec.backends` — run a plan on the ``serial`` backend
   (bit-identical to the historical in-process behaviour) or the
   ``parallel`` backend (quantum-aligned trial shards over a process
-  pool, per-shard seeds sliced from the plan's spine, results written
-  in place over shared memory).  ``run_plan`` output is byte-identical
-  across backends, worker counts and shard layouts, and ``jobs`` is
-  the only way a trial runs on more than one core.
-* :mod:`repro.exec.shm` — the zero-copy shard transport: one
-  shared-memory result segment per sharded plan, and the shard-order
-  merge of the workers' scalar stubs.
+  pool, per-shard seeds sliced from the plan's spine, each shard's
+  record returned through the pool and merged in shard-index order).
+  ``run_plan`` output is byte-identical across backends, worker counts
+  and shard layouts, and ``jobs`` is the only way a trial runs on more
+  than one core.
 * :mod:`repro.exec.pool` — the process pool the parallel backend
   shards over, parked and reused across runs (and across the
   experiment service's jobs; ``prewarm``/``warm_pool_stats``).
@@ -59,7 +57,6 @@ from repro.exec.pool import (
     shutdown_warm_pool,
     warm_pool_stats,
 )
-from repro.exec.shm import merge_stubs
 
 __all__ = [
     "AUTO_ENGINE",
@@ -80,7 +77,6 @@ __all__ = [
     "compile_honest_plan",
     "default_workers",
     "get_fault_policy",
-    "merge_stubs",
     "mp_context",
     "parse_max_retries",
     "parse_shard_timeout",

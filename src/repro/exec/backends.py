@@ -11,8 +11,9 @@
     The plan is cut into trial shards at multiples of its
     ``shard_quantum`` and fanned over a process pool of ``jobs``
     workers; per-shard seeds are the corresponding slices of the plan's
-    seed spine, and the shards' scalar stubs merge in shard-index order
-    (:func:`repro.exec.shm.merge_stubs`).  Because shard
+    seed spine.  Each worker returns its shard's batch record through
+    the pool's result pipe, and the records merge in shard-index order
+    (:func:`repro.util.batches.merge_batches`).  Because shard
     boundaries respect the engines' stream quantum, the merged result
     is byte-identical to the serial backend at any ``jobs`` — the
     backend choice is pure mechanics, never part of a result's
@@ -54,7 +55,6 @@ from __future__ import annotations
 
 import math
 import os
-import pickle
 import time
 from concurrent.futures import (
     FIRST_COMPLETED,
@@ -71,7 +71,6 @@ import numpy as np
 
 from repro.agents.plans import plan as make_plan
 from repro.exec import chaos
-from repro.exec import shm as shm_transport
 from repro.core.defenses import Defenses
 from repro.core.outcome import RunResult
 from repro.core.protocol import ProtocolConfig, run_protocol
@@ -103,7 +102,7 @@ from repro.fastpath.strategies import (
     StrategyBatchResult,
     simulate_strategy_fast_batch,
 )
-from repro.util.batches import concat_batch, stack_batch
+from repro.util.batches import concat_batch, merge_batches, stack_batch
 
 __all__ = [
     "BACKENDS",
@@ -146,8 +145,8 @@ class ExecRecord:
     that actually ran (capped by the shard count, 1 on the serial
     path) — benchmarks must archive the latter, or a 4-job run on a
     1-CPU box reads as a parallel measurement.  ``transport`` names
-    the shard-result channel: ``shm`` (zero-copy shared memory) or
-    ``inline`` (no shard ever left the process).
+    the shard-result channel: ``pool`` (records returned through the
+    pool's result pipe) or ``inline`` (no shard ever left the process).
     """
 
     kind: str
@@ -454,103 +453,17 @@ def shard_bounds(
     ]
 
 
-# ---------------------------------------------------------------------------
-# Shard-result transport: how a shard's output reaches the parent
-# ---------------------------------------------------------------------------
+def _compute_shard(
+    shard_plan: ExecutionPlan, spec: "chaos.ShardChaos | None"
+) -> Any:
+    """Pool worker: apply the shard's chaos, then compute its sub-plan.
 
-#: The batch-result class every tier of each workload kind produces —
-#: what the shared-memory transport sizes its result segment from.
-_RESULT_TYPES: dict[str, type] = {
-    "honest": FastBatchResult,
-    "deviation": StrategyBatchResult,
-    "graph": GraphBatchResult,
-    "async": AsyncBatchResult,
-}
-
-
-class _ShmTransport:
-    """The zero-copy channel (DESIGN.md §9).
-
-    The parent allocates one result segment sized for the *merged*
-    result and pickles every shard's sub-plan once; each pool task
-    carries its shard's plan bytes, ``[lo, hi)`` window and the
-    layout.  Workers attach the segment by name, write their slice of
-    each array in place and return only a scalar stub.  ``finish``
-    merges the stubs, copies each merged array out of the segment once
-    (never concatenating shards) and closes and unlinks the segment, so
-    the result owns its memory and no mapping outlives the run.
-    ``close`` is idempotent and called on every exit path, so no code
-    path can leak a ``/dev/shm`` entry or a mapping past the run.
+    The batch record goes back by value through the executor's result
+    pipe; the parent merges the records in shard-index order.
     """
-
-    name = "shm"
-
-    def __init__(self, plan: ExecutionPlan, bounds: list[tuple[int, int]],
-                 shard_plans: list[ExecutionPlan], cls: type) -> None:
-        self._cls = cls
-        self._bounds = bounds
-        self._shard_plans = shard_plans
-        # Pickled once: a retry or pool respawn resends these bytes.
-        self._blobs = [pickle.dumps(p, protocol=pickle.HIGHEST_PROTOCOL)
-                       for p in shard_plans]
-        self._layout = shm_transport.plan_layout(cls, plan.n_trials)
-        self._stubs: dict[int, dict[str, Any]] = {}
-        self._data = shm_transport.OwnedSegment(self._layout.size)
-        self._views = self._layout.views(self._data.shm)
-
-    def task(self, idx: int,
-             spec: "chaos.ShardChaos | None") -> tuple[Any, Any]:
-        lo, hi = self._bounds[idx]
-        return _compute_shard_shm, (
-            self._blobs[idx], lo, hi, self._layout, self._data.name, spec
-        )
-
-    def absorb(self, idx: int, value: Any) -> None:
-        self._stubs[idx] = value
-
-    def degrade(self, idx: int) -> None:
-        # The serial degradation path writes the shard's slice from the
-        # parent itself — same views, same bytes, no pool involved.
-        lo, hi = self._bounds[idx]
-        result = _compute(self._shard_plans[idx])
-        shm_transport.export_batch(result, self._views, lo, hi)
-        self._stubs[idx] = shm_transport.scalar_stub(result)
-
-    def finish(self, n_shards: int) -> Any:
-        stub = shm_transport.merge_stubs(
-            [self._stubs[i] for i in range(n_shards)], self._cls
-        )
-        arrays = {path: view.copy() for path, view in self._views.items()}
-        self.close()
-        return shm_transport.build_batch(self._cls, stub, arrays)
-
-    def close(self) -> None:
-        # Drop the views first: the mapping cannot close under them.
-        self._views = {}
-        self._data.unlink()
-
-
-def _compute_shard_shm(
-    args: tuple[bytes, int, int, shm_transport.ResultLayout, str,
-                "chaos.ShardChaos | None"]
-) -> dict[str, Any]:
-    """Pool worker (shm transport): compute a shard and write it in place.
-
-    The task carries the shard's pickled sub-plan, its ``[lo, hi)``
-    window, the result layout and the data segment's name: the worker
-    computes the sub-plan, writes every result array's slice into the
-    segment and returns only the scalar stub.  The segment attachment
-    is cached per worker process and deregistered from the worker's
-    resource tracker — the parent alone owns cleanup.
-    """
-    blob, lo, hi, layout, data_name, spec = args
-    shard_plan = pickle.loads(blob)
     if spec is not None:
         spec.apply()
-    result = _compute(shard_plan)
-    views = layout.views(shm_transport.attached(data_name))
-    shm_transport.export_batch(result, views, lo, hi, fault=spec)
-    return shm_transport.scalar_stub(result)
+    return _compute(shard_plan)
 
 
 # ---------------------------------------------------------------------------
@@ -574,13 +487,9 @@ def _run_parallel(
     whatever is left.  A shard that fails more than
     ``policy.max_retries`` times re-runs serially in this process —
     the trusted degradation path, byte-identical because shard seeds
-    are deterministic slices of the plan's spine.
-
-    Shard results travel over zero-copy shared memory
-    (``_ShmTransport``), which is closed — unlinked — on every exit
-    path, faulted ones included.  Where no shared memory can be
-    allocated, the plan runs serially in this process instead: same
-    bytes, ``transport="inline"``.
+    are deterministic slices of the plan's spine.  Each shard's record,
+    from a worker or from the degradation path, is kept by shard index
+    and merged in that order once every shard is in.
     """
     size = shard_size_hint(plan, jobs)
     bounds = shard_bounds(plan.n_trials, plan.shard_quantum, jobs, size=size)
@@ -590,30 +499,24 @@ def _run_parallel(
     shard_plans = [plan.slice(lo, hi) for lo, hi in bounds]
     n_shards = len(bounds)
     workers = min(jobs, n_shards)
-    try:
-        transport = _ShmTransport(plan, bounds, shard_plans,
-                                  _RESULT_TYPES[plan.kind])
-    except OSError:
-        return _compute(plan), 1, recovery, 1, "inline"
+    parts: dict[int, Any] = {}
     cfg = chaos.active_config()
     submissions = [0] * n_shards      # chaos attempt index per shard
     failures = [0] * n_shards
-    remaining = set(range(n_shards))
     round_no = 0
     pool = _acquire_pool(workers)
     try:
-        while remaining:
-            for idx in sorted(remaining):
-                if failures[idx] > policy.max_retries:
+        while len(parts) < n_shards:
+            for idx in range(n_shards):
+                if idx not in parts and failures[idx] > policy.max_retries:
                     # Degrade: the shard re-runs serially in-process
                     # (never through chaos or the pool), so the study
                     # completes with identical bytes.
                     t0 = time.perf_counter()
-                    transport.degrade(idx)
+                    parts[idx] = _compute(shard_plans[idx])
                     recovery.degraded += 1
                     recovery.wall_s += time.perf_counter() - t0
-                    remaining.discard(idx)
-            if not remaining:
+            if len(parts) == n_shards:
                 break
             if round_no > 0 and policy.backoff_base_s > 0:
                 pause = policy.backoff_s(round_no - 1)
@@ -621,27 +524,23 @@ def _run_parallel(
                 recovery.wall_s += pause
             round_no += 1
             pool = _run_round(
-                pool, transport, remaining, submissions,
+                pool, shard_plans, parts, submissions,
                 failures, policy, cfg, recovery, workers,
             )
-        merged = transport.finish(n_shards)
     except BaseException:
         # KeyboardInterrupt (and anything else unrecoverable): cancel
         # queued shards and kill in-flight workers before propagating.
         _kill_pool(pool)
         raise
-    finally:
-        # Idempotent: the success path already closed via finish();
-        # every other path unlinks the shared memory right here.
-        transport.close()
     _release_pool(pool, workers)
-    return merged, n_shards, recovery, workers, transport.name
+    merged = merge_batches([parts[idx] for idx in range(n_shards)])
+    return merged, n_shards, recovery, workers, "pool"
 
 
 def _run_round(
     pool: ProcessPoolExecutor,
-    transport: _ShmTransport,
-    remaining: set[int],
+    shard_plans: list[ExecutionPlan],
+    parts: dict[int, Any],
     submissions: list[int],
     failures: list[int],
     policy: FaultPolicy,
@@ -649,25 +548,27 @@ def _run_round(
     recovery: _Recovery,
     workers: int,
 ) -> ProcessPoolExecutor:
-    """Submit every remaining shard once and drain completions.
+    """Submit every shard without a record once and drain completions.
 
-    Completed shards leave ``remaining``; failed ones stay for the
-    next round with their failure count bumped.  Returns the pool to
-    use next — a fresh one whenever this round broke the old pool
-    (worker death) or had to reclaim a hung worker (shard timeout).
+    Completed shards put their record in ``parts``; failed ones stay
+    out for the next round with their failure count bumped.  Returns
+    the pool to use next — a fresh one whenever this round broke the
+    old pool (worker death) or had to reclaim a hung worker (shard
+    timeout).
     """
     pending: dict[Future, int] = {}
     deadlines: dict[int, float] = {}
     broke = False
     timed_out = False
     try:
-        for idx in sorted(remaining):
+        for idx, shard_plan in enumerate(shard_plans):
+            if idx in parts:
+                continue
             spec = cfg.shard_chaos(idx, submissions[idx]) if cfg else None
             if submissions[idx] > 0:
                 recovery.retries += 1
             submissions[idx] += 1
-            fn, args = transport.task(idx, spec)
-            future = pool.submit(fn, args)
+            future = pool.submit(_compute_shard, shard_plan, spec)
             pending[future] = idx
             if policy.shard_timeout_s is not None:
                 deadlines[idx] = time.monotonic() + policy.shard_timeout_s
@@ -683,7 +584,7 @@ def _run_round(
             idx = pending.pop(future)
             deadlines.pop(idx, None)
             try:
-                value = future.result()
+                parts[idx] = future.result()
             except BrokenProcessPool:
                 failures[idx] += 1
                 recovery.failures += 1
@@ -693,9 +594,6 @@ def _run_round(
                 # shard retries next round.
                 failures[idx] += 1
                 recovery.failures += 1
-            else:
-                transport.absorb(idx, value)
-                remaining.discard(idx)
         now = time.monotonic()
         expired = [i for i, dl in deadlines.items() if dl <= now]
         if expired:
@@ -717,13 +615,10 @@ def _run_round(
         for future in done:
             idx = pending.pop(future)
             try:
-                value = future.result()
+                parts[idx] = future.result()
             except Exception:
                 failures[idx] += 1
                 recovery.failures += 1
-            else:
-                transport.absorb(idx, value)
-                remaining.discard(idx)
     if broke:
         t0 = time.perf_counter()
         _kill_pool(pool)

@@ -13,7 +13,7 @@ injection site, so a given config injects *exactly* the same faults on
 every run, on every machine — chaos runs are as reproducible as the
 experiments they disturb.
 
-Three injection sites:
+Two injection sites:
 
 ``shard_chaos(shard, attempt)``
     Consulted by the parallel backend when it submits a shard to the
@@ -76,27 +76,20 @@ def chaos_enabled(environ: Mapping[str, str] | None = None) -> bool:
 class ShardChaos:
     """The faults injected into one (shard, attempt) worker execution.
 
-    ``kill`` dies *before* the shard computes; ``kill_mid_write`` lets
-    the shard compute and dies halfway through exporting its arrays
-    into the shared-memory result segment — the torn-slice case the
-    zero-copy transport must survive (the slice is rewritten whole on
-    retry, so a half-written shard can never reach the merged result).
+    ``delay_s`` sleeps and ``kill`` terminates the worker, both
+    *before* the shard computes, so a killed attempt never returns a
+    record.
     """
 
     kill: bool = False
     delay_s: float = 0.0
-    kill_mid_write: bool = False
 
     def apply(self) -> None:
         """Run inside the pool worker, before the shard computes."""
         if self.delay_s > 0.0:
             time.sleep(self.delay_s)
         if self.kill:
-            self.die()
-
-    def die(self) -> None:
-        """Terminate the worker with the injected-fault exit status."""
-        os._exit(KILL_EXIT_CODE)
+            os._exit(KILL_EXIT_CODE)
 
 
 @dataclass(frozen=True)
@@ -129,14 +122,7 @@ class ChaosConfig:
             return ShardChaos()
         kill = self._uniform("kill", shard, attempt) < self.kill_rate
         delay = self._uniform("delay", shard, attempt) < self.delay_rate
-        # Half the injected kills strike mid-write instead of pre-compute,
-        # so every chaos run exercises the torn-slice recovery path too.
-        mid = kill and self._uniform("mid", shard, attempt) < 0.5
-        return ShardChaos(
-            kill=kill and not mid,
-            delay_s=self.delay_s if delay else 0.0,
-            kill_mid_write=mid,
-        )
+        return ShardChaos(kill=kill, delay_s=self.delay_s if delay else 0.0)
 
     def truncates(self, name: str) -> bool:
         """Whether the archive file ``name`` gets a torn (half) write."""

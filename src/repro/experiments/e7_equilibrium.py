@@ -72,7 +72,10 @@ class E7Options:
     def members(self, t: int) -> frozenset[int]:
         blues = [i for i, c in enumerate(self.colors()) if c == "blue"]
         if t > len(blues):
-            raise ValueError(f"coalition size {t} exceeds blue supporters")
+            raise ValueError(
+                f"coalition size {t} exceeds the {len(blues)} blue "
+                f"supporters"
+            )
         return frozenset(blues[:t])
 
 

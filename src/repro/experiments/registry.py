@@ -108,11 +108,11 @@ def options_dict(opts: Any) -> dict[str, Any]:
 
 
 #: Lower bounds of the count options: a run needs one trial and one
-#: worker, a coalition one member, and a protocol two agents.  Sequence
-#: fields bound each entry.
+#: worker, a coalition one member, a protocol two agents, and numpy a
+#: non-negative seed.  Sequence fields bound each entry.
 _COUNT_MINIMUMS = (
     ("trials", 1), ("jobs", 1), ("coalition_sizes", 1), ("n", 2),
-    ("sizes", 2), ("async_sizes", 2), ("scaling_n", 2),
+    ("sizes", 2), ("async_sizes", 2), ("scaling_n", 2), ("seed", 0),
 )
 
 #: Experiments that fit a scaling curve across ``sizes`` (E2–E4), and
@@ -140,7 +140,8 @@ def check_counts(name: str, opts: Any) -> None:
 
     The one range check behind ``repro experiment``, ``POST /jobs`` and
     every registered runner: ``trials`` must be >= 1, ``jobs`` None or
-    >= 1, every entry of ``coalition_sizes`` >= 1, ``n``,
+    >= 1, ``seed`` >= 0, every entry of ``coalition_sizes`` >= 1 and
+    at most the coalition colour's supporters (E7), ``n``,
     ``scaling_n`` and every entry of ``sizes`` and ``async_sizes``
     >= 2, ``sizes`` at least two distinct values where the experiment
     fits a curve across them, ``minority`` strictly between 0 and 1,
@@ -191,6 +192,15 @@ def check_counts(name: str, opts: Any) -> None:
         raise ValueError(
             f"{name}: option 'chi' must be finite and >= 0, got {chi!r}"
         )
+    # Each coalition is drawn from the coalition colour's supporters.
+    for t in _entries(getattr(opts, "coalition_sizes", ())):
+        try:
+            opts.members(t)
+        except ValueError as exc:
+            raise ValueError(
+                f"{name}: option 'coalition_sizes' entries must fit the "
+                f"coalition colour: {exc}"
+            ) from None
     engine = getattr(opts, "engine", None)
     if engine is not None:
         kind = get_experiment(name).kind

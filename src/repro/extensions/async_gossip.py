@@ -78,7 +78,7 @@ class AsyncBatchResult:
 
     ``ARRAY_FIELDS`` is the record's one schema
     (:mod:`repro.util.batches`), which the lockstep tier, the ``agent``
-    tier and the shard transport all build from."""
+    tier and the shard merge all build from."""
 
     #: Trial-axis arrays and their dtypes, in declaration order (the
     #: schema the arrays are checked against on assembly).

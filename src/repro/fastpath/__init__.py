@@ -18,7 +18,7 @@ process with NumPy array operations, orders of magnitude faster:
 
 Each batch result type declares its trial-axis arrays once, in
 ``ARRAY_FIELDS``: the one schema that the engines, the per-trial tiers
-and the shard transport all build records from
+and the shard merge all build records from
 (:mod:`repro.util.batches`).
 
 The fastpaths are cross-validated against the agent engine in

@@ -92,7 +92,7 @@ class FastBatchResult:
 
     ``ARRAY_FIELDS`` is the record's one schema
     (:mod:`repro.util.batches`): every trial-axis array and its exact
-    dtype.  The engines, the per-trial tiers and the shard transport
+    dtype.  The engines, the per-trial tiers and the shard merge
     all build the record from it.
     """
 

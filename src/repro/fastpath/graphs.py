@@ -112,7 +112,7 @@ class GraphBatchResult:
 
     ``ARRAY_FIELDS`` is the record's one schema
     (:mod:`repro.util.batches`), which the engine, the ``agent`` tier
-    and the shard transport all build from.
+    and the shard merge all build from.
     """
 
     #: Trial-axis arrays and their dtypes, in declaration order (the

@@ -126,7 +126,7 @@ class StrategyBatchResult:
     ``ARRAY_FIELDS``/``NESTED_BATCH_FIELDS`` form the record's one
     schema (:mod:`repro.util.batches`): the observer arrays plus both
     nested honest/deviant batches.  The engine, the ``agent`` tier and
-    the shard transport all build the record from it.
+    the shard merge all build the record from it.
     """
 
     #: Trial-axis arrays of the observer-side measurements (the schema

@@ -7,44 +7,28 @@ dataclass whose trial-axis arrays are declared once, on the class:
 * ``NESTED_BATCH_FIELDS`` — ``(field, class)`` pairs for records that
   embed other records (the strategy tier's honest/deviant pair).
 
-The batched engines, the per-trial reference tiers and the shard
-transport (:mod:`repro.exec.shm`) all build records from that schema,
-here: :func:`concat_batch` joins per-block dicts, :func:`stack_batch`
-stacks per-trial rows, and :func:`build_batch` reassembles a sharded
-result from full-length arrays.  Every array passes the same
-:func:`check_dtype`, which raises instead of casting — a silent cast
-would let one path produce different bytes than another.
+The batched engines, the per-trial reference tiers and the parallel
+backend all build records from that schema, here: :func:`concat_batch`
+joins per-block dicts, :func:`stack_batch` stacks per-trial rows, and
+:func:`merge_batches` joins the records a sharded plan's workers
+return.  Every array passes the same :func:`check_dtype`, which raises
+instead of casting — a silent cast would let one path produce
+different bytes than another.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Any, Mapping, Sequence
 
 import numpy as np
 
 __all__ = [
-    "batch_schema",
-    "build_batch",
     "check_dtype",
     "concat_batch",
+    "merge_batches",
     "stack_batch",
 ]
-
-
-def batch_schema(cls: type, prefix: str = "") -> tuple[
-    tuple[str, np.dtype], ...
-]:
-    """Ordered ``(path, dtype)`` pairs of every trial-axis array.
-
-    Nested batch results contribute dotted paths (``honest.winner``),
-    so one flat schema describes the whole result tree.
-    """
-    entries: list[tuple[str, np.dtype]] = []
-    for name, dtype in getattr(cls, "ARRAY_FIELDS", ()):
-        entries.append((prefix + name, np.dtype(dtype)))
-    for name, sub in getattr(cls, "NESTED_BATCH_FIELDS", ()):
-        entries.extend(batch_schema(sub, prefix=f"{prefix}{name}."))
-    return tuple(entries)
 
 
 def check_dtype(path: str, array: np.ndarray, dtype: Any) -> None:
@@ -57,16 +41,13 @@ def check_dtype(path: str, array: np.ndarray, dtype: Any) -> None:
 
 
 def _assemble(
-    cls: type,
-    scalars: Mapping[str, Any],
-    arrays: Mapping[str, np.ndarray],
-    prefix: str = "",
+    cls: type, scalars: Mapping[str, Any], arrays: Mapping[str, np.ndarray]
 ) -> Any:
     """``cls`` from ``scalars`` plus its schema's ``arrays``, each checked
     against its declared dtype; where ``cls`` has an ``n_trials`` field,
     it is the arrays' length."""
     for name, dtype in cls.ARRAY_FIELDS:
-        check_dtype(prefix + name, arrays[name], dtype)
+        check_dtype(name, arrays[name], dtype)
     kwargs = {**scalars, **arrays}
     if "n_trials" in cls.__dataclass_fields__:
         kwargs["n_trials"] = len(arrays[cls.ARRAY_FIELDS[0][0]])
@@ -105,18 +86,52 @@ def stack_batch(
     })
 
 
-def build_batch(
-    cls: type,
-    stub: Mapping[str, Any],
-    views: Mapping[str, np.ndarray],
-    prefix: str = "",
-) -> Any:
-    """Reassemble a batch result from a merged scalar stub plus
-    full-length arrays, keyed by their schema paths."""
-    scalars = dict(stub)
-    for name, sub in getattr(cls, "NESTED_BATCH_FIELDS", ()):
-        scalars[name] = build_batch(sub, stub[name], views,
-                                    prefix=f"{prefix}{name}.")
-    return _assemble(cls, scalars, {
-        name: views[prefix + name] for name, _ in cls.ARRAY_FIELDS
-    }, prefix)
+def _agreed(name: str, values: Sequence[Any]) -> Any:
+    first = values[0]
+    for index, value in enumerate(values[1:], start=1):
+        if value != first:
+            raise ValueError(
+                f"shards disagree on field {name!r}: shard 0 has "
+                f"{first!r}, shard {index} has {value!r} — the shards "
+                "were cut from different workloads"
+            )
+    return first
+
+
+def merge_batches(parts: Sequence[Any], prefix: str = "") -> Any:
+    """One record joined, in order, from the records of a plan's shards.
+
+    Each schema array is dtype-checked in every part and concatenated
+    once; ``n_trials`` sums, nested records merge recursively, and
+    every other field must agree across the parts — a disagreement
+    means the shards were cut from different workloads and raises,
+    never silently resolved.  The parts fold in the order given (shard
+    index), so the merged record is the serial backend's whatever
+    order the shards finished in.
+    """
+    if not parts:
+        raise ValueError("no shards to merge")
+    cls = type(parts[0])
+    for index, part in enumerate(parts[1:], start=1):
+        if type(part) is not cls:
+            raise ValueError(
+                f"cannot merge mixed shard types: shard 0 is a "
+                f"{cls.__name__}, shard {index} a {type(part).__name__}"
+            )
+    dtypes = dict(cls.ARRAY_FIELDS)
+    nested = dict(getattr(cls, "NESTED_BATCH_FIELDS", ()))
+    merged: dict[str, Any] = {}
+    for field in dataclasses.fields(cls):
+        name = field.name
+        values = [getattr(part, name) for part in parts]
+        if name in dtypes:
+            for value in values:
+                check_dtype(prefix + name, value, dtypes[name])
+            merged[name] = np.concatenate(values)
+        elif name in nested:
+            merged[name] = merge_batches(values, prefix=f"{prefix}{name}.")
+        elif name == "n_trials":
+            merged[name] = sum(values)
+        else:
+            merged[name] = _agreed(name, values)
+    return cls(**merged)

@@ -237,6 +237,11 @@ class TestOverrideValidation:
          "option 'churn_rate' must be in [0, 1), got 1.5"),
         ("e10", "churn_rate=nan",
          "option 'churn_rate' must be in [0, 1), got nan"),
+        ("e1", "seed=-1", "option 'seed' must be >= 0, got -1"),
+        ("e9", "seed=-1", "option 'seed' must be >= 0, got -1"),
+        ("e7", "coalition_sizes=1,40",
+         "option 'coalition_sizes' entries must fit the coalition colour: "
+         "coalition size 40 exceeds the 12 blue supporters"),
     ])
     def test_values_out_of_range_exit_2_before_running(
             self, exp, override, message, capsys, tmp_path):
@@ -339,6 +344,17 @@ class TestOverrideValidation:
         assert rc == 2
         assert "e7: option 'strategies' entries must be one of" \
             in capsys.readouterr().err
+        rc = main(["submit", "e1", "--set", "seed=-1",
+                   "--url", "http://127.0.0.1:9"])
+        assert rc == 2
+        assert "e1: option 'seed' must be >= 0, got -1" \
+            in capsys.readouterr().err
+        rc = main(["submit", "e7", "--set", "coalition_sizes=40",
+                   "--url", "http://127.0.0.1:9"])
+        assert rc == 2
+        assert "e7: option 'coalition_sizes' entries must fit the " \
+            "coalition colour: coalition size 40 exceeds the 12 blue " \
+            "supporters" in capsys.readouterr().err
 
     def test_sequence_coercion(self, capsys):
         rc = main(["experiment", "e1", "--format", "json",

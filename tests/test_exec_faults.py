@@ -35,7 +35,6 @@ from repro.exec import (
     collect_execution,
     fault_policy,
     get_fault_policy,
-    merge_stubs,
     prewarm,
     resolve_backend,
     run_plan,
@@ -45,7 +44,6 @@ from repro.exec import chaos
 from repro.exec import pool as exec_pool
 from repro.exec.plan import compile_honest_plan
 from repro.exec.pool import available_cpus, default_workers
-from repro.exec.shm import SEGMENT_PREFIX, OwnedSegment, scalar_stub
 from repro.experiments.dispatch import run_async_trials_fast, run_trials_fast
 from repro.experiments.registry import run_experiment
 from repro.experiments.workloads import balanced
@@ -57,6 +55,7 @@ from repro.results import (
     save_result,
 )
 from repro.study import Study, StudyJournal
+from repro.util.batches import merge_batches
 from tests.conftest import fields_equal
 
 needs_chaos_env = pytest.mark.skipif(
@@ -250,8 +249,7 @@ class TestReducerDiagnostics:
         b = run_trials_fast(balanced(16), range(4))
         c = run_trials_fast(balanced(18), range(4))
         with pytest.raises(ValueError) as exc:
-            merge_stubs([scalar_stub(a), scalar_stub(b), scalar_stub(c)],
-                        type(a))
+            merge_batches([a, b, c])
         message = str(exc.value)
         assert "'n'" in message
         assert "shard 0" in message and "shard 2" in message
@@ -381,155 +379,52 @@ class TestShardRecovery:
 
 
 # ---------------------------------------------------------------------------
-# Shared-memory lifecycle: every recovery path unlinks its segments
+# Shard records: merged in shard order, no descriptor kept
 # ---------------------------------------------------------------------------
 
-class TestShmLifecycle:
-    """The shm ownership contract (DESIGN.md §9): the parent owns the
-    segment and unlinks it on *every* path — normal completion,
-    worker SIGKILL (pre-compute and mid-write), shard timeout with pool
-    respawn, serial degradation.  ``/dev/shm`` must end every run
-    exactly as it started."""
+class TestShardRecords:
+    """Each worker returns its shard's record through the pool's result
+    pipe; the parent merges the records in shard-index order, whatever
+    order the shards finish in, and keeps nothing open per plan."""
 
     COLORS = balanced(24)
     SEEDS = range(10)
 
-    @staticmethod
-    def _segments():
-        from repro.exec.shm import repo_segments
-
-        return repo_segments()
-
-    def test_normal_run_uses_shm_and_leaks_nothing(self):
-        before = self._segments()
-        with collect_execution() as records:
-            result = run_trials_fast(self.COLORS, self.SEEDS,
-                                     engine="batch-parity", jobs=2)
-        (rec,) = records
-        assert rec.transport == "shm"
-        assert rec.workers == 2
-        assert self._segments() == before
-        assert fields_equal(result, run_trials_fast(
-            self.COLORS, self.SEEDS, engine="batch-parity"))
-
-    def test_worker_sigkill_mid_write_leaks_nothing(self):
-        before = self._segments()
+    def test_merge_follows_shard_order_when_shard_0_finishes_last(self):
         serial = run_trials_fast(self.COLORS, self.SEEDS,
                                  engine="batch-parity")
-        cfg = chaos.ChaosConfig(seed=31, kill_rate=1.0,
-                                max_faulty_attempts=1)
-        # The schedule must actually contain mid-write kills (chaos
-        # splits kills 50/50 between pre-compute and mid-write).
-        specs = [cfg.shard_chaos(s, 0) for s in range(8)]
-        assert any(s.kill_mid_write for s in specs)
-        assert any(s.kill for s in specs)
-        with chaos.install(cfg), fault_policy(
-            FaultPolicy(backoff_base_s=0.01)
-        ), collect_execution() as records:
-            recovered = run_trials_fast(self.COLORS, self.SEEDS,
-                                        engine="batch-parity", jobs=2)
+        cfg = chaos.ChaosConfig(seed=3, delay_rate=0.5, delay_s=0.5)
+        # Of the two shards, only shard 0's first attempt sleeps, so
+        # shard 1's record arrives first.
+        assert [cfg.shard_chaos(i, 0).delay_s > 0 for i in range(2)] == \
+            [True, False]
+        with chaos.install(cfg), collect_execution() as records:
+            sharded = run_trials_fast(self.COLORS, self.SEEDS,
+                                      engine="batch-parity", jobs=2)
         (rec,) = records
-        assert rec.shard_failures > 0
-        assert rec.transport == "shm"
-        assert self._segments() == before
-        # A torn slice never reaches the merged result: the retry
-        # rewrote the whole slice.
-        assert fields_equal(serial, recovered)
-
-    def test_timeout_respawn_leaks_nothing(self):
-        before = self._segments()
-        serial = run_trials_fast(self.COLORS, self.SEEDS,
-                                 engine="batch-parity")
-        cfg = chaos.ChaosConfig(seed=32, delay_rate=1.0, delay_s=1.5,
-                                max_faulty_attempts=1)
-        with chaos.install(cfg), fault_policy(
-            FaultPolicy(shard_timeout_s=0.3, backoff_base_s=0.01)
-        ):
-            recovered = run_trials_fast(self.COLORS, self.SEEDS,
-                                        engine="batch-parity", jobs=2)
-        assert self._segments() == before
-        assert fields_equal(serial, recovered)
-
-    def test_serial_degradation_leaks_nothing(self):
-        before = self._segments()
-        serial = run_trials_fast(self.COLORS, self.SEEDS,
-                                 engine="batch-parity")
-        cfg = chaos.ChaosConfig(seed=33, kill_rate=1.0,
-                                max_faulty_attempts=99)
-        with chaos.install(cfg), fault_policy(
-            FaultPolicy(max_retries=1, backoff_base_s=0.01)
-        ), collect_execution() as records:
-            recovered = run_trials_fast(self.COLORS, self.SEEDS,
-                                        engine="batch-parity", jobs=2)
-        (rec,) = records
-        assert rec.degraded_shards >= 1
-        assert self._segments() == before
-        # Degraded shards were written into the segment by the parent
-        # itself — same bytes as the pool path.
-        assert fields_equal(serial, recovered)
-
-    def test_sharded_run_allocates_one_segment(self, monkeypatch):
-        """Sub-plans travel in the pool tasks: a sharded plan needs
-        exactly one segment, the one its results are written into."""
-        made = []
-
-        def counted(size):
-            made.append(size)
-            return OwnedSegment(size)
-
-        monkeypatch.setattr("repro.exec.shm.OwnedSegment", counted)
-        before = self._segments()
-        plan = compile_honest_plan(self.COLORS, self.SEEDS,
-                                   engine="batch-parity")
-        with collect_execution() as records:
-            result = run_plan(plan, jobs=2)
-        (rec,) = records
-        assert rec.shards > 1
-        assert rec.transport == "shm"
-        assert len(made) == 1
-        assert self._segments() == before
-        assert fields_equal(result, run_plan(plan))
+        assert rec.shards == 2
+        assert rec.transport == "pool"
+        assert rec.shard_failures == 0
+        assert fields_equal(serial, sharded)
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
-                        reason="counts fds and mappings through /proc")
-    def test_sharded_plans_keep_no_mapping(self):
-        """A merged result owns its arrays, so the parent closes each
-        plan's segment: after a warm-up, 20 more sharded plans leave its
-        open fds and ``repro_exec_`` mappings where they were."""
-        def counts() -> tuple[int, int]:
-            with open("/proc/self/maps") as maps:
-                mapped = sum(SEGMENT_PREFIX in line for line in maps)
-            return len(os.listdir("/proc/self/fd")), mapped
-
+                        reason="counts open fds through /proc")
+    def test_sharded_plans_leave_fds_flat(self):
+        """After a warm-up, 20 more sharded plans leave this process's
+        open file descriptors where they were."""
         def sharded_plan() -> None:
             with collect_execution() as records:
                 run_trials_fast(self.COLORS, self.SEEDS,
                                 engine="batch-parity", jobs=2)
-            assert records[0].transport == "shm"
+            assert records[0].transport == "pool"
 
         sharded_plan()
         gc.collect()
-        before = counts()
+        before = len(os.listdir("/proc/self/fd"))
         for _ in range(20):
             sharded_plan()
         gc.collect()
-        assert counts() == before
-
-    def test_shm_unavailable_runs_serially(self, monkeypatch):
-        def no_shm(size):
-            raise OSError("shared memory unavailable")
-
-        monkeypatch.setattr("repro.exec.shm.OwnedSegment", no_shm)
-        serial = run_trials_fast(self.COLORS, self.SEEDS,
-                                 engine="batch-parity")
-        with collect_execution() as records:
-            result = run_trials_fast(self.COLORS, self.SEEDS,
-                                     engine="batch-parity", jobs=2)
-        (rec,) = records
-        assert rec.transport == "inline"
-        assert rec.backend == "serial"
-        assert rec.shards == 1
-        assert fields_equal(serial, result)
+        assert len(os.listdir("/proc/self/fd")) == before
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ into a result.  Checked here at three levels:
 
 from __future__ import annotations
 
-import functools
+import dataclasses
 
 import numpy as np
 import pytest
@@ -32,11 +32,9 @@ from repro.exec import (
     compile_deviation_plan,
     compile_graph_plan,
     compile_honest_plan,
-    merge_stubs,
     resolve_backend,
     resolve_engine,
 )
-from repro.exec import shm
 from repro.exec.backends import shard_bounds
 from repro.exec.plan import shard_size_hint
 from repro.experiments.dispatch import (
@@ -50,23 +48,8 @@ from repro.experiments.workloads import balanced, skewed
 from repro.extensions.async_gossip import AsyncBatchResult
 from repro.extensions.families import sample_scenario_workload
 from repro.fastpath.batch import stat_block_trials
-from repro.util.batches import concat_batch, stack_batch
+from repro.util.batches import concat_batch, merge_batches, stack_batch
 from tests.conftest import fields_equal, two_color_split
-
-
-def _merge_through_buffers(shards):
-    """Merge whole shard results the way the parallel backend does:
-    arrays written into full-length buffers, scalar stubs merged."""
-    cls = type(shards[0])
-    n_trials = sum(s.n_trials for s in shards)
-    views = {path: np.empty(n_trials, dtype=dtype)
-             for path, dtype in shm.batch_schema(cls)}
-    lo = 0
-    for shard in shards:
-        shm.export_batch(shard, views, lo, lo + shard.n_trials)
-        lo += shard.n_trials
-    stub = merge_stubs([shm.scalar_stub(s) for s in shards], cls)
-    return shm.build_batch(cls, stub, views)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +176,7 @@ class TestBackends:
         (rec,) = records
         assert rec.backend == "parallel"
         assert rec.shards > 1
-        assert rec.transport == "shm"
+        assert rec.transport == "pool"
         assert fields_equal(serial, sharded)
 
     def test_collectors_nest(self):
@@ -224,9 +207,7 @@ class TestBackends:
 class TestReducers:
     def test_single_shard_passthrough(self):
         batch = run_trials_fast(balanced(16), range(4))
-        stub = shm.scalar_stub(batch)
-        assert merge_stubs([stub], type(batch)) == stub
-        assert fields_equal(_merge_through_buffers([batch]), batch)
+        assert fields_equal(merge_batches([batch]), batch)
 
     def test_merge_concatenates_in_order(self):
         colors = balanced(24)
@@ -235,14 +216,14 @@ class TestReducers:
             run_trials_fast(colors, range(0, 6), engine="batch-parity"),
             run_trials_fast(colors, range(6, 10), engine="batch-parity"),
         ]
-        merged = _merge_through_buffers(parts)
+        merged = merge_batches(parts)
         assert merged.n_trials == 10
         assert fields_equal(merged, whole)
 
     def test_merge_nested_strategy_batches(self):
         colors = skewed(16, 0.25)
         whole = run_deviation_trials_fast(colors, range(8), "silent", {0})
-        merged = _merge_through_buffers([
+        merged = merge_batches([
             run_deviation_trials_fast(colors, range(0, 5), "silent", {0}),
             run_deviation_trials_fast(colors, range(5, 8), "silent", {0}),
         ])
@@ -259,17 +240,17 @@ class TestReducers:
         a = run_trials_fast(balanced(16), range(4))
         b = run_trials_fast(balanced(18), range(4))
         with pytest.raises(ValueError, match="disagree"):
-            merge_stubs([shm.scalar_stub(a), shm.scalar_stub(b)], type(a))
+            merge_batches([a, b])
 
     def test_mixed_types_rejected(self):
         a = run_trials_fast(balanced(16), range(4))
         b = run_async_trials_fast(16, range(4))
         with pytest.raises(ValueError, match="mixed"):
-            merge_stubs([shm.scalar_stub(a), shm.scalar_stub(b)], type(a))
+            merge_batches([a, b])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="no shards"):
-            merge_stubs([], type(run_trials_fast(balanced(16), range(1))))
+            merge_batches([])
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +270,16 @@ _FRONT_DOORS = {
 }
 
 
+def _schema_arrays(record, prefix=""):
+    """``(path, array, dtype)`` for every schema array of ``record``,
+    nested records included."""
+    cls = type(record)
+    for name, dtype in cls.ARRAY_FIELDS:
+        yield prefix + name, getattr(record, name), np.dtype(dtype)
+    for name, _ in getattr(cls, "NESTED_BATCH_FIELDS", ()):
+        yield from _schema_arrays(getattr(record, name), f"{prefix}{name}.")
+
+
 @pytest.mark.parametrize("n_trials", [0, 3])
 @pytest.mark.parametrize("kind, engine", [
     (kind, engine) for kind in sorted(ENGINES) for engine in ENGINES[kind]
@@ -296,11 +287,10 @@ _FRONT_DOORS = {
 def test_serial_results_carry_the_schema(kind, engine, n_trials):
     """On every tier, zero trials included, the serial result's arrays
     have exactly the declared dtypes and one entry per trial — what the
-    sharded path's layout assumes."""
+    shard merge checks."""
     result = _FRONT_DOORS[kind](list(range(n_trials)), engine)
     assert len(result) == n_trials
-    for path, dtype in shm.batch_schema(type(result)):
-        array = functools.reduce(getattr, path.split("."), result)
+    for path, array, dtype in _schema_arrays(result):
         assert array.dtype == dtype, path
         assert array.shape == (n_trials,), path
 
@@ -315,6 +305,13 @@ def test_assemblers_raise_instead_of_casting():
            "election_winner": 3, "election_ticks": 7}
     with pytest.raises(TypeError, match="'election_converged'"):
         stack_batch(AsyncBatchResult, [row], n=16)
+    # A narrow shard would upcast silently inside np.concatenate: the
+    # merge checks every part before joining them.
+    good = run_async_trials_fast(16, range(2))
+    narrow = dataclasses.replace(
+        good, election_winner=good.election_winner.astype(np.int32))
+    with pytest.raises(TypeError, match="'election_winner'"):
+        merge_batches([good, narrow])
 
 
 # ---------------------------------------------------------------------------
@@ -395,22 +392,23 @@ class TestFrontDoorDeterminism:
 
 
 # ---------------------------------------------------------------------------
-# Transport: the zero-copy shm path agrees with the serial run
+# Transport: records returned through the pool agree with the serial run
 # ---------------------------------------------------------------------------
 
 class TestTransports:
-    """Byte-identity of the zero-copy shared-memory transport, per front
-    door: the same workload runs serially and sharded over shared
-    memory, and every field of every (possibly nested) batch result
+    """Byte-identity of the records workers return through the pool, per
+    front door: the same workload runs serially and sharded over two
+    workers, and every field of every (possibly nested) batch result
     must match exactly."""
 
     def _run_both_ways(self, fn):
         serial = fn(None)
-        with collect_execution() as shm_rec:
-            over_shm = fn(2)
-        assert shm_rec[0].transport == "shm"
-        assert shm_rec[0].backend == "parallel"
-        assert fields_equal(serial, over_shm)
+        with collect_execution() as records:
+            sharded = fn(2)
+        assert records[0].transport == "pool"
+        assert records[0].backend == "parallel"
+        assert records[0].workers == 2
+        assert fields_equal(serial, sharded)
 
     def test_honest_front_door(self):
         colors = balanced(24)
@@ -434,7 +432,7 @@ class TestTransports:
 
     def test_deviation_front_door(self):
         # n=128 drops the strategy quantum under the trial count, so the
-        # nested honest/deviant batches really cross the shm transport.
+        # nested honest/deviant batches really cross the pool.
         from repro.fastpath.strategies import strategy_block_trials
         from repro.core.params import ProtocolParams
 

@@ -72,7 +72,7 @@ class TestSubpackagesImportClean:
         "repro.gossip", "repro.gossip.primitives",
         "repro.core", "repro.agents", "repro.adversary",
         "repro.baselines", "repro.fastpath", "repro.analysis",
-        "repro.analysis.theory", "repro.analysis.report",
+        "repro.analysis.theory",
         "repro.experiments", "repro.experiments.workloads",
         "repro.experiments.registry", "repro.results", "repro.study",
         "repro.extensions", "repro.cli", "repro.util",

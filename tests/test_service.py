@@ -636,6 +636,10 @@ class TestServiceHTTP:
             {"experiment": "e8", "options": {"engine": "batch"}},
             {"experiment": "e7", "options": {"chi": -1.0}},
             {"experiment": "e7", "options": {"chi": float("nan")}},
+            # A negative seed and a coalition larger than its colour,
+            # which used to fail in the daemon:
+            {"experiment": "e1", "options": {"seed": -1}},
+            {"experiment": "e7", "options": {"coalition_sizes": [1, 40]}},
             # Values of the wrong JSON type:
             {"experiment": "e1", "options": {"trials": 5.0}},
             {"experiment": "e1", "options": {"trials": "5"}},
@@ -658,6 +662,13 @@ class TestServiceHTTP:
         with pytest.raises(ServiceError,
                            match="e1: option 'sizes' must be >= 2, got 1"):
             client.submit("e1", {"sizes": [1]})
+        with pytest.raises(ServiceError,
+                           match="e1: option 'seed' must be >= 0, got -1"):
+            client.submit("e1", {"seed": -1})
+        with pytest.raises(ServiceError, match="e7: option 'coalition_sizes' "
+                           "entries must fit the coalition colour: coalition "
+                           "size 40 exceeds the 12 blue supporters"):
+            client.submit("e7", {"coalition_sizes": [40]})
         with pytest.raises(ServiceError, match=re.escape(
                 "e6: option 'alphas' must be in [0, 1), got 1.5")):
             client.submit("e6", {"alphas": [1.5]})
