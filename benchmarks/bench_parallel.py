@@ -4,13 +4,13 @@ Times the sharded multi-core backend (``jobs=4``) against the serial
 backend on E7- and E10-sized workloads — the grids the execution-plan
 layer exists for:
 
-* **E7 point** — one paper-scale deviation cell (n = 512, 2000 paired
+* **E7 point** — one paper-scale deviation cell (n = 512, 4000 paired
   trials on the ``batch-strategy`` tier; stream quantum 151 trials, so
-  the plan shards into ~8 blocks at 4 workers);
+  the plan shards into 1057, 906, 1057 and 980 trials at 4 workers);
 * **E10a point** — one paper-scale graph scenario (``er_dense`` at
-  n = 512, 500 trials on the batched CSR tier);
+  n = 512, 1000 trials on the batched CSR tier);
 * **E10b point** — the sequential-model lockstep simulator (n = 1024,
-  240 trials; per-trial streams, quantum 1).
+  400 trials; per-trial streams, quantum 1, so 4 shards of 100).
 
 Every point also *verifies* the byte-identity contract (DESIGN.md §9):
 the parallel result must equal the serial one field for field before

@@ -34,7 +34,9 @@ and ``_klie``              bare ``k`` lie (Verification's checks).
 =========================  ===============================================
 
 ``StrategyPlan(members, spec)`` runs any spec, registered or not, on
-both tiers; :func:`plan` builds a registered one by name.
+the agent engine, and every spec outside the strategy tier's fence
+(:func:`repro.fastpath.strategies.unsupported_combination`) on the
+strategy tier too; :func:`plan` builds a registered one by name.
 """
 
 from repro.agents.coalition import CoalitionState

@@ -6,7 +6,8 @@ set and the :class:`~repro.agents.effects.EffectSpec`, builds the shared
 blackboard once per run, and one :class:`~repro.agents.spec_agent.
 SpecAgent` per member.  The batched strategy engine
 (:mod:`repro.fastpath.strategies`) reads the same two fields, so
-``StrategyPlan(members, spec)`` runs any spec on both tiers.  The
+``StrategyPlan(members, spec)`` runs any spec on the agent engine and
+any spec outside the strategy tier's fence on both tiers.  The
 :func:`plan` factory builds a registered strategy's plan by name — the
 experiment harness and benchmarks select strategies by these names.
 """

@@ -62,8 +62,10 @@ class ProtocolParams:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError(f"need at least 2 agents, got n={self.n}")
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise ValueError(
+                f"gamma must be finite and > 0, got {self.gamma!r}"
+            )
         if self.num_colors is not None and self.num_colors < 1:
             raise ValueError(f"num_colors must be >= 1, got {self.num_colors}")
 

@@ -47,7 +47,6 @@ from repro.exec.plan import (
     compile_graph_plan,
     compile_honest_plan,
     resolve_engine,
-    shard_size_hint,
 )
 from repro.exec.pool import (
     available_cpus,
@@ -84,7 +83,6 @@ __all__ = [
     "resolve_backend",
     "resolve_engine",
     "run_plan",
-    "shard_size_hint",
     "shutdown_warm_pool",
     "warm_pool_stats",
 ]

@@ -8,10 +8,10 @@
     whole trial list in this process.
 
 ``parallel``
-    The plan is cut into trial shards at multiples of its
-    ``shard_quantum`` and fanned over a process pool of ``jobs``
-    workers; per-shard seeds are the corresponding slices of the plan's
-    seed spine.  Each worker returns its shard's batch record through
+    The plan is cut into at most ``jobs`` trial shards at multiples of
+    its ``shard_quantum``, one pool worker per shard; per-shard seeds
+    are the corresponding slices of the plan's seed spine.  Each
+    worker returns its shard's batch record through
     the pool's result pipe, and the records merge in shard-index order
     (:func:`repro.util.batches.merge_batches`).  Because shard
     boundaries respect the engines' stream quantum, the merged result
@@ -23,10 +23,12 @@
     ``parallel`` when ``jobs > 1``, else ``serial``.
 
 Every tier shards the same way, the per-trial ``agent`` tier at a
-quantum of one trial.  This is the only way a trial runs on more than
-one core.  A plan whose workload is smaller than one stream quantum
-falls back to serial — the engines' block streams cannot be cut finer
-without changing results.
+quantum of one trial, and :func:`shard_bounds` is the one sizing rule:
+one shard per worker, cut at the quantum multiples nearest the even
+split points.  This is the only way a trial runs on more than one
+core.  A plan whose cuts all collapse (a workload smaller than one
+stream quantum, or ``jobs=1``) runs serially — the engines' block
+streams cannot be cut finer without changing results.
 
 Every run is recorded with the telemetry collector
 (:func:`collect_execution`), which is how experiment metadata learns
@@ -74,7 +76,7 @@ from repro.exec import chaos
 from repro.core.defenses import Defenses
 from repro.core.outcome import RunResult
 from repro.core.protocol import ProtocolConfig, run_protocol
-from repro.exec.plan import ExecutionPlan, shard_size_hint
+from repro.exec.plan import ExecutionPlan
 from repro.exec.pool import (
     _new_pool,
     acquire_pool as _acquire_pool,
@@ -119,12 +121,6 @@ __all__ = [
 
 BACKENDS = ("auto", "serial", "parallel")
 
-#: Target shards per worker when no measured shard-size hint exists
-#: for the plan's engine (``repro.exec.plan.shard_size_hint``): a
-#: little oversharding smooths out uneven shard costs without
-#: multiplying the per-shard dispatch overhead.
-_SHARDS_PER_JOB = 2
-
 
 # ---------------------------------------------------------------------------
 # Telemetry: how result metadata learns what actually ran
@@ -141,17 +137,13 @@ class ExecRecord:
     retry budget and re-ran serially in-process, ``recovery_wall_s``
     the wall time spent on backoff, pool respawns and serial re-runs.
 
-    ``jobs`` is what was *requested*; ``workers`` is the pool size
-    that actually ran (capped by the shard count, 1 on the serial
-    path) — benchmarks must archive the latter, or a 4-job run on a
-    1-CPU box reads as a parallel measurement.  ``transport`` names
-    the shard-result channel: ``pool`` (records returned through the
-    pool's result pipe) or ``inline`` (no shard ever left the process).
+    ``jobs`` is what was *requested*; ``workers`` is what ran —
+    benchmarks must archive the latter, or a 4-job run on a 1-CPU box
+    reads as a parallel measurement.
     """
 
     kind: str
     engine: str
-    backend: str      # the backend that actually ran ("serial"/"parallel")
     jobs: int
     shards: int
     n_trials: int
@@ -160,8 +152,22 @@ class ExecRecord:
     shard_failures: int = 0
     degraded_shards: int = 0
     recovery_wall_s: float = 0.0
-    workers: int = 1
-    transport: str = "inline"
+
+    @property
+    def backend(self) -> str:
+        """``parallel`` if the plan sharded, else ``serial``."""
+        return "parallel" if self.shards > 1 else "serial"
+
+    @property
+    def workers(self) -> int:
+        """The pool width that ran: one worker per shard."""
+        return min(self.jobs, self.shards)
+
+    @property
+    def transport(self) -> str:
+        """``pool`` if shard records came back through the pool's result
+        pipe, ``inline`` if no shard left the process."""
+        return "pool" if self.shards > 1 else "inline"
 
 
 _collectors: list[list[ExecRecord]] = []
@@ -397,29 +403,19 @@ def run_plan(
     backend, jobs = resolve_backend(backend, jobs)
     policy = get_fault_policy()
     start = time.perf_counter()
-    shards = 1
-    workers = 1
-    transport = "inline"
-    recovery = _Recovery()
-    if backend == "parallel" and jobs > 1 \
-            and plan.n_trials > plan.shard_quantum:
-        result, shards, recovery, workers, transport = _run_parallel(
-            plan, jobs, policy
-        )
-        ran = "parallel" if shards > 1 else "serial"
+    bounds = (shard_bounds(plan.n_trials, plan.shard_quantum, jobs)
+              if backend == "parallel" else [])
+    if len(bounds) > 1:
+        result, shards, recovery = _run_parallel(plan, bounds, policy)
     else:
-        result = _compute(plan)
-        ran = "serial"
+        result, shards, recovery = _compute(plan), 1, _Recovery()
     _record(ExecRecord(
-        kind=plan.kind, engine=plan.engine, backend=ran, jobs=jobs,
-        shards=shards, n_trials=plan.n_trials,
-        wall_time_s=time.perf_counter() - start,
+        kind=plan.kind, engine=plan.engine, jobs=jobs, shards=shards,
+        n_trials=plan.n_trials, wall_time_s=time.perf_counter() - start,
         retries=recovery.retries,
         shard_failures=recovery.failures,
         degraded_shards=recovery.degraded,
         recovery_wall_s=recovery.wall_s,
-        workers=workers,
-        transport=transport,
     ))
     return result
 
@@ -429,28 +425,23 @@ def run_plan(
 # ---------------------------------------------------------------------------
 
 def shard_bounds(
-    n_trials: int, quantum: int, jobs: int,
-    size: int | None = None,
+    n_trials: int, quantum: int, jobs: int
 ) -> list[tuple[int, int]]:
-    """Contiguous ``[lo, hi)`` trial shards, every ``lo`` on a quantum
-    multiple.
+    """Contiguous ``[lo, hi)`` trial shards, one per worker at most.
 
-    ``size`` is the tuned shard size from
-    :func:`repro.exec.plan.shard_size_hint` (already a quantum
-    multiple); without one, the shard size falls back to the smallest
-    quantum multiple that keeps the shard count near
-    ``jobs * _SHARDS_PER_JOB``.  Only the last shard may be shorter.
-    Any quantum-aligned cut yields the same merged result, so the
-    layout is free to chase load balance.
+    Each cut sits at the quantum multiple nearest an even split point
+    ``k * n_trials / jobs`` (k = 1 … jobs−1, halves rounding up); cuts
+    that coincide or fall on an end are dropped.  So there are at most
+    ``jobs`` shards, none empty, each at most
+    ``ceil(n_trials / jobs) + quantum`` trials long.  Any cut on a
+    quantum multiple reproduces the serial block partition (DESIGN.md
+    §9), so the layout changes wall time, never bytes.
     """
-    if n_trials <= 0:
-        return []
-    if size is None:
-        target = max(1, math.ceil(n_trials / (jobs * _SHARDS_PER_JOB)))
-        size = quantum * math.ceil(target / quantum)
-    return [
-        (lo, min(lo + size, n_trials)) for lo in range(0, n_trials, size)
-    ]
+    step = jobs * quantum
+    cuts = {quantum * ((2 * k * n_trials + step) // (2 * step))
+            for k in range(1, jobs)}
+    edges = [0, *sorted(c for c in cuts if 0 < c < n_trials), n_trials]
+    return list(zip(edges, edges[1:])) if n_trials > 0 else []
 
 
 def _compute_shard(
@@ -475,9 +466,10 @@ def _compute_shard(
 
 
 def _run_parallel(
-    plan: ExecutionPlan, jobs: int, policy: FaultPolicy
-) -> tuple[Any, int, _Recovery, int, str]:
-    """The fault-tolerant sharded backend.
+    plan: ExecutionPlan, bounds: list[tuple[int, int]], policy: FaultPolicy
+) -> tuple[Any, int, _Recovery]:
+    """The fault-tolerant sharded backend: one pool worker per shard of
+    ``bounds``.
 
     Shards are submitted in rounds: each round fans the remaining
     shards over the pool and drains completions.  A worker exception
@@ -491,20 +483,15 @@ def _run_parallel(
     from a worker or from the degradation path, is kept by shard index
     and merged in that order once every shard is in.
     """
-    size = shard_size_hint(plan, jobs)
-    bounds = shard_bounds(plan.n_trials, plan.shard_quantum, jobs, size=size)
     recovery = _Recovery()
-    if len(bounds) <= 1:
-        return _compute(plan), 1, recovery, 1, "inline"
     shard_plans = [plan.slice(lo, hi) for lo, hi in bounds]
     n_shards = len(bounds)
-    workers = min(jobs, n_shards)
     parts: dict[int, Any] = {}
     cfg = chaos.active_config()
     submissions = [0] * n_shards      # chaos attempt index per shard
     failures = [0] * n_shards
     round_no = 0
-    pool = _acquire_pool(workers)
+    pool = _acquire_pool(n_shards)
     try:
         while len(parts) < n_shards:
             for idx in range(n_shards):
@@ -525,16 +512,16 @@ def _run_parallel(
             round_no += 1
             pool = _run_round(
                 pool, shard_plans, parts, submissions,
-                failures, policy, cfg, recovery, workers,
+                failures, policy, cfg, recovery,
             )
     except BaseException:
         # KeyboardInterrupt (and anything else unrecoverable): cancel
         # queued shards and kill in-flight workers before propagating.
         _kill_pool(pool)
         raise
-    _release_pool(pool, workers)
+    _release_pool(pool, n_shards)
     merged = merge_batches([parts[idx] for idx in range(n_shards)])
-    return merged, n_shards, recovery, workers, "pool"
+    return merged, n_shards, recovery
 
 
 def _run_round(
@@ -546,7 +533,6 @@ def _run_round(
     policy: FaultPolicy,
     cfg: "chaos.ChaosConfig | None",
     recovery: _Recovery,
-    workers: int,
 ) -> ProcessPoolExecutor:
     """Submit every shard without a record once and drain completions.
 
@@ -622,7 +608,7 @@ def _run_round(
     if broke:
         t0 = time.perf_counter()
         _kill_pool(pool)
-        pool = _new_pool(workers)
+        pool = _new_pool(len(shard_plans))
         recovery.wall_s += time.perf_counter() - t0
     return pool
 

@@ -56,7 +56,6 @@ __all__ = [
     "compile_graph_plan",
     "compile_honest_plan",
     "resolve_engine",
-    "shard_size_hint",
 ]
 
 #: The single engine-name table: valid tiers per workload kind.
@@ -157,62 +156,6 @@ class ExecutionPlan:
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-
-
-# ---------------------------------------------------------------------------
-# Shard-size auto-tuning
-# ---------------------------------------------------------------------------
-
-#: Measured cost per (agent · trial), seconds, per engine tier — fit
-#: from the serial timings in BENCH_fastpath.json / BENCH_parallel.json
-#: (e.g. E7 batch-strategy: 3.75 ms/trial at n=512 → ~7.3 µs per
-#: agent·trial; E10a graph batch: 2.65 ms/trial at n=512).  These feed
-#: a *sizing heuristic only*: shard sizes are always rounded to the
-#: plan's quantum, so a stale constant can cost wall-clock, never a
-#: result bit.
-_PER_AGENT_TRIAL_COST_S: dict[tuple[str, str], float] = {
-    ("honest", "batch"): 2.0e-8,
-    ("honest", "batch-parity"): 2.0e-6,
-    ("deviation", "batch-strategy"): 7.5e-6,
-    ("graph", "batch"): 5.0e-6,
-    ("graph", "batch-parity"): 5.0e-6,
-    ("async", "batch"): 6.0e-6,
-}
-
-#: Target wall-clock per shard.  Large enough that per-shard overhead
-#: (task dispatch, one sub-plan unpickle) stays under ~1%, small
-#: enough that the retry unit after a worker crash or timeout is cheap
-#: and the pool load-balances across unequal cores.
-_TARGET_SHARD_S = 0.2
-
-
-def _plan_agents(plan: "ExecutionPlan") -> int:
-    if plan.kind == "async":
-        return int(plan.options["n"])
-    return len(plan.options["colors"])
-
-
-def shard_size_hint(plan: "ExecutionPlan", jobs: int) -> int | None:
-    """The tuned shard size (in trials) for running ``plan`` on ``jobs``
-    workers, or ``None`` when no cost table entry exists (callers fall
-    back to the fixed shards-per-job heuristic).
-
-    Pure arithmetic over the plan shape and the measured cost table —
-    deterministic, and only ever a multiple of ``plan.shard_quantum``,
-    so tuning can never move a shard boundary off a stream-quantum
-    multiple (the byte-identity contract, DESIGN.md §9).
-    """
-    cost = _PER_AGENT_TRIAL_COST_S.get((plan.kind, plan.engine))
-    if cost is None or jobs < 1:
-        return None
-    per_trial_s = cost * max(1, _plan_agents(plan))
-    target_trials = max(1, int(_TARGET_SHARD_S / per_trial_s))
-    # Never fewer than one shard per worker: an even split bounds the
-    # shard size from above so small workloads still use every core.
-    even_trials = -(-plan.n_trials // jobs)
-    quantum = max(1, plan.shard_quantum)
-    trials = min(target_trials, even_trials)
-    return max(quantum, trials // quantum * quantum)
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,7 @@ from repro.extensions.families import (
 )
 from repro.experiments.workloads import WORKLOADS
 from repro.results import ExperimentResult, ResultSection, build_meta
+from repro.util.bits import MAX_KEY_N
 from repro.util.tables import Table
 
 __all__ = [
@@ -143,9 +144,10 @@ def check_counts(name: str, opts: Any) -> None:
     >= 1, ``seed`` >= 0, every entry of ``coalition_sizes`` >= 1 and
     at most the coalition colour's supporters (E7), ``n``,
     ``scaling_n`` and every entry of ``sizes`` and ``async_sizes``
-    >= 2, ``sizes`` at least two distinct values where the experiment
-    fits a curve across them, ``minority`` strictly between 0 and 1,
-    every γ (``gamma``, ``gammas``, ``pooled_gammas``,
+    >= 2, and all but ``scaling_n`` at most ``MAX_KEY_N`` (46340, the
+    int64 key limit), ``sizes`` at least two distinct values where the
+    experiment fits a curve across them, ``minority`` strictly between
+    0 and 1, every γ (``gamma``, ``gammas``, ``pooled_gammas``,
     ``starvation_gamma``) finite and > 0, and every fault fraction in
     ``alphas`` and the ``churn_rate`` in [0, 1), and ``chi`` finite and
     >= 0.  Every entry of ``scenarios`` must be a graph kind with an
@@ -162,6 +164,13 @@ def check_counts(name: str, opts: Any) -> None:
                 raise ValueError(
                     f"{name}: option {field!r} must be >= {minimum}, "
                     f"got {v!r}"
+                )
+    for field in ("n", "sizes", "async_sizes"):     # the int64 keys
+        for v in _entries(getattr(opts, field, None)):
+            if isinstance(v, numbers.Real) and v > MAX_KEY_N:
+                raise ValueError(
+                    f"{name}: option {field!r} must be <= {MAX_KEY_N} "
+                    f"(the int64 key limit), got {v!r}"
                 )
     if name in _FITS_ACROSS_SIZES and len(set(opts.sizes)) < 2:
         raise ValueError(

@@ -38,6 +38,7 @@ from typing import ClassVar, Hashable, Iterable, Sequence
 
 import numpy as np
 
+from repro.util.bits import check_key_n
 from repro.util.faults import normalise_faulty
 from repro.util.rng import SeedTree
 
@@ -330,8 +331,7 @@ def election_keys(
     collapses neighbouring labels once ``n^4 > 2^53``.  Faulty agents
     get the sentinel (their draw never circulates).
     """
-    if n ** 4 >= 2 ** 62:
-        raise ValueError(f"n={n} too large for the int64 (draw, label) key")
+    check_key_n(n, "(draw, label)")
     rng = SeedTree(seed).child("draws").generator()
     draws = rng.integers(n ** 3, size=n)
     keys = draws * n + np.arange(n)

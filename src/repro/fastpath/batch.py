@@ -51,6 +51,7 @@ from scipy.special._ufuncs import _binom_cdf, _binom_isf
 from repro.core.params import ProtocolParams
 from repro.fastpath.simulate import _PULL_TOPIC_BITS, FastRunResult
 from repro.util.batches import concat_batch, stack_batch
+from repro.util.bits import check_key_n
 from repro.util.faults import normalise_faulty
 
 __all__ = [
@@ -192,7 +193,7 @@ class FastBatchResult:
     # -- sentinel-aware reducers -------------------------------------------
     # ``find_min_rounds`` and ``min_commitment_pulls_received`` use -1 as
     # a sentinel: "Find-Min never converged" in the fastpath engines, and
-    # "not observed" on the agent-engine route (``dispatch._agent_worker``).
+    # "not observed" on the agent tier (``backends._run_result_to_fast``).
     # Plain means/mins over those columns silently absorb the sentinels;
     # every aggregate consumer should reduce through these instead.
 
@@ -243,8 +244,7 @@ def simulate_protocol_fast_batch(
     q, m = params.q, params.m
     if (q + 1) * m >= 2 ** 62:
         raise ValueError(f"n={n} too large for exact int64 vote sums")
-    if n ** 4 >= 2 ** 62:
-        raise ValueError(f"n={n} too large for the (k, label) winner key")
+    check_key_n(n, "(k, label) winner")
 
     faulty_list = normalise_faulty(faulty, n_trials, n)
     if any(len(f) >= n for f in faulty_list):

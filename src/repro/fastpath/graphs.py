@@ -58,6 +58,7 @@ from repro.extensions.families import GraphCSR
 from repro.fastpath.batch import active_matrix
 from repro.fastpath.simulate import _exact_index_sums
 from repro.util.batches import concat_batch
+from repro.util.bits import check_key_n
 from repro.util.faults import normalise_faulty
 from repro.util.rng import SeedTree
 
@@ -387,8 +388,7 @@ def simulate_graph_fast_batch(
     seeds = [int(s) for s in seeds]
     n_trials = len(seeds)
     params = ProtocolParams(n=n, gamma=gamma, num_colors=len(set(colors)))
-    if n ** 4 >= 2 ** 62:
-        raise ValueError(f"n={n} too large for the int64 (k, owner) key")
+    check_key_n(n, "(k, owner)")
 
     if isinstance(graphs, GraphCSR):
         csr_list: list[GraphCSR] = [graphs] * n_trials

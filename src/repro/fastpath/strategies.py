@@ -61,11 +61,13 @@ from repro.fastpath.simulate import (
     _peer_dtype,
 )
 from repro.util.batches import concat_batch
+from repro.util.bits import check_key_n
 
 __all__ = [
     "StrategyBatchResult",
     "simulate_strategy_fast_batch",
     "strategy_block_trials",
+    "unsupported_combination",
 ]
 
 
@@ -191,6 +193,32 @@ class StrategyBatchResult:
 # Entry point
 # ---------------------------------------------------------------------------
 
+def unsupported_combination(spec: EffectSpec) -> str | None:
+    """The combination in ``spec`` this tier refuses, or ``None``.
+
+    Three families disagree with the agent engine (DESIGN.md §5):
+    equivocation or fresh votes from a member that answers no
+    Commitment pull or casts no vote (over-detected), and a forger that
+    also equivocates, votes fresh or skips Commitment, or a member that
+    answers Commitment but casts no vote (under-detected).
+    """
+    deviates = [f for f in ("equivocates", "fresh_vote_values")
+                if getattr(spec, f)]
+    withholds = [f"{f}=False" for f in ("answers_commitment", "casts_votes")
+                 if not getattr(spec, f)]
+    if deviates and withholds:
+        return (f"{' + '.join(deviates)} with {' + '.join(withholds)}, "
+                f"which it over-detects")
+    if spec.forge is not None and (deviates or not spec.answers_commitment):
+        extra = deviates or ["answers_commitment=False"]
+        return (f"forge={spec.forge!r} with {' + '.join(extra)}, which it "
+                f"under-detects")
+    if spec.answers_commitment and not spec.casts_votes:
+        return ("casts_votes=False with answers_commitment=True, which it "
+                "under-detects")
+    return None
+
+
 def simulate_strategy_fast_batch(
     colors: Sequence[Hashable],
     seeds: Sequence[int],
@@ -228,14 +256,19 @@ def simulate_strategy_fast_batch(
     else:
         built = strategy
     spec: EffectSpec = built.effects
+    why = unsupported_combination(spec)
+    if why is not None:
+        raise ValueError(
+            f"engine 'batch-strategy' cannot run spec {spec.name!r} "
+            f"({why}); run it with engine='agent'"
+        )
     mem = np.array(sorted(built.members), dtype=np.int64)
 
     params = ProtocolParams(n=n, gamma=gamma, num_colors=len(set(colors)))
     q, m = params.q, params.m
     if (q + 1) * m >= 2 ** 62:
         raise ValueError(f"n={n} too large for exact int64 vote sums")
-    if n ** 4 >= 2 ** 62:
-        raise ValueError(f"n={n} too large for the (k, label) winner key")
+    check_key_n(n, "(k, label) winner")
     faulty = frozenset(faulty)
     for label in faulty:
         if not 0 <= label < n:

@@ -12,12 +12,28 @@ from __future__ import annotations
 import math
 
 __all__ = [
+    "MAX_KEY_N",
     "bits_for_range",
+    "check_key_n",
     "label_bits",
     "vote_bits",
     "color_bits",
     "round_index_bits",
 ]
+
+#: The largest agent count the exact int64 keys admit: a key packs a
+#: value below ``n^3`` with a label as ``value * n + label < n^4``, and
+#: ``n^4 < 2^62`` means ``n^2 < 2^31``.
+MAX_KEY_N = 46340
+
+
+def check_key_n(n: int, key: str) -> None:
+    """Raise ``ValueError``, naming the limit, if ``n`` overflows ``key``."""
+    if n > MAX_KEY_N:
+        raise ValueError(
+            f"n={n} too large for the int64 {key} key: n must be at "
+            f"most {MAX_KEY_N} (n**4 < 2**62)"
+        )
 
 
 def bits_for_range(size: int) -> int:

@@ -242,6 +242,15 @@ class TestOverrideValidation:
         ("e7", "coalition_sizes=1,40",
          "option 'coalition_sizes' entries must fit the coalition colour: "
          "coalition size 40 exceeds the 12 blue supporters"),
+        # Agent counts past the int64 key limit, which used to fail
+        # mid-run after the cells below the limit had run:
+        ("e2", "sizes=64,50000",
+         "option 'sizes' must be <= 46340 (the int64 key limit), got 50000"),
+        ("e10", "async_sizes=50000",
+         "option 'async_sizes' must be <= 46340 (the int64 key limit), "
+         "got 50000"),
+        ("e7", "n=46341",
+         "option 'n' must be <= 46340 (the int64 key limit), got 46341"),
     ])
     def test_values_out_of_range_exit_2_before_running(
             self, exp, override, message, capsys, tmp_path):
@@ -355,6 +364,11 @@ class TestOverrideValidation:
         assert "e7: option 'coalition_sizes' entries must fit the " \
             "coalition colour: coalition size 40 exceeds the 12 blue " \
             "supporters" in capsys.readouterr().err
+        rc = main(["submit", "e2", "--set", "sizes=64,50000",
+                   "--url", "http://127.0.0.1:9"])
+        assert rc == 2
+        assert "e2: option 'sizes' must be <= 46340 (the int64 key limit), " \
+            "got 50000" in capsys.readouterr().err
 
     def test_sequence_coercion(self, capsys):
         rc = main(["experiment", "e1", "--format", "json",

@@ -36,7 +36,6 @@ from repro.exec import (
     resolve_engine,
 )
 from repro.exec.backends import shard_bounds
-from repro.exec.plan import shard_size_hint
 from repro.experiments.dispatch import (
     run_async_trials_fast,
     run_deviation_trials_fast,
@@ -448,41 +447,38 @@ class TestTransports:
 
 
 # ---------------------------------------------------------------------------
-# Shard-size auto-tuning
+# Shard layout: one shard per worker, cut at the even split points
 # ---------------------------------------------------------------------------
 
-class TestShardTuning:
-    def test_hint_is_quantum_multiple(self):
-        plan = compile_honest_plan(balanced(1 << 14), range(600))
-        hint = shard_size_hint(plan, jobs=2)
-        assert hint is not None
-        assert hint % plan.shard_quantum == 0
-        assert hint >= plan.shard_quantum
+class TestShardLayout:
+    @pytest.mark.parametrize("n_trials, quantum, jobs, cuts", [
+        (1000, 409, 2, [409]),              # an e7-grid plan
+        (400, 341, 2, [341]),               # an e10-graphs graph plan
+        (80, 1, 2, [40]),                   # a sequential-model plan
+        (4000, 151, 4, [1057, 1963, 3020]),  # E7 at n = 512, jobs=4
+        (10, 64, 4, []),                    # under one quantum: serial
+    ])
+    def test_pinned_layouts(self, n_trials, quantum, jobs, cuts):
+        edges = [0, *cuts, n_trials]
+        assert shard_bounds(n_trials, quantum, jobs) == \
+            list(zip(edges, edges[1:]))
 
-    def test_hint_deterministic(self):
-        plan = compile_honest_plan(balanced(1 << 14), range(600))
-        assert shard_size_hint(plan, 4) == shard_size_hint(plan, 4)
-
-    def test_hint_respects_jobs(self):
-        """Small workloads still split one shard per worker: the even
-        split bounds the tuned size from above."""
-        plan = compile_honest_plan(balanced(24), range(12),
-                                   engine="batch-parity")
-        assert shard_size_hint(plan, 4) <= -(-plan.n_trials // 4)
-
-    def test_unknown_engine_falls_back(self):
-        plan = compile_honest_plan(balanced(16), range(8), engine="agent")
-        assert shard_size_hint(plan, 2) is None
-
-    def test_tuning_never_changes_bytes(self):
-        """The tuned layout differs from the legacy fixed-shards-per-job
-        cut, yet the merged result is identical — shard size is pure
-        mechanics."""
-        colors = balanced(1 << 14)
-        seeds = list(range(300))
-        serial = run_trials_fast(colors, seeds)
-        sharded = run_trials_fast(colors, seeds, jobs=2)
-        assert fields_equal(serial, sharded)
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n_trials=st.integers(min_value=1, max_value=5000),
+        quantum=st.integers(min_value=1, max_value=600),
+        jobs=st.integers(min_value=1, max_value=16),
+    )
+    def test_shards_tile_the_plan_on_quantum_multiples(
+        self, n_trials, quantum, jobs
+    ):
+        bounds = shard_bounds(n_trials, quantum, jobs)
+        assert bounds[0][0] == 0 and bounds[-1][1] == n_trials
+        assert all(hi == lo for (_, hi), (lo, _) in zip(bounds, bounds[1:]))
+        assert all(lo % quantum == 0 for lo, _ in bounds)
+        assert len(bounds) <= jobs
+        longest = -(-n_trials // jobs) + quantum
+        assert all(0 < hi - lo <= longest for lo, hi in bounds)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ agent engine (same process, two implementations)."""
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 
 import pytest
@@ -10,7 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.protocol import ProtocolConfig, run_protocol
+from repro.extensions.async_gossip import election_keys
+from repro.fastpath.batch import simulate_protocol_fast_batch
+from repro.fastpath.graphs import simulate_graph_fast_batch
 from repro.fastpath.simulate import simulate_protocol_fast
+from repro.fastpath.strategies import simulate_strategy_fast_batch
+from repro.util.bits import MAX_KEY_N, check_key_n
 from tests.conftest import two_color_split
 
 
@@ -148,3 +154,28 @@ class TestFairnessProperty:
         )
         frac_red = wins["red"] / 300
         assert 0.6 < frac_red < 0.8  # 0.7 +/- binomial noise
+
+
+class TestKeyLimit:
+    """One int64 key guard, ``check_key_n``, behind every keyed kernel:
+    it admits ``MAX_KEY_N`` agents and names that limit one past it."""
+
+    def test_boundary(self):
+        assert MAX_KEY_N == 46340
+        assert MAX_KEY_N ** 4 < 2 ** 62 <= (MAX_KEY_N + 1) ** 4
+        check_key_n(46340, "(k, label) winner")
+        with pytest.raises(ValueError, match=re.escape(
+                "n=46341 too large for the int64 (k, label) winner key: "
+                "n must be at most 46340 (n**4 < 2**62)")):
+            check_key_n(46341, "(k, label) winner")
+
+    @pytest.mark.parametrize("kernel", [
+        lambda colors: simulate_protocol_fast_batch(colors, [0]),
+        lambda colors: simulate_strategy_fast_batch(colors, [0], None),
+        lambda colors: simulate_graph_fast_batch(None, colors, [0]),
+        lambda colors: election_keys(len(colors), 0),
+    ])
+    def test_every_kernel_names_the_limit(self, kernel):
+        # The guard runs before any draw, so no kernel runs at this n.
+        with pytest.raises(ValueError, match="n must be at most 46340"):
+            kernel(["red", "blue"] * 23170 + ["red"])

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.agents.plans import plan
+from repro.agents.effects import EFFECT_SPECS, EffectSpec
+from repro.agents.plans import STRATEGY_NAMES, StrategyPlan, plan
 from repro.core.defenses import Defenses
 from repro.core.params import ProtocolParams
 from repro.fastpath import strategies as strat
@@ -190,6 +194,53 @@ class TestValidation:
     def test_faulty_coalition_overlap(self):
         with pytest.raises(ValueError, match="marked faulty"):
             run("silent", {BLUES[0]}, faulty=frozenset({BLUES[0]}))
+
+
+_SILENT = EFFECT_SPECS["silent"]
+_POOLED = EFFECT_SPECS["pooled"]
+
+
+class TestFence:
+    """Combined specs on which this tier disagrees with the agent
+    engine are refused, naming the combination; the registered
+    strategies all lie outside the fence."""
+
+    @pytest.mark.parametrize("spec, combination", [
+        # Over-detection: refuted votes never declared or cast.
+        (replace(_SILENT, equivocates=True), "equivocates with "
+         "answers_commitment=False + casts_votes=False, which it "
+         "over-detects"),
+        (replace(_SILENT, fresh_vote_values=True), "fresh_vote_values with "
+         "answers_commitment=False + casts_votes=False"),
+        (EffectSpec("x", answers_commitment=False, equivocates=True),
+         "equivocates with answers_commitment=False, which it over-detects"),
+        # Under-detection: a forger's own votes are never refuted ...
+        (EffectSpec("x", forge="alter", fresh_vote_values=True,
+                    fresh_vote_targets=True, serves_findmin=False,
+                    pulls_findmin=False, coherence_push="none"),
+         "forge='alter' with fresh_vote_values, which it under-detects"),
+        (replace(_POOLED, fresh_vote_values=True, fresh_vote_targets=True),
+         "forge='pooled' with fresh_vote_values"),
+        (EffectSpec("x", equivocates=True, forge="fabricate",
+                    serves_findmin=False), "forge='fabricate' with "
+         "equivocates"),
+        (replace(_POOLED, equivocates=True, fresh_vote_values=True,
+                 pulls_findmin=False, coherence_push="none"),
+         "forge='pooled' with equivocates + fresh_vote_values"),
+        # ... nor is a declared vote that was not cast.
+        (EffectSpec("x", casts_votes=False), "casts_votes=False with "
+         "answers_commitment=True, which it under-detects"),
+    ])
+    def test_found_examples_are_refused(self, spec, combination):
+        with pytest.raises(ValueError, match=re.escape(
+                f"cannot run spec {spec.name!r} ({combination}")) as err:
+            run(StrategyPlan(frozenset(BLUES[:2]), spec), ())
+        assert "run it with engine='agent'" in str(err.value)
+
+    @pytest.mark.parametrize("name", STRATEGY_NAMES)
+    def test_registered_strategies_run(self, name):
+        assert strat.unsupported_combination(EFFECT_SPECS[name]) is None
+        assert run(name, BLUES[:2], seeds=SEEDS[:4]).n_trials == 4
 
 
 class TestAbstention:

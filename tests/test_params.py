@@ -31,6 +31,10 @@ class TestDerivedQuantities:
             ProtocolParams(n=1)
         with pytest.raises(ValueError):
             ProtocolParams(n=8, gamma=0)
+        for gamma in (float("nan"), float("inf")):
+            msg = f"gamma must be finite and > 0, got {gamma}"
+            with pytest.raises(ValueError, match=msg):
+                ProtocolParams(n=16, gamma=gamma)
         with pytest.raises(ValueError):
             ProtocolParams(n=8, num_colors=0)
 

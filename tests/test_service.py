@@ -640,6 +640,11 @@ class TestServiceHTTP:
             # which used to fail in the daemon:
             {"experiment": "e1", "options": {"seed": -1}},
             {"experiment": "e7", "options": {"coalition_sizes": [1, 40]}},
+            # Agent counts past the int64 key limit, which used to fail
+            # in the daemon after the cells below it had run:
+            {"experiment": "e2", "options": {"sizes": [64, 50000]}},
+            {"experiment": "e10", "options": {"async_sizes": [50000]}},
+            {"experiment": "e9", "options": {"n": 46341}},
             # Values of the wrong JSON type:
             {"experiment": "e1", "options": {"trials": 5.0}},
             {"experiment": "e1", "options": {"trials": "5"}},
@@ -669,6 +674,10 @@ class TestServiceHTTP:
                            "entries must fit the coalition colour: coalition "
                            "size 40 exceeds the 12 blue supporters"):
             client.submit("e7", {"coalition_sizes": [40]})
+        with pytest.raises(ServiceError, match=re.escape(
+                "e2: option 'sizes' must be <= 46340 (the int64 key limit), "
+                "got 50000")):
+            client.submit("e2", {"sizes": [64, 50000]})
         with pytest.raises(ServiceError, match=re.escape(
                 "e6: option 'alphas' must be in [0, 1), got 1.5")):
             client.submit("e6", {"alphas": [1.5]})
@@ -761,3 +770,64 @@ class TestServiceHTTP:
         with pytest.raises(ServiceError, match="stub asked to fail"):
             client.wait(sub)
         assert service.daemon.stats()["failed"] == 1
+
+
+def _fire(url: str, submissions: list[dict], clients: int = 16
+          ) -> tuple[list[str], int]:
+    """Submit every E1 cell of ``submissions`` from ``clients`` threads,
+    each waiting for its result document; return the errors and how
+    many submissions the store answered without a job."""
+    lock = threading.Lock()
+    pending = list(submissions)
+    errors: list[str] = []
+    from_store: list[bool] = []
+    client = ServiceClient(url, timeout_s=60)
+    barrier = threading.Barrier(clients)
+
+    def worker() -> None:
+        barrier.wait()
+        while True:
+            with lock:
+                if not pending:
+                    return
+                options = pending.pop()
+            try:
+                sub = client.submit("e1", options)
+                client.wait(sub, timeout_s=120, poll_s=0.002)
+                client.result(sub["key"])
+            except (ServiceError, TimeoutError, OSError) as exc:
+                with lock:
+                    errors.append(f"{type(exc).__name__}: {exc}")
+                continue
+            with lock:
+                from_store.append(sub["id"] is None)
+
+    threads = [threading.Thread(target=worker) for _ in range(clients)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    return errors, sum(from_store)
+
+
+@pytest.mark.slow
+def test_dedup_holds_under_16_clients(tmp_path):
+    """At-most-once execution under load (DESIGN.md §11): 20 distinct
+    E1 cells, 300 racing cold submissions and then 150 warm ones from
+    16 client threads.  Each cell executes exactly once, all in the
+    cold phase; the warm phase is served from the store; nothing fails
+    and nothing is refused with 429."""
+    cells = [{"sizes": [16], "workloads": ["balanced"], "trials": 6,
+              "seed": 7100 + i} for i in range(20)]
+    with ExperimentService(tmp_path / "load.sqlite3", port=0) as svc:
+        svc.daemon.poll_s = 0.01
+        cold_errors, _ = _fire(svc.url, [cells[i % 20] for i in range(300)])
+        executed_cold = svc.daemon.stats()["executed"]
+        warm_errors, warm_from_store = _fire(
+            svc.url, [cells[i % 20] for i in range(150)])
+        assert cold_errors == [] and warm_errors == []
+        assert svc.queue.stats()["rejected"] == 0
+        assert executed_cold == 20
+        assert svc.daemon.stats()["executed"] == 20
+        assert warm_from_store == 150
+        assert svc.store.stats()["results"] == 20
