@@ -44,5 +44,19 @@ def test_e10_extensions(benchmark, emit):
     assert max(ratios) / min(ratios) < 4
 
 
+def test_open_problem_shape_at_the_defaults():
+    """The same shape at E10's defaults (n = 512, 500 trials per
+    scenario): expanders succeed, the ring's diameter kills the
+    O(log n) schedule, the star's leaves are disenfranchised."""
+    opts = E10Options()
+    topo, _ = run(opts).tables()
+    success = dict(zip(topo.column("graph"), topo.column("success rate")))
+    zero = dict(zip(topo.column("graph"),
+                    topo.column("mean zero-vote agents")))
+    assert success["complete"] > 0.95
+    assert success["ring"] < 0.1
+    assert zero["star"] > opts.n / 2
+
+
 if __name__ == "__main__":
     raise SystemExit(main_experiment("e10_extensions", run, OPTS))

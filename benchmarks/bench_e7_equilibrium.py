@@ -7,7 +7,9 @@ noise.  Expected shape: lying strategies show a large NEGATIVE gain
 and nothing is significantly positive.
 """
 
+from repro.experiments.dispatch import run_deviation_trials_fast
 from repro.experiments.e7_equilibrium import E7Options, run
+from repro.experiments.workloads import skewed
 from common import main_experiment, run_experiment_bench
 
 OPTS = E7Options(
@@ -42,6 +44,23 @@ def test_e7_equilibrium(benchmark, emit):
         table.column("deviant fail"),
     ))
     assert devf[("pooled", 4)] < 0.05
+
+
+def test_no_cell_gains_on_the_paper_scale_grid():
+    """Theorem 7 at n = 512: on every cell of the full grid (all default
+    strategies x t in {1, 4}, 2000 paired trials, seeds 0..1999,
+    gamma = 2.5) the coalition's paired gain (chi = 1) is <= 0.05."""
+    colors = skewed(512, minority=0.25)
+    blues = [i for i, c in enumerate(colors) if c == "blue"]
+    gains = {
+        (strategy, t): run_deviation_trials_fast(
+            colors, range(2000), strategy, blues[:t], gamma=2.5,
+            engine="batch-strategy",
+        ).paired_gain("blue")[0]
+        for strategy in E7Options().strategies
+        for t in (1, 4)
+    }
+    assert max(gains.values()) <= 0.05, gains
 
 
 if __name__ == "__main__":

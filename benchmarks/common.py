@@ -1,32 +1,17 @@
-"""Shared plumbing for the benchmark suite.
+"""Shared plumbing for the ten experiment benchmarks.
 
-Two families of scripts share this module:
-
-* the ten **experiment benchmarks** (``bench_e1_fairness.py`` ...)
-  regenerate one experiment each, print its tables and archive them
-  under ``results/`` — :func:`run_experiment_bench` is their pytest
-  body and :func:`main_experiment` their standalone ``__main__`` driver
-  (with ``--trials``/``--jobs``/``--set`` overrides);
-* the **perf benchmarks** (``bench_fastpath_batch.py``,
-  ``bench_strategies.py``, ``bench_graphs.py``, ``bench_parallel.py``)
-  time engine tiers against each other and archive their numbers to
-  ``BENCH_<name>.json`` at the repo root — :func:`best_of`,
-  :func:`machine_info`, :func:`write_bench` and :func:`main_perf` are
-  their shared skeleton.
-
-Before this module each script carried its own copy of the repo-root
-resolution, timing loop, machine stanza, JSON writer and ``__main__``
-block; keep new benchmarks on these helpers instead.
+Each ``bench_e*.py`` regenerates one experiment, prints its tables and
+archives them under ``results/``: :func:`run_experiment_bench` is their
+pytest body and :func:`main_experiment` their standalone ``__main__``
+entry point (with ``--trials``/``--jobs`` overrides).  Speed bars are not
+kept here: ``tests/test_speed_bars.py`` holds them, and
+``perfbench/`` measures the end-to-end and per-layer trajectory.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
-import os
-import platform
-import time
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -34,25 +19,14 @@ from repro.results import ExperimentResult, write_json
 from repro.util.tables import Table
 
 __all__ = [
-    "REPO_ROOT",
     "RESULTS_DIR",
     "archive",
-    "bench_json_path",
-    "best_of",
-    "machine_info",
     "main_experiment",
-    "main_perf",
     "run_experiment_bench",
-    "write_bench",
 ]
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-RESULTS_DIR = REPO_ROOT / "results"
+RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
-
-# ---------------------------------------------------------------------------
-# Experiment benchmarks
-# ---------------------------------------------------------------------------
 
 def archive(name: str, *items: Table | ExperimentResult) -> str:
     """Archive tables/results under ``results/``; return the rendered text.
@@ -126,67 +100,3 @@ def main_experiment(
         print()
     return 0
 
-
-# ---------------------------------------------------------------------------
-# Perf benchmarks
-# ---------------------------------------------------------------------------
-
-def bench_json_path(name: str) -> Path:
-    """``BENCH_<name>.json`` at the repo root (the perf trajectory log)."""
-    return REPO_ROOT / f"BENCH_{name}.json"
-
-
-def best_of(repeats: int, fn: Callable[[], Any]) -> float:
-    """Best wall-clock of ``repeats`` calls (the standard timing loop)."""
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def machine_info() -> dict[str, Any]:
-    """The machine stanza every perf JSON carries.
-
-    ``cpus`` is the machine's core count; ``effective_cpus`` the CPUs
-    this process may actually run on (the affinity mask — smaller under
-    cgroup cpusets and ``taskset``).  Speedup claims must be judged
-    against the latter.
-    """
-    from repro.exec.pool import available_cpus
-
-    return {
-        "platform": platform.platform(),
-        "python": platform.python_version(),
-        "cpus": os.cpu_count(),
-        "effective_cpus": available_cpus(),
-    }
-
-
-def write_bench(name: str, results: dict) -> Path:
-    """Write a perf benchmark's JSON document; returns the path."""
-    path = bench_json_path(name)
-    path.write_text(json.dumps(results, indent=2) + "\n")
-    return path
-
-
-def main_perf(
-    name: str,
-    measure: Callable[[], dict],
-    report: Callable[[dict], Table],
-    argv: Sequence[str] | None = None,
-) -> int:
-    """Standalone driver shared by the perf benchmarks' ``__main__``."""
-    parser = argparse.ArgumentParser(
-        description=f"Run the {name} perf benchmark standalone"
-    )
-    parser.add_argument("--json-only", action="store_true",
-                        help="skip the rendered table, print the JSON path")
-    args = parser.parse_args(argv)
-    results = measure()
-    path = write_bench(name, results)
-    if not args.json_only:
-        print(report(results).render())
-    print(f"\nwrote {path}")
-    return 0

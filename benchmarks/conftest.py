@@ -1,13 +1,15 @@
-"""Shared fixtures for the benchmark suite.
+"""Shared fixtures for the experiment benchmarks.
 
-Every benchmark regenerates one experiment (the experiment ↔ claim
+Each ``bench_e*.py`` regenerates one experiment (the experiment ↔ claim
 wiring is tabulated in DESIGN.md §4), prints the rendered tables to the
 terminal (so ``pytest benchmarks/ --benchmark-only`` output is the full
 results report) and archives both forms under ``results/``: the classic
 ``<name>.txt`` render and, for structured :class:`ExperimentResult`
-inputs, the round-trippable ``<name>.json`` document next to it.  The
-shared writer lives in :mod:`common` (``benchmarks/common.py``), which
-also powers the scripts' standalone ``__main__`` paths.
+inputs, the round-trippable ``<name>.json`` document next to it.  E7
+and E10 also check their claim at paper scale (n = 512) in a second,
+untimed test.  The shared writer lives in :mod:`common`
+(``benchmarks/common.py``), which also powers the scripts' standalone
+``__main__`` paths.
 """
 
 from __future__ import annotations

@@ -137,9 +137,11 @@ class ExecRecord:
     retry budget and re-ran serially in-process, ``recovery_wall_s``
     the wall time spent on backoff, pool respawns and serial re-runs.
 
-    ``jobs`` is what was *requested*; ``workers`` is what ran —
-    benchmarks must archive the latter, or a 4-job run on a 1-CPU box
-    reads as a parallel measurement.
+    ``jobs`` is what was *requested* (and the pool's width);
+    ``workers`` is how many processes ran shards.  Neither says how
+    many CPUs they had: judge a speedup against
+    :func:`repro.exec.pool.available_cpus`, or a 4-job run on a 1-CPU
+    box reads as a parallel measurement.
     """
 
     kind: str
@@ -160,7 +162,7 @@ class ExecRecord:
 
     @property
     def workers(self) -> int:
-        """The pool width that ran: one worker per shard."""
+        """The workers that ran shards: one per shard."""
         return min(self.jobs, self.shards)
 
     @property
@@ -406,7 +408,7 @@ def run_plan(
     bounds = (shard_bounds(plan.n_trials, plan.shard_quantum, jobs)
               if backend == "parallel" else [])
     if len(bounds) > 1:
-        result, shards, recovery = _run_parallel(plan, bounds, policy)
+        result, shards, recovery = _run_parallel(plan, bounds, jobs, policy)
     else:
         result, shards, recovery = _compute(plan), 1, _Recovery()
     _record(ExecRecord(
@@ -466,10 +468,16 @@ def _compute_shard(
 
 
 def _run_parallel(
-    plan: ExecutionPlan, bounds: list[tuple[int, int]], policy: FaultPolicy
+    plan: ExecutionPlan, bounds: list[tuple[int, int]], jobs: int,
+    policy: FaultPolicy,
 ) -> tuple[Any, int, _Recovery]:
-    """The fault-tolerant sharded backend: one pool worker per shard of
-    ``bounds``.
+    """The fault-tolerant sharded backend: the shards of ``bounds`` over
+    a pool of ``jobs`` workers.
+
+    The pool is ``jobs`` wide whatever the shard count, so one parked
+    pool serves every plan at that ``jobs``; under forkserver the
+    executor starts a worker only when a submit finds none idle, so
+    width a plan does not use costs nothing.
 
     Shards are submitted in rounds: each round fans the remaining
     shards over the pool and drains completions.  A worker exception
@@ -491,7 +499,7 @@ def _run_parallel(
     submissions = [0] * n_shards      # chaos attempt index per shard
     failures = [0] * n_shards
     round_no = 0
-    pool = _acquire_pool(n_shards)
+    pool = _acquire_pool(jobs)
     try:
         while len(parts) < n_shards:
             for idx in range(n_shards):
@@ -511,7 +519,7 @@ def _run_parallel(
                 recovery.wall_s += pause
             round_no += 1
             pool = _run_round(
-                pool, shard_plans, parts, submissions,
+                pool, jobs, shard_plans, parts, submissions,
                 failures, policy, cfg, recovery,
             )
     except BaseException:
@@ -519,13 +527,14 @@ def _run_parallel(
         # queued shards and kill in-flight workers before propagating.
         _kill_pool(pool)
         raise
-    _release_pool(pool, n_shards)
+    _release_pool(pool, jobs)
     merged = merge_batches([parts[idx] for idx in range(n_shards)])
     return merged, n_shards, recovery
 
 
 def _run_round(
     pool: ProcessPoolExecutor,
+    workers: int,
     shard_plans: list[ExecutionPlan],
     parts: dict[int, Any],
     submissions: list[int],
@@ -538,9 +547,9 @@ def _run_round(
 
     Completed shards put their record in ``parts``; failed ones stay
     out for the next round with their failure count bumped.  Returns
-    the pool to use next — a fresh one whenever this round broke the
-    old pool (worker death) or had to reclaim a hung worker (shard
-    timeout).
+    the pool to use next — a fresh one of ``workers`` processes
+    whenever this round broke the old pool (worker death) or had to
+    reclaim a hung worker (shard timeout).
     """
     pending: dict[Future, int] = {}
     deadlines: dict[int, float] = {}
@@ -608,7 +617,7 @@ def _run_round(
     if broke:
         t0 = time.perf_counter()
         _kill_pool(pool)
-        pool = _new_pool(len(shard_plans))
+        pool = _new_pool(workers)
         recovery.wall_s += time.perf_counter() - t0
     return pool
 

@@ -118,7 +118,9 @@ def mp_context() -> multiprocessing.context.BaseContext:
 # context re-imported nothing but re-initialised everything).  With the
 # forkserver context (numpy preloaded, see mp_context) the first pool
 # is the only expensive one — after a healthy run the pool parks here
-# and the next run of the same width reuses its warm workers.  Faulted
+# and the next run at the same ``jobs`` reuses its warm workers (the
+# parallel backend sizes every pool at ``jobs``, not at a plan's shard
+# count, so plans that cut fewer shards share it too).  Faulted
 # runs never park a pool: breakage or a hung worker always replaces it
 # with a fresh one mid-run, and the replacement only parks after it
 # finishes a run cleanly.

@@ -20,9 +20,10 @@ large negative gain: sabotage is easy, profit is not.
 
 Trials are routed through :func:`run_deviation_trials_fast`: the
 default ``batch-strategy`` engine runs the whole strategy × size grid
-vectorised (thousands of paired trials per cell in seconds — see
-``benchmarks/bench_strategies.py``); ``engine="agent"`` replays the
-grid on the exact agent engine for fidelity checks.
+vectorised (thousands of paired trials per cell in seconds;
+``tests/test_speed_bars.py`` holds it to >= 20x the agent engine at
+n = 512); ``engine="agent"`` replays the grid on the exact agent engine
+for fidelity checks.
 """
 
 from __future__ import annotations

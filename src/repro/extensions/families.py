@@ -301,25 +301,6 @@ def _ba_uniforms(n: int, seed: int) -> np.ndarray:
     return rng.random((max(0, n - 1 - m), m))
 
 
-def _ba_codes(n: int, uniforms: np.ndarray) -> np.ndarray:
-    """Vectorized single-trial BA edge codes (numpy inner ops)."""
-    m = _ba_m(n)
-    grown = uniforms.shape[0]
-    repeated = np.empty(2 * m * (grown + 1), dtype=np.int64)
-    repeated[:m] = np.arange(m)
-    repeated[m:2 * m] = m
-    codes = [np.arange(m, dtype=np.int64) * n + m]
-    length = 2 * m
-    for j in range(grown):
-        k = m + 1 + j
-        targets = repeated[(uniforms[j] * length).astype(np.int64)]
-        codes.append(targets * n + k)
-        repeated[length:length + m] = targets
-        repeated[length + m:length + 2 * m] = k
-        length += 2 * m
-    return np.unique(np.concatenate(codes))
-
-
 def _ba_codes_reference(n: int, uniforms: np.ndarray) -> np.ndarray:
     """Scalar per-edge BA reference: same draws, same arithmetic."""
     m = _ba_m(n)
@@ -578,7 +559,7 @@ def _sample_codes(
     kinds draw over ``upper`` (:func:`_upper_codes`), which a batch
     builds once and shares."""
     if kind == "ba":
-        return _ba_codes(n, _ba_uniforms(n, seed))
+        return _ba_codes_batch(n, _ba_uniforms(n, seed)[None])[0]
     if kind == "ws":
         return _ws_codes(n, *_ws_draws(n, seed))
     if kind == "regular8":

@@ -15,8 +15,9 @@ def pytest_configure(config: pytest.Config) -> None:
     config.addinivalue_line(
         "markers",
         "slow: heavyweight suites (cross-tier conformance matrix, "
-        "experiment smoke tests); CI's fast job deselects them with "
-        "-m 'not slow', the nightly/full job runs everything",
+        "experiment smoke tests, the speed bars); CI's fast job "
+        "deselects them with -m 'not slow', tier 1 and the nightly "
+        "full job run everything",
     )
 
 

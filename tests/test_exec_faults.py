@@ -44,9 +44,14 @@ from repro.exec import chaos
 from repro.exec import pool as exec_pool
 from repro.exec.plan import compile_honest_plan
 from repro.exec.pool import available_cpus, default_workers
-from repro.experiments.dispatch import run_async_trials_fast, run_trials_fast
+from repro.experiments.dispatch import (
+    run_async_trials_fast,
+    run_graph_trials_fast,
+    run_trials_fast,
+)
 from repro.experiments.registry import run_experiment
 from repro.experiments.workloads import balanced
+from repro.extensions.families import sample_scenario_workload
 from repro.results import (
     ResultMeta,
     atomic_write_text,
@@ -124,6 +129,34 @@ class TestPoolGuards:
             assert len(live) == 2
         finally:
             shutdown_warm_pool()
+
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_one_pool_serves_every_shard_count(self, first):
+        """The pool is ``jobs`` wide, not one worker per shard: at
+        jobs=4, plans of 4 and 2 shards alternate on one spawned pool."""
+        wl = sample_scenario_workload("complete", 256, 400, 1010)
+        colors = balanced(256)
+        plans = [
+            lambda: run_async_trials_fast(16, list(range(12)), jobs=4),
+            lambda: run_graph_trials_fast(wl, colors, wl.seeds,
+                                          faulty=wl.faulty, jobs=4),
+        ]
+        plans = plans[first:] + plans[:first]
+        shutdown_warm_pool()
+        before = exec_pool.warm_pool_stats()
+        try:
+            with collect_execution() as records:
+                for run in plans + plans:
+                    run()
+            after = exec_pool.warm_pool_stats()
+        finally:
+            shutdown_warm_pool()
+        shards = [4, 2][first:] + [4, 2][:first]
+        assert [r.shards for r in records] == shards + shards
+        assert [r.workers for r in records] == shards + shards
+        acquires = after["acquires"] - before["acquires"]
+        warm_hits = after["warm_hits"] - before["warm_hits"]
+        assert (acquires, warm_hits) == (4, 3)   # one spawn
 
     @pytest.mark.parametrize("bad", [0, -2])
     def test_resolve_backend_rejects_nonpositive_jobs(self, bad):
