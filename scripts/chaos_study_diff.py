@@ -4,13 +4,16 @@
 Runs one multi-cell :class:`repro.study.Study` three ways —
 
 1. uninterrupted at ``jobs=1`` (the reference archive),
-2. in a child process that is SIGKILLed after its first cell completes,
-   then resumed in-process (only incomplete cells re-run),
+2. in a child process at ``jobs=2`` that is SIGKILLed after its first
+   cell completes — so the kill lands while cells are in flight on the
+   pool and finishing out of order — then resumed in-process (only
+   incomplete cells re-run),
 3. the resumed archive again (everything must now load from cache),
 
 — and diffs the per-cell payload bytes (``payload_json``, metadata
-stripped) across all three.  Any mismatch, or a resume that recomputes
-an already-journaled cell, fails the job.
+stripped) across all three.  Any mismatch, a resume that recomputes an
+already-journaled cell, or a process of the child's pool (workers,
+forkserver, resource tracker) alive 10 s after the kill fails the job.
 
 Usage::
 
@@ -21,6 +24,7 @@ Exit status 0 on success, 1 on any divergence.
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 import tempfile
@@ -45,18 +49,50 @@ _CHILD = textwrap.dedent("""
     from repro.study import Study
     Study("e1", {"gamma": [1.5, 2.0, 3.0, 4.0]}, trials=3000, sizes=(64,),
           workloads=("balanced",),
-          engine="batch-parity").run(out_dir=sys.argv[1])
+          engine="batch-parity").run(out_dir=sys.argv[1], jobs=2)
 """)
+#: How long the killed child's pool processes may outlive it.
+POOL_EXIT_S = 10.0
 
 
 def _payloads(study_result) -> list[str]:
     return [cell.result.payload_json() for cell in study_result.cells]
 
 
-def _run_and_kill(out_dir: Path) -> int:
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` runs (an unreaped zombie has exited)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def _descendants(pid: int) -> set[int]:
+    """The live descendants of ``pid``, read from ``/proc``."""
+    children: dict[int, list[int]] = {}
+    for entry in os.listdir("/proc"):
+        if entry.isdigit() and _alive(int(entry)):
+            try:
+                stat = Path(f"/proc/{entry}/stat").read_text()
+            except OSError:
+                continue
+            ppid = int(stat.rsplit(")", 1)[1].split()[1])
+            children.setdefault(ppid, []).append(int(entry))
+    found, todo = set(), [pid]
+    while todo:
+        for child in children.get(todo.pop(), ()):
+            found.add(child)
+            todo.append(child)
+    return found
+
+
+def _run_and_kill(out_dir: Path) -> tuple[int, set[int]]:
     """Start the study in a child, SIGKILL it after >=1 journaled cell.
 
-    Returns the number of cells the child completed before the kill.
+    Returns the number of cells the child completed before the kill,
+    and the pool processes (the child's descendants) still alive
+    :data:`POOL_EXIT_S` seconds after it.
     """
     proc = subprocess.Popen(
         [sys.executable, "-c", _CHILD, str(out_dir)],
@@ -75,9 +111,13 @@ def _run_and_kill(out_dir: Path) -> int:
         if proc.poll() is not None:
             break
         time.sleep(0.02)
+    family = _descendants(proc.pid)
     proc.kill()
     proc.wait(timeout=60)
-    return done
+    deadline = time.monotonic() + POOL_EXIT_S
+    while any(map(_alive, family)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return done, {pid for pid in family if _alive(pid)}
 
 
 def main(argv: list[str]) -> int:
@@ -95,7 +135,7 @@ def main(argv: list[str]) -> int:
     print(f"reference: {len(ref_payloads)} cells")
 
     killed_dir = work / "killed"
-    done_before_kill = _run_and_kill(killed_dir)
+    done_before_kill, survivors = _run_and_kill(killed_dir)
     print(f"child SIGKILLed after {done_before_kill} journaled cell(s)")
 
     resumed = Study("e1", GRID, **BASE).run(out_dir=killed_dir)
@@ -105,6 +145,11 @@ def main(argv: list[str]) -> int:
           f"{len(resumed.quarantined)} quarantined")
 
     failures = []
+    if survivors:
+        failures.append(
+            f"pool processes {sorted(survivors)} outlived the killed "
+            f"child by {POOL_EXIT_S:.0f} s"
+        )
     if _payloads(resumed) != ref_payloads:
         failures.append("resumed payloads differ from uninterrupted run")
     if cached < done_before_kill:

@@ -14,8 +14,10 @@ One sharded, multi-core backend behind every fastpath front door:
   and shard layouts, and ``jobs`` is the only way a trial runs on more
   than one core.
 * :mod:`repro.exec.pool` — the process pool the parallel backend
-  shards over, parked and reused across runs (and across the
-  experiment service's jobs; ``prewarm``/``warm_pool_stats``).
+  shards over (and a :class:`~repro.study.Study` runs whole cells on,
+  through the same fault-tolerant runner), parked and reused across
+  runs (and across the experiment service's jobs;
+  ``prewarm``/``warm_pool_stats``).
 * :mod:`repro.exec.chaos` — deterministic fault injection (worker
   kills, shard delays, torn archive writes) exercising the recovery
   paths above; see DESIGN.md §10 for the fault-tolerance contract.

@@ -51,6 +51,10 @@ recovery counters (retries, failures, degradations, recovery wall
 time) land in :class:`ExecRecord` and from there in ``ResultMeta``.
 :mod:`repro.exec.chaos` injects faults deterministically so all of
 this stays tested.
+
+One runner, :func:`run_tasks`, does all of this for any list of
+:class:`Task` s: the shards of a plan here, and the whole cells of a
+:class:`repro.study.Study` that has more uncached cells than workers.
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ from __future__ import annotations
 import math
 import os
 import time
+from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
     Future,
@@ -67,7 +72,9 @@ from concurrent.futures import (
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Hashable, Iterator
+from typing import (
+    Any, Callable, Hashable, Iterable, Iterator, Sequence,
+)
 
 import numpy as np
 
@@ -113,10 +120,13 @@ __all__ = [
     "collect_execution",
     "fault_policy",
     "get_fault_policy",
+    "isolated_execution",
     "parse_max_retries",
     "parse_shard_timeout",
+    "record_execution",
     "resolve_backend",
     "run_plan",
+    "run_tasks",
 ]
 
 BACKENDS = ("auto", "serial", "parallel")
@@ -199,6 +209,31 @@ def _record(record: ExecRecord) -> None:
         collector.append(record)
 
 
+@contextmanager
+def isolated_execution() -> Iterator[list[ExecRecord]]:
+    """Collect the block's records for the block alone.
+
+    Collectors open outside the block see none of them.  A study cell
+    task runs its cell inside one, in a pool worker or (degraded) in
+    the parent alike, and the parent passes the records on with
+    :func:`record_execution`, so each reaches its collectors once.
+    """
+    global _collectors
+    outer, _collectors = _collectors, []
+    try:
+        with collect_execution() as records:
+            yield records
+    finally:
+        _collectors = outer
+
+
+def record_execution(records: Iterable[ExecRecord]) -> None:
+    """Hand records made elsewhere (a cell task's) to every active
+    collector."""
+    for record in records:
+        _record(record)
+
+
 # ---------------------------------------------------------------------------
 # Fault policy: how the parallel backend survives failing shards
 # ---------------------------------------------------------------------------
@@ -211,11 +246,13 @@ _BACKOFF_FACTOR = 2.0
 class FaultPolicy:
     """Retry/timeout/degradation knobs for the parallel backend.
 
-    ``shard_timeout_s`` is the wall-time budget of one shard submission
-    (queue wait included); ``None`` disables the timeout.  A shard that
-    fails more than ``max_retries`` times degrades to a serial
-    in-process re-run — slower, byte-identical — so a study completes
-    even under a persistently failing pool.  ``backoff_base_s`` is the
+    ``shard_timeout_s`` is the wall-time budget of one task submission,
+    counted from the submit: a trial shard's, or, when a study runs at
+    the cell grain, a whole cell's — size it for the longest cell then.
+    ``None`` disables the timeout.  A task that fails more than
+    ``max_retries`` times degrades to a serial in-process re-run —
+    slower, byte-identical — so a study completes even under a
+    persistently failing pool.  ``backoff_base_s`` is the
     first pause between retry rounds; each later pause is
     :data:`_BACKOFF_FACTOR` times the one before.  These are
     execution-only knobs: like ``jobs``, they can never change a
@@ -355,13 +392,20 @@ def fault_policy(policy: FaultPolicy) -> Iterator[FaultPolicy]:
 
 
 @dataclass
-class _Recovery:
-    """Mutable recovery counters for one parallel plan execution."""
+class Recovery:
+    """Mutable recovery counters of one pool task (or, summed, of one
+    parallel plan execution)."""
 
     retries: int = 0
     failures: int = 0
     degraded: int = 0
     wall_s: float = 0.0
+
+    def add(self, other: "Recovery") -> None:
+        self.retries += other.retries
+        self.failures += other.failures
+        self.degraded += other.degraded
+        self.wall_s += other.wall_s
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +454,7 @@ def run_plan(
     if len(bounds) > 1:
         result, shards, recovery = _run_parallel(plan, bounds, jobs, policy)
     else:
-        result, shards, recovery = _compute(plan), 1, _Recovery()
+        result, shards, recovery = _compute(plan), 1, Recovery()
     _record(ExecRecord(
         kind=plan.kind, engine=plan.engine, jobs=jobs, shards=shards,
         n_trials=plan.n_trials, wall_time_s=time.perf_counter() - start,
@@ -446,17 +490,28 @@ def shard_bounds(
     return list(zip(edges, edges[1:])) if n_trials > 0 else []
 
 
-def _compute_shard(
-    shard_plan: ExecutionPlan, spec: "chaos.ShardChaos | None"
+def _run_task(
+    fn: Callable[..., Any], args: tuple[Any, ...],
+    spec: "chaos.ShardChaos | None",
 ) -> Any:
-    """Pool worker: apply the shard's chaos, then compute its sub-plan.
+    """Pool worker: apply the task's chaos, then run it.
 
-    The batch record goes back by value through the executor's result
-    pipe; the parent merges the records in shard-index order.
+    The task's value (a shard's batch record, a study cell's result)
+    goes back by value through the executor's result pipe.
     """
     if spec is not None:
         spec.apply()
-    return _compute(shard_plan)
+    return fn(*args)
+
+
+@dataclass(frozen=True)
+class Task:
+    """One unit of pool work: ``fn(*args)``, in a pool worker or — when
+    the task degrades — in this process.  ``fn`` travels to the worker
+    by reference, so it must be a module-level function."""
+
+    fn: Callable[..., Any]
+    args: tuple[Any, ...] = ()
 
 
 # ---------------------------------------------------------------------------
@@ -470,133 +525,186 @@ def _compute_shard(
 def _run_parallel(
     plan: ExecutionPlan, bounds: list[tuple[int, int]], jobs: int,
     policy: FaultPolicy,
-) -> tuple[Any, int, _Recovery]:
-    """The fault-tolerant sharded backend: the shards of ``bounds`` over
-    a pool of ``jobs`` workers.
+) -> tuple[Any, int, Recovery]:
+    """The sharded backend: the shards of ``bounds`` as pool tasks.
 
-    The pool is ``jobs`` wide whatever the shard count, so one parked
-    pool serves every plan at that ``jobs``; under forkserver the
-    executor starts a worker only when a submit finds none idle, so
-    width a plan does not use costs nothing.
-
-    Shards are submitted in rounds: each round fans the remaining
-    shards over the pool and drains completions.  A worker exception
-    marks its shard failed (retried next round); a broken pool or a
-    shard past its timeout kills and respawns the pool (hung workers
-    cannot be reclaimed any other way) and the round restarts with
-    whatever is left.  A shard that fails more than
-    ``policy.max_retries`` times re-runs serially in this process —
-    the trusted degradation path, byte-identical because shard seeds
-    are deterministic slices of the plan's spine.  Each shard's record,
-    from a worker or from the degradation path, is kept by shard index
-    and merged in that order once every shard is in.
+    Each shard's record, from a worker or from the degradation path,
+    is kept by shard index and merged in that order once every shard
+    is in; the shards' recovery counters sum into the plan's.
     """
-    recovery = _Recovery()
-    shard_plans = [plan.slice(lo, hi) for lo, hi in bounds]
-    n_shards = len(bounds)
+    tasks = [Task(_compute, (plan.slice(lo, hi),)) for lo, hi in bounds]
     parts: dict[int, Any] = {}
-    cfg = chaos.active_config()
-    submissions = [0] * n_shards      # chaos attempt index per shard
-    failures = [0] * n_shards
+    recovery = Recovery()
+
+    def done(idx: int, part: Any, task_recovery: Recovery) -> None:
+        parts[idx] = part
+        recovery.add(task_recovery)
+
+    run_tasks(tasks, jobs, policy, done)
+    merged = merge_batches([parts[idx] for idx in range(len(tasks))])
+    return merged, len(tasks), recovery
+
+
+def run_tasks(
+    tasks: Sequence[Task], jobs: int, policy: FaultPolicy,
+    on_done: Callable[[int, Any, Recovery], None],
+) -> None:
+    """The fault-tolerant runner: ``tasks`` over a pool of ``jobs``
+    workers, for trial shards and study cells alike.
+
+    ``on_done(index, value, recovery)`` runs in this process as each
+    task finishes, in completion order, with the task's final recovery
+    counters.  The pool is ``jobs`` wide whatever the task count, so
+    one parked pool serves every caller at that ``jobs``; at most
+    ``jobs`` tasks are in flight, and the next one is submitted as soon
+    as a worker frees up.
+
+    Tasks run in rounds: each round submits every task without a value
+    once and drains completions.  A worker exception marks its task
+    failed (retried next round); a broken pool or a task past
+    ``policy.shard_timeout_s`` — counted per task from its submission
+    — kills and respawns the pool (hung workers cannot be reclaimed any
+    other way) and the round ends, leaving the rest for the next one.
+    A task that fails more than ``policy.max_retries`` times runs in
+    this process instead, never through chaos or the pool: the trusted
+    degradation path.  Chaos is decided here, per (task, attempt).  A
+    round's shared costs (its backoff pause, a pool respawn) are split
+    evenly over the tasks still outstanding.
+    """
+    run = _TaskRun(tasks, policy, on_done)
     round_no = 0
     pool = _acquire_pool(jobs)
     try:
-        while len(parts) < n_shards:
-            for idx in range(n_shards):
-                if idx not in parts and failures[idx] > policy.max_retries:
-                    # Degrade: the shard re-runs serially in-process
-                    # (never through chaos or the pool), so the study
-                    # completes with identical bytes.
+        while run.outstanding():
+            for idx in run.outstanding():
+                if run.failures[idx] > policy.max_retries:
+                    # Degrade: the task re-runs in this process, so the
+                    # run completes with identical bytes.
                     t0 = time.perf_counter()
-                    parts[idx] = _compute(shard_plans[idx])
-                    recovery.degraded += 1
-                    recovery.wall_s += time.perf_counter() - t0
-            if len(parts) == n_shards:
+                    value = tasks[idx].fn(*tasks[idx].args)
+                    run.recoveries[idx].degraded += 1
+                    run.recoveries[idx].wall_s += time.perf_counter() - t0
+                    run.finish(idx, value)
+            if not run.outstanding():
                 break
             if round_no > 0 and policy.backoff_base_s > 0:
                 pause = policy.backoff_s(round_no - 1)
                 time.sleep(pause)
-                recovery.wall_s += pause
+                run.charge(pause)
             round_no += 1
-            pool = _run_round(
-                pool, jobs, shard_plans, parts, submissions,
-                failures, policy, cfg, recovery,
-            )
+            pool = _run_round(pool, jobs, run)
     except BaseException:
         # KeyboardInterrupt (and anything else unrecoverable): cancel
-        # queued shards and kill in-flight workers before propagating.
+        # queued tasks and kill in-flight workers before propagating.
         _kill_pool(pool)
         raise
     _release_pool(pool, jobs)
-    merged = merge_batches([parts[idx] for idx in range(n_shards)])
-    return merged, n_shards, recovery
+
+
+class _TaskRun:
+    """What one :func:`run_tasks` call carries from round to round."""
+
+    def __init__(
+        self, tasks: Sequence[Task], policy: FaultPolicy,
+        on_done: Callable[[int, Any, Recovery], None],
+    ):
+        self.tasks = tasks
+        self.policy = policy
+        self.on_done = on_done
+        self.cfg = chaos.active_config()
+        self.recoveries = [Recovery() for _ in tasks]
+        self.submissions = [0] * len(tasks)     # chaos attempt per task
+        self.failures = [0] * len(tasks)
+        self.finished: set[int] = set()
+
+    def outstanding(self) -> list[int]:
+        """The tasks without a value yet, in index order."""
+        return [i for i in range(len(self.tasks)) if i not in self.finished]
+
+    def finish(self, idx: int, value: Any) -> None:
+        self.finished.add(idx)
+        self.on_done(idx, value, self.recoveries[idx])
+
+    def fail(self, idx: int) -> None:
+        self.failures[idx] += 1
+        self.recoveries[idx].failures += 1
+
+    def charge(self, seconds: float) -> None:
+        """Split a round's shared cost over the tasks still outstanding."""
+        outstanding = self.outstanding()
+        for idx in outstanding:
+            self.recoveries[idx].wall_s += seconds / len(outstanding)
 
 
 def _run_round(
-    pool: ProcessPoolExecutor,
-    workers: int,
-    shard_plans: list[ExecutionPlan],
-    parts: dict[int, Any],
-    submissions: list[int],
-    failures: list[int],
-    policy: FaultPolicy,
-    cfg: "chaos.ChaosConfig | None",
-    recovery: _Recovery,
+    pool: ProcessPoolExecutor, workers: int, run: _TaskRun,
 ) -> ProcessPoolExecutor:
-    """Submit every shard without a record once and drain completions.
+    """Submit every outstanding task once and drain completions.
 
-    Completed shards put their record in ``parts``; failed ones stay
-    out for the next round with their failure count bumped.  Returns
-    the pool to use next — a fresh one of ``workers`` processes
-    whenever this round broke the old pool (worker death) or had to
-    reclaim a hung worker (shard timeout).
+    Completed tasks finish; failed ones stay outstanding for the next
+    round with their failure count bumped.  Returns the pool to use
+    next — a fresh one of ``workers`` processes whenever this round
+    broke the old pool (worker death) or had to reclaim a hung worker
+    (task timeout).
     """
+    queue = deque(run.outstanding())
     pending: dict[Future, int] = {}
     deadlines: dict[int, float] = {}
     broke = False
     timed_out = False
-    try:
-        for idx, shard_plan in enumerate(shard_plans):
-            if idx in parts:
-                continue
-            spec = cfg.shard_chaos(idx, submissions[idx]) if cfg else None
-            if submissions[idx] > 0:
-                recovery.retries += 1
-            submissions[idx] += 1
-            future = pool.submit(_compute_shard, shard_plan, spec)
+    timeout_s = run.policy.shard_timeout_s
+
+    def submit_more() -> None:
+        nonlocal broke
+        while queue and len(pending) < workers and not broke:
+            idx = queue.popleft()
+            task = run.tasks[idx]
+            attempt = run.submissions[idx]
+            spec = run.cfg.shard_chaos(idx, attempt) if run.cfg else None
+            if attempt > 0:
+                run.recoveries[idx].retries += 1
+            run.submissions[idx] += 1
+            try:
+                future = pool.submit(_run_task, task.fn, task.args, spec)
+            except BrokenProcessPool:
+                broke = True
+                return
             pending[future] = idx
-            if policy.shard_timeout_s is not None:
-                deadlines[idx] = time.monotonic() + policy.shard_timeout_s
-    except BrokenProcessPool:
-        broke = True
+            if timeout_s is not None:
+                deadlines[idx] = time.monotonic() + timeout_s
+
+    submit_more()
     while pending and not broke:
         timeout = None
         if deadlines:
             timeout = max(0.0, min(deadlines.values()) - time.monotonic())
         done, _ = wait(pending, timeout=timeout,
                        return_when=FIRST_COMPLETED)
+        values = []
         for future in done:
             idx = pending.pop(future)
             deadlines.pop(idx, None)
             try:
-                parts[idx] = future.result()
+                values.append((idx, future.result()))
             except BrokenProcessPool:
-                failures[idx] += 1
-                recovery.failures += 1
+                run.fail(idx)
                 broke = True
             except Exception:
                 # A picklable worker exception: the pool survives, the
-                # shard retries next round.
-                failures[idx] += 1
-                recovery.failures += 1
+                # task retries next round.
+                run.fail(idx)
         now = time.monotonic()
         expired = [i for i, dl in deadlines.items() if dl <= now]
         if expired:
             for idx in expired:
-                failures[idx] += 1
-                recovery.failures += 1
+                run.fail(idx)
             broke = True
             timed_out = True
+        # Refill the pool before handing values over, so no worker
+        # idles while this process saves a finished task.
+        submit_more()
+        for idx, value in values:
+            run.finish(idx, value)
     if pending and broke:
         # A break abandons the round's in-flight futures, but the
         # executor has already failed the ones it accepted — and a
@@ -604,21 +712,22 @@ def _run_round(
         # round finished fanning out) can exit the drain loop above
         # without running it once.  Sweep what completes so those
         # failure events are counted, not silently dropped; after a
-        # shard timeout the stragglers belong to hung workers, so only
+        # task timeout the stragglers belong to hung workers, so only
         # already-done futures are taken.
         done, _ = wait(pending, timeout=0.0 if timed_out else 1.0)
         for future in done:
             idx = pending.pop(future)
             try:
-                parts[idx] = future.result()
+                value = future.result()
             except Exception:
-                failures[idx] += 1
-                recovery.failures += 1
+                run.fail(idx)
+            else:
+                run.finish(idx, value)
     if broke:
         t0 = time.perf_counter()
         _kill_pool(pool)
         pool = _new_pool(workers)
-        recovery.wall_s += time.perf_counter() - t0
+        run.charge(time.perf_counter() - t0)
     return pool
 
 
@@ -678,9 +787,9 @@ def _compute_graph(plan: ExecutionPlan) -> GraphBatchResult:
     seeds = list(plan.seeds)
     csrs = opt["csrs"]
     if csrs is None:
-        # Cached-workload plan shipped without its CSR bytes: re-attach
-        # the memory-mapped artifact (shared per worker process) and
-        # slice this shard's trial window.
+        # Cached-workload plan shipped without its CSR bytes: attach
+        # the memory-mapped artifact and slice this shard's trial
+        # window.
         ref = opt.get("workload")
         if ref is None:
             raise ValueError("graph plan has neither csrs nor workload ref")

@@ -2,16 +2,18 @@
 
 Monte-Carlo trials are CPU-bound pure Python/NumPy, so threads would
 serialise on the GIL; :mod:`repro.exec.backends` fans trial *shards*
-over worker processes instead.  This module sizes that pool, builds it
-from one multiprocessing context, and parks a healthy pool between
-runs so later runs (and the experiment service's jobs) reuse its warm
-workers.
+(and a study's whole cells) over worker processes instead.  This module
+sizes that pool, builds it from one multiprocessing context, and parks
+a healthy pool between runs so later runs (and the experiment service's
+jobs) reuse its warm workers.  Its workers exit with the process that
+owns the pool, however that process ends.
 """
 
 from __future__ import annotations
 
 import atexit
 import multiprocessing
+import multiprocessing.connection
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
@@ -150,8 +152,31 @@ def kill_pool(pool: ProcessPoolExecutor) -> None:
         pass
 
 
+def _exit_with_parent() -> None:
+    """Pool-worker initializer: exit as soon as the pool's owner dies.
+
+    An owner killed outright (SIGKILL, OOM) runs no clean-up, and its
+    idle workers would block on the call queue for ever: under
+    forkserver each worker also holds the server's "alive" pipe, so
+    neither the server nor the resource tracker sees EOF either.  A
+    daemon thread waits on the owner's sentinel instead and ends the
+    worker; the server and the tracker then exit on their own.
+    """
+    parent = multiprocessing.parent_process()
+    if parent is None:
+        return
+
+    def watch() -> None:
+        multiprocessing.connection.wait([parent.sentinel])
+        os._exit(1)
+
+    threading.Thread(target=watch, name="repro-parent-watch",
+                     daemon=True).start()
+
+
 def _new_pool(workers: int) -> ProcessPoolExecutor:
-    return ProcessPoolExecutor(max_workers=workers, mp_context=mp_context())
+    return ProcessPoolExecutor(max_workers=workers, mp_context=mp_context(),
+                               initializer=_exit_with_parent)
 
 
 def acquire_pool(workers: int) -> ProcessPoolExecutor:

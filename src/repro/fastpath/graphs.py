@@ -183,8 +183,10 @@ def _block_adjacency(
     """(deg, gbase, flat) for one block of trials.
 
     ``flat[gbase[b, u] + i]`` is neighbour ``i`` of agent ``u`` in trial
-    ``b``; when every trial shares one CSR object the flat array is not
-    replicated.
+    ``b``.  The flat array is a copy only when it must be: when every
+    trial shares one CSR object it is that CSR's ``nbrs``, and when the
+    trials' ``nbrs`` lie back to back in one buffer (an artifact-backed
+    workload's do) it is one view of that buffer.
     """
     first = csrs[0]
     if all(c is first for c in csrs):
@@ -195,8 +197,32 @@ def _block_adjacency(
     sizes = np.array([c.nbrs.size for c in csrs], dtype=np.int64)
     starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
     gbase = np.stack([c.indptr[:-1] for c in csrs]) + starts[:, None]
-    flat = np.concatenate([c.nbrs for c in csrs])
+    flat = _contiguous_view([c.nbrs for c in csrs])
+    if flat is None:
+        flat = np.concatenate([c.nbrs for c in csrs])
     return deg, gbase, flat
+
+
+def _contiguous_view(arrays: Sequence[np.ndarray]) -> np.ndarray | None:
+    """One view spanning ``arrays`` when they lie back to back in the
+    buffer of a common 1-D base array, else ``None``."""
+    base = arrays[0]
+    while isinstance(base.base, np.ndarray):
+        base = base.base
+    if base.ndim != 1 or not base.flags.c_contiguous:
+        return None
+    item = base.itemsize
+    origin = base.__array_interface__["data"][0]
+    lo = end = arrays[0].__array_interface__["data"][0]
+    for a in arrays:
+        if a.dtype != base.dtype or a.ndim != 1 or \
+                not a.flags.c_contiguous or \
+                a.__array_interface__["data"][0] != end:
+            return None
+        end += a.nbytes
+    if (lo - origin) % item or end > origin + base.nbytes:
+        return None
+    return base[(lo - origin) // item:(end - origin) // item]
 
 
 def _draw_block_stat(

@@ -52,10 +52,20 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
+from repro.exec.backends import (
+    ExecRecord,
+    Recovery,
+    Task,
+    get_fault_policy,
+    isolated_execution,
+    record_execution,
+    run_tasks,
+)
 from repro.experiments.registry import (
     ExperimentSpec,
+    check_counts,
     get_experiment,
     options_dict,
 )
@@ -69,6 +79,9 @@ from repro.results import (
     result_path,
     save_result,
 )
+
+if TYPE_CHECKING:
+    from repro.workloads import CacheStats, WorkloadCache
 
 __all__ = [
     "Study",
@@ -328,7 +341,7 @@ class Study:
         jobs: int | None = None,
         progress: Callable[[StudyCell], None] | None = None,
     ) -> StudyResult:
-        """Run (or resume) every cell of the grid, in order.
+        """Run (or resume) every cell of the grid.
 
         With ``out_dir``: previously saved cells load instead of
         running, and fresh cells save on completion (to recompute a
@@ -337,15 +350,27 @@ class Study:
         one — the content hash pins the *inputs*, the version gate pins
         the *code* — so a sweep resumed after an upgrade recomputes
         rather than silently mixing results from two implementations.
-        ``progress`` is called with each finished :class:`StudyCell`.
+        Every cell's options are checked (``check_counts``) before any
+        cell runs, so an invalid cell fails the study before it writes
+        an archive.
 
-        ``jobs`` parallelises the sweep's cells from the inside: each
-        cell runs with that many plan-backend workers (injected into
-        options classes that expose a ``jobs`` field).  Because ``jobs``
-        is an execution-only field it never touches a cell's resume key
-        — results computed at any worker count interchange freely — and
-        cells stay sequential, so an interrupted sweep still resumes at
-        a clean cell boundary.
+        ``jobs`` spreads the sweep over that many pool workers, at one
+        of two grains.  With at least ``jobs`` cells to compute, each
+        such cell is one pool task that a worker runs whole and
+        serially — the cell grain, which keeps every worker busy
+        however small a cell's plans are.  With fewer, the cells run
+        one after another, each plan cut into trial shards over the
+        workers (``jobs`` is injected into options classes that expose
+        a ``jobs`` field).  Because ``jobs`` is an execution-only field
+        it never touches a cell's resume key — results computed at any
+        worker count or grain interchange freely.
+
+        ``progress`` is called with each finished :class:`StudyCell`:
+        cached cells first, in grid order, then computed cells as they
+        finish — in completion order at the cell grain.  Each cell
+        saves and journals at that moment too, so an interrupted sweep
+        resumes with exactly the cells that finished; the returned
+        :class:`StudyResult` lists every cell in grid order.
 
         With ``out_dir`` the run is kill-safe: archives and the final
         ``<experiment>-study.manifest.json`` publish atomically, a
@@ -361,14 +386,21 @@ class Study:
         from repro import __version__
         from repro.workloads import active_cache, cache_stats
 
-        done: list[StudyCell] = []
-        wl_cache = active_cache()
-        wl_before = cache_stats().as_dict() if wl_cache is not None else None
-        quarantined: list[str] = []
         jobs_field = (
             jobs is not None
             and any(f.name == "jobs" for f in self.spec.option_fields())
         )
+        cells = self.cells()
+        run_opts = [
+            dataclasses.replace(c.options, jobs=jobs) if jobs_field
+            else c.options
+            for c in cells
+        ]
+        for opts in run_opts:
+            check_counts(self.spec.name, opts)
+        wl_cache = active_cache()
+        wl_before = cache_stats().as_dict() if wl_cache is not None else None
+        quarantined: list[str] = []
         journal = None
         if out_dir is not None:
             out_dir = Path(out_dir)
@@ -377,49 +409,66 @@ class Study:
             journal.append({
                 "event": "study",
                 "experiment": self.spec.name,
-                "n_cells": len(self.assignments()),
+                "n_cells": len(cells),
                 "grid": {k: [str(v) for v in vs]
                          for k, vs in self.grid.items()},
                 "version": __version__,
             })
-        for cell in self.cells():
-            result, cached, recovered = None, False, False
+        done: dict[int, StudyCell] = {}
+        recovered: dict[int, bool] = {}
+
+        def finish(idx: int, result: ExperimentResult,
+                   cached: bool = False) -> None:
             if out_dir is not None:
-                result, recovered = self._load_cached(
+                if not cached:
+                    save_result(result, out_dir)
+                journal.append({
+                    "event": "cell",
+                    "key": cells[idx].key,
+                    "status": "done",
+                    "cached": cached,
+                    "recovered": recovered[idx],
+                })
+            cell = done[idx] = dataclasses.replace(
+                cells[idx], result=result, cached=cached,
+                recovered=recovered[idx],
+            )
+            if progress is not None:
+                progress(cell)
+
+        todo: list[int] = []
+        for idx, cell in enumerate(cells):
+            result, recovered[idx] = None, False
+            if out_dir is not None:
+                result, recovered[idx] = self._load_cached(
                     out_dir, cell, journal, quarantined
                 )
                 if result is not None and result.meta.version != __version__:
                     result = None
-                cached = result is not None
             if result is None:
-                run_opts = cell.options
-                if jobs_field:
-                    run_opts = dataclasses.replace(run_opts, jobs=jobs)
-                result = self.spec.run(run_opts)
-                if out_dir is not None:
-                    save_result(result, out_dir)
-            if out_dir is not None:
-                journal.append({
-                    "event": "cell",
-                    "key": cell.key,
-                    "status": "done",
-                    "cached": cached,
-                    "recovered": recovered,
-                })
-            cell = dataclasses.replace(cell, result=result, cached=cached,
-                                       recovered=recovered)
-            done.append(cell)
-            if progress is not None:
-                progress(cell)
+                todo.append(idx)
+            else:
+                finish(idx, result, cached=True)
+        if jobs is not None and jobs > 1 and len(todo) >= jobs:
+            self._run_cells(
+                todo,
+                [dataclasses.replace(run_opts[idx], jobs=None)
+                 if jobs_field else run_opts[idx] for idx in todo],
+                jobs, wl_cache, finish,
+            )
+        else:
+            for idx in todo:
+                finish(idx, self.spec.run(run_opts[idx]))
         study_result = StudyResult(
-            experiment=self.spec.name, cells=tuple(done),
+            experiment=self.spec.name,
+            cells=tuple(done[idx] for idx in range(len(cells))),
             quarantined=tuple(quarantined),
         )
         if out_dir is not None:
             manifest = study_result.manifest()
             manifest["journal"] = journal_summary = {
                 "cells_done": len(done),
-                "cached": sum(1 for c in done if c.cached),
+                "cached": sum(1 for c in done.values() if c.cached),
                 "quarantined": len(quarantined),
                 "events": len(journal.events()) + 1,  # incl. end
                 "compacted": True,
@@ -439,6 +488,38 @@ class Study:
             # down to a single compacted marker.
             journal.compact(journal_summary)
         return study_result
+
+    def _run_cells(
+        self,
+        todo: Sequence[int],
+        options: Sequence[Any],
+        jobs: int,
+        wl_cache: WorkloadCache | None,
+        finish: Callable[[int, ExperimentResult], None],
+    ) -> None:
+        """The cell grain: cell ``todo[i]`` is one pool task, run with
+        ``options[i]``.
+
+        A task carries the cell's options with ``jobs=None`` (so pools
+        never nest) and the active workload-cache root (pool workers do
+        not inherit :func:`~repro.workloads.set_workload_cache`).  Its
+        plan records and cache counters come back with its result and
+        join this process's; its retries, failures and degradations go
+        into that cell's recovery fields.
+        """
+        from repro.workloads import cache_stats
+
+        root = str(wl_cache.root.absolute()) if wl_cache is not None else None
+        tasks = [Task(_run_cell, (self.spec.name, opts, root))
+                 for opts in options]
+
+        def done(i: int, value: Any, recovery: Recovery) -> None:
+            result, records, stats = value
+            record_execution(records)
+            cache_stats().add(stats)
+            finish(todo[i], _with_recovery(result, recovery))
+
+        run_tasks(tasks, jobs, get_fault_policy(), done)
 
     def _load_cached(
         self,
@@ -469,3 +550,35 @@ class Study:
                 "file": path.name,
             })
             return None, True
+
+
+def _run_cell(
+    experiment: str, options: Any, cache_root: str | None,
+) -> tuple[ExperimentResult, list[ExecRecord], CacheStats]:
+    """One study cell task: the cell run whole and serially, with the
+    workload cache at ``cache_root``.
+
+    Runs in a pool worker, or in the parent when the task degrades;
+    either way its plan records and cache counters are kept apart from
+    the caller's and returned with the result, for the parent to count
+    once.
+    """
+    from repro.workloads import cache_scope
+
+    with isolated_execution() as records, cache_scope(cache_root) as stats:
+        result = get_experiment(experiment).run(options)
+    return result, records, stats
+
+
+def _with_recovery(
+    result: ExperimentResult, recovery: Recovery
+) -> ExperimentResult:
+    """``result`` with a cell task's recovery added to its meta."""
+    meta = result.meta
+    return dataclasses.replace(result, meta=dataclasses.replace(
+        meta,
+        retries=meta.retries + recovery.retries,
+        shard_failures=meta.shard_failures + recovery.failures,
+        degraded_shards=meta.degraded_shards + recovery.degraded,
+        recovery_wall_s=meta.recovery_wall_s + recovery.wall_s,
+    ))

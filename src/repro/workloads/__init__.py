@@ -14,9 +14,9 @@ from repro.workloads.cache import (
     WorkloadRef,
     active_cache,
     attach_artifact,
+    cache_scope,
     cache_stats,
     cached_scenario_workload,
-    detach_artifacts,
     reset_cache_stats,
     set_workload_cache,
     workload_cache,
@@ -33,9 +33,9 @@ __all__ = [
     "WorkloadRef",
     "active_cache",
     "attach_artifact",
+    "cache_scope",
     "cache_stats",
     "cached_scenario_workload",
-    "detach_artifacts",
     "reset_cache_stats",
     "set_workload_cache",
     "workload_cache",

@@ -79,8 +79,8 @@ __all__ = [
     "active_cache",
     "attach_artifact",
     "cache_stats",
+    "cache_scope",
     "cached_scenario_workload",
-    "detach_artifacts",
     "reset_cache_stats",
     "set_workload_cache",
     "workload_cache",
@@ -164,6 +164,14 @@ class CacheStats:
             "sampled_edges": self.sampled_edges,
         }
 
+    def add(self, other: "CacheStats") -> None:
+        """Count ``other``'s fetches here too (a cell task's, made in
+        a pool worker)."""
+        self.hits += other.hits
+        self.misses += other.misses
+        self.quarantined += other.quarantined
+        self.sampled_edges += other.sampled_edges
+
 
 _STATS = CacheStats()
 
@@ -179,7 +187,7 @@ def reset_cache_stats() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Attached artifacts (memory-mapped, shared per process)
+# Attached artifacts (memory-mapped, attached per use)
 # ---------------------------------------------------------------------------
 
 class WorkloadArtifact:
@@ -288,27 +296,17 @@ class WorkloadArtifact:
         )
 
 
-_ATTACHED: dict[str, WorkloadArtifact] = {}
-
-
 def attach_artifact(path: str | Path) -> WorkloadArtifact:
-    """Attach (memory-map) an artifact, shared per process.
+    """Attach (memory-map) an artifact, afresh on every call.
 
-    Raises on a missing or corrupt artifact — shard workers let that
-    fail the shard, and the retry/degrade machinery falls back to the
-    parent's in-memory copy.
+    Nothing memoises attachments: the maps live as long as the arrays
+    that use them, so a long-lived process (a pool worker running cell
+    after cell) keeps no artifact mapped once it is done with it.
+    Attaching costs about 2 ms.  Raises on a missing or corrupt
+    artifact — shard workers let that fail the shard, and the
+    retry/degrade machinery falls back to the parent's in-memory copy.
     """
-    key = str(Path(path).resolve())
-    art = _ATTACHED.get(key)
-    if art is None:
-        art = WorkloadArtifact(path)
-        _ATTACHED[key] = art
-    return art
-
-
-def detach_artifacts() -> None:
-    """Drop every process-cached attachment (tests / cold-cache timing)."""
-    _ATTACHED.clear()
+    return WorkloadArtifact(path)
 
 
 @dataclass(frozen=True)
@@ -392,7 +390,6 @@ class WorkloadCache:
                 raise ValueError("artifact spec does not match key")
         except (ValueError, KeyError, OSError, json.JSONDecodeError):
             # Moved aside, so the caller resamples.
-            _ATTACHED.pop(str(path.resolve()), None)
             quarantine(path, "workload artifact")
             _STATS.quarantined += 1
             return None
@@ -493,9 +490,7 @@ class WorkloadCache:
             removed_artifacts = [a.path.name for a in self.artifacts()]
         if not dry_run:
             for name in targets + removed_artifacts:
-                path = self.root / name
-                _ATTACHED.pop(str(path.resolve()), None)
-                shutil.rmtree(path, ignore_errors=True)
+                shutil.rmtree(self.root / name, ignore_errors=True)
         return {
             "root": str(self.root),
             "orphans": targets,
@@ -546,7 +541,6 @@ def _chaos_tear_artifact(path: Path) -> None:
         mpath = path / "manifest.json"
         data = mpath.read_text()
         mpath.write_text(data[: len(data) // 2])
-        _ATTACHED.pop(str(path.resolve()), None)
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +576,28 @@ def active_cache() -> WorkloadCache | None:
         _ENV_CACHE = WorkloadCache(root)
         _ENV_ROOT = root
     return _ENV_CACHE
+
+
+@contextmanager
+def cache_scope(root: str | None) -> Iterator[CacheStats]:
+    """Run the block with the cache at ``root`` active (none when
+    ``None``), counting its fetches in fresh counters that it yields.
+
+    The previous cache and counters come back afterwards, untouched.
+    A study cell task runs inside one: pool workers do not inherit
+    :func:`set_workload_cache`, so the task carries the parent's root,
+    and the parent adds the yielded counters to its own wherever the
+    cell ran.
+    """
+    global _OVERRIDE, _OVERRIDE_SET, _STATS
+    saved = _OVERRIDE, _OVERRIDE_SET, _STATS
+    _OVERRIDE = WorkloadCache(root) if root is not None else None
+    _OVERRIDE_SET = True
+    _STATS = stats = CacheStats()
+    try:
+        yield stats
+    finally:
+        _OVERRIDE, _OVERRIDE_SET, _STATS = saved
 
 
 @contextmanager

@@ -657,6 +657,41 @@ _SIGINT_CHILD = textwrap.dedent("""
 """)
 
 
+_ORPHAN_CHILD = textwrap.dedent("""
+    from repro.experiments.registry import run_experiment
+    run_experiment("e1", sizes=(64,), workloads=("balanced",),
+                   trials=60000, engine="batch-parity", jobs=2)
+""")
+
+
+def _descendants(pid: int) -> set[int]:
+    """The live descendants of ``pid``, read from ``/proc``."""
+    children: dict[int, list[int]] = {}
+    for entry in os.listdir("/proc"):
+        if entry.isdigit() and _alive(int(entry)):
+            try:
+                stat = Path(f"/proc/{entry}/stat").read_text()
+            except OSError:
+                continue
+            ppid = int(stat.rsplit(")", 1)[1].split()[1])
+            children.setdefault(ppid, []).append(int(entry))
+    found, todo = set(), [pid]
+    while todo:
+        for child in children.get(todo.pop(), ()):
+            found.add(child)
+            todo.append(child)
+    return found
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` runs (an unreaped zombie has exited)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
 def _child_env() -> dict[str, str]:
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -696,6 +731,31 @@ class TestProcessLevelFaults:
         # and the completed resume compacted it into the manifest.
         assert StudyJournal.for_study(out, "e1").events()[-1]["event"] == \
             "compacted"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                        reason="walks the process tree through /proc")
+    def test_sigkilled_owner_takes_its_pool_down(self):
+        """Kill -9 a process mid-run on its pool: the workers, the
+        forkserver and the resource tracker all exit with it."""
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _ORPHAN_CHILD], env=_child_env(),
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        try:
+            # Forkserver, resource tracker and the two shard workers.
+            deadline = time.monotonic() + 60
+            family = _descendants(proc.pid)
+            while len(family) < 4 and time.monotonic() < deadline:
+                time.sleep(0.05)
+                family = _descendants(proc.pid)
+            assert len(family) >= 4, family
+        finally:
+            proc.kill()
+            proc.wait(timeout=60)
+        deadline = time.monotonic() + 10
+        while any(map(_alive, family)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in family if _alive(pid)]
 
     @pytest.mark.slow
     def test_keyboard_interrupt_cancels_in_flight_shards(self):

@@ -19,6 +19,7 @@ into a result.  Checked here at three levels:
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -28,10 +29,13 @@ from hypothesis import strategies as st
 from repro.exec import (
     AUTO_ENGINE,
     ENGINES,
+    FaultPolicy,
+    chaos,
     collect_execution,
     compile_deviation_plan,
     compile_graph_plan,
     compile_honest_plan,
+    fault_policy,
     resolve_backend,
     resolve_engine,
 )
@@ -47,7 +51,17 @@ from repro.experiments.workloads import balanced, skewed
 from repro.extensions.async_gossip import AsyncBatchResult
 from repro.extensions.families import sample_scenario_workload
 from repro.fastpath.batch import stat_block_trials
+from repro.fastpath.graphs import _block_adjacency
+from repro.study import Study, StudyJournal
 from repro.util.batches import concat_batch, merge_batches, stack_batch
+from repro.workloads import (
+    WorkloadCache,
+    attach_artifact,
+    cache_stats,
+    reset_cache_stats,
+    workload_cache,
+    workload_spec,
+)
 from tests.conftest import fields_equal, two_color_split
 
 
@@ -518,3 +532,160 @@ class TestExperimentPayloadDeterminism:
         assert four.meta.jobs == 4
         assert four.meta.backend in ("serial", "parallel")
         assert four.meta.shards >= 1
+
+
+# ---------------------------------------------------------------------------
+# Study cells as pool tasks: the cell grain
+# ---------------------------------------------------------------------------
+
+def _e1_study(gammas=(1.5, 2.0, 3.0, 4.0)) -> Study:
+    """Four tiny E1 cells; batch-parity shards at any trial count."""
+    return Study("e1", {"gamma": list(gammas)}, trials=6, sizes=(16,),
+                 workloads=("balanced",), engine="batch-parity")
+
+
+def _payloads(sweep) -> list[str]:
+    return [c.result.payload_json() for c in sweep.cells]
+
+
+class TestStudyCellGrain:
+    """With at least ``jobs`` uncached cells, ``Study.run(jobs=N)``
+    runs each cell whole on one pool worker: the same bytes, keys and
+    grid order as ``jobs=1``, progress and journal lines as cells
+    finish, and faults recovered per cell."""
+
+    def test_e7_grid_identical_to_jobs_1(self, tmp_path):
+        study = Study("e7", {"strategies": [("silent",), ("pooled",)],
+                             "coalition_sizes": [(1,), (2,)]},
+                      n=24, trials=20)
+        serial = study.run(tmp_path / "serial", jobs=1)
+        with collect_execution() as records:
+            cells = study.run(tmp_path / "cells", jobs=2)
+        assert _payloads(cells) == _payloads(serial)
+        assert [c.key for c in cells.cells] == [c.key for c in serial.cells]
+        assert [c.assignment for c in cells.cells] == \
+            [c.assignment for c in serial.cells]
+        # Each cell ran serially in a worker, and its plan records came
+        # back to this process's collectors.
+        assert records and all(r.shards == 1 for r in records)
+        for cell in cells.cells:
+            assert cell.result.meta.backend == "serial"
+            assert cell.result.meta.jobs is None
+
+    def test_e10_grid_on_a_workload_cache_identical_to_jobs_1(
+        self, tmp_path
+    ):
+        study = Study("e10", {"scenarios": [("complete",), ("ba",)],
+                              "gamma": [3.0, 3.5]},
+                      n=24, trials=6, async_sizes=())
+        serial = study.run(tmp_path / "serial", jobs=1)
+        with workload_cache(tmp_path / "wl"):
+            cells = study.run(tmp_path / "cells", jobs=2)
+        assert _payloads(cells) == _payloads(serial)
+        assert [c.key for c in cells.cells] == [c.key for c in serial.cells]
+
+    def test_workers_cache_counters_reach_the_parent(self, tmp_path):
+        """One fetch per graph cell, wherever the fetch ran."""
+        study = Study("e10", {"scenarios": [("complete",), ("ws",)],
+                              "gamma": [3.0, 3.5]},
+                      n=24, trials=6, async_sizes=())
+        reset_cache_stats()
+        try:
+            with workload_cache(tmp_path / "wl"):
+                study.run(tmp_path / "out", jobs=2)
+            stats = cache_stats()
+            assert stats.hits + stats.misses == 4
+        finally:
+            reset_cache_stats()
+        manifest = json.loads(
+            (tmp_path / "out" / "e10-study.manifest.json").read_text())
+        block = manifest["workload_cache"]
+        assert block["hits"] + block["misses"] == 4
+        assert block["sampled_edges"] > 0
+
+    def test_progress_and_journal_follow_completion(self, tmp_path):
+        journal = StudyJournal.for_study(tmp_path, "e1")
+        seen: list[tuple[str, list[str]]] = []
+
+        def progress(cell) -> None:
+            journaled = [e["key"] for e in journal.events()
+                         if e["event"] == "cell"]
+            seen.append((cell.key, journaled))
+
+        sweep = _e1_study().run(tmp_path, jobs=2, progress=progress)
+        keys = [c.key for c in sweep.cells]
+        assert sorted(k for k, _ in seen) == sorted(keys)
+        # A cell is archived and journaled before it is reported, one
+        # journal line per finished cell.
+        for i, (key, journaled) in enumerate(seen):
+            assert journaled == [k for k, _ in seen[:i + 1]]
+            assert (tmp_path / f"e1-{key}.json").is_file()
+
+    def test_killed_first_attempts_retry_per_cell(self, tmp_path):
+        serial = _e1_study().run(tmp_path / "serial", jobs=1)
+        cfg = chaos.ChaosConfig(seed=5, kill_rate=1.0,
+                                max_faulty_attempts=1)
+        with chaos.install(cfg), \
+                fault_policy(FaultPolicy(backoff_base_s=0.01)):
+            faulted = _e1_study().run(tmp_path / "chaos", jobs=2)
+        assert _payloads(faulted) == _payloads(serial)
+        for cell in faulted.cells:
+            assert cell.result.meta.shard_failures >= 1
+            assert cell.result.meta.retries >= 1
+        # The archives carry the recovery too.
+        again = _e1_study().run(tmp_path / "chaos", jobs=2)
+        assert all(c.cached for c in again.cells)
+        assert [c.result.meta.retries for c in again.cells] == \
+            [c.result.meta.retries for c in faulted.cells]
+
+    def test_exhausted_cells_degrade_to_the_parent(self, tmp_path):
+        serial = _e1_study().run(tmp_path / "serial", jobs=1)
+        cfg = chaos.ChaosConfig(seed=6, kill_rate=1.0,
+                                max_faulty_attempts=99)
+        with chaos.install(cfg), fault_policy(
+            FaultPolicy(max_retries=0, backoff_base_s=0.0)
+        ), collect_execution() as records:
+            degraded = _e1_study().run(tmp_path / "chaos", jobs=2)
+        assert _payloads(degraded) == _payloads(serial)
+        for cell in degraded.cells:
+            assert cell.result.meta.degraded_shards == 1
+            assert cell.result.meta.recovery_wall_s > 0
+        # Each cell's one plan is recorded once, though it ran here.
+        assert len(records) == 4
+
+    def test_fewer_uncached_cells_than_workers_shard_trials(self, tmp_path):
+        _e1_study((1.5, 2.0, 3.0)).run(tmp_path, jobs=1)
+        with collect_execution() as records:
+            sweep = _e1_study().run(tmp_path, jobs=2)
+        assert [c.cached for c in sweep.cells] == [True, True, True, False]
+        (record,) = records
+        assert record.shards == 2
+        fresh = sweep.cells[-1].result.meta
+        assert fresh.backend == "parallel" and fresh.jobs == 2
+
+    def test_invalid_cell_fails_before_any_archive(self, tmp_path):
+        study = Study("e7", {"coalition_sizes": [(1,), (100,)]}, n=48,
+                      trials=10, strategies=("silent",))
+        with pytest.raises(ValueError, match="coalition_sizes"):
+            study.run(tmp_path)
+        assert not list(tmp_path.glob("e7-*.json"))
+
+
+class TestBlockAdjacencyView:
+    def test_artifact_backed_block_is_one_view(self, tmp_path):
+        wl = WorkloadCache(tmp_path).fetch(workload_spec("er_dense", 24, 6,
+                                                         1010))
+        art = attach_artifact(wl.ref.path)
+        csrs = art.csr_list()
+        for block in (csrs, csrs[1:4]):
+            _, _, flat = _block_adjacency(block, 24)
+            assert np.shares_memory(flat, art.arrays["nbrs"])
+            assert np.array_equal(flat,
+                                  np.concatenate([c.nbrs for c in block]))
+
+    def test_separate_buffers_are_concatenated(self):
+        wl = sample_scenario_workload("er_dense", 24, 3, 1010)
+        _, _, flat = _block_adjacency(wl.csrs, 24)
+        assert np.array_equal(flat,
+                              np.concatenate([c.nbrs for c in wl.csrs]))
+        assert not any(np.shares_memory(flat, c.nbrs) for c in wl.csrs)

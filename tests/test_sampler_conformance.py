@@ -47,7 +47,6 @@ from repro.util.faults import (
 )
 from repro.workloads import (
     cached_scenario_workload,
-    detach_artifacts,
     workload_cache,
 )
 
@@ -310,7 +309,6 @@ class TestWorkloadParity:
         plain = sample_scenario_workload(scenario, 16, 5, 1010)
         with workload_cache(tmp_path):
             cold = cached_scenario_workload(scenario, 16, 5, 1010)
-            detach_artifacts()
             warm = cached_scenario_workload(scenario, 16, 5, 1010)
         self.assert_same_workload(plain, cold)
         self.assert_same_workload(plain, warm)
@@ -328,7 +326,6 @@ class TestWorkloadParity:
         off = spec.run(opts).payload_json()
         with workload_cache(tmp_path):
             cold = spec.run(opts).payload_json()
-            detach_artifacts()
             warm = spec.run(opts).payload_json()
         assert off == cold
         assert off == warm

@@ -58,7 +58,7 @@ from repro.service.client import ServiceClient, ServiceError
 from repro.service.store import STORE_FILENAME, locate_store
 from repro.study import Study
 from repro.util.tables import Table
-from repro.workloads import ENV_VAR, detach_artifacts
+from repro.workloads import ENV_VAR
 
 E1_TINY = dict(sizes=(16,), workloads=("balanced",), trials=6, seed=11)
 
@@ -300,12 +300,9 @@ class TestMigrateArchive:
         study = Study("e1", {"gamma": [2.0, 3.0]}, trials=6, sizes=(16,),
                       workloads=("balanced",)).run(out_dir=tree / "sweep")
         monkeypatch.setenv(ENV_VAR, str(tree / "wl"))
-        try:
-            assert main(["experiment", "e10", "--set", "n=48",
-                         "--set", "trials=12", "--set", "async_sizes=16,32",
-                         "--out", str(tree / "ci")]) == 0
-        finally:
-            detach_artifacts()
+        assert main(["experiment", "e10", "--set", "n=48",
+                     "--set", "trials=12", "--set", "async_sizes=16,32",
+                     "--out", str(tree / "ci")]) == 0
         assert len(list((tree / "wl").glob("*/manifest.json"))) > 0
         capsys.readouterr()
 

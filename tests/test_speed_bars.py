@@ -38,7 +38,6 @@ from repro.fastpath.simulate import simulate_protocol_fast
 from repro.workloads import (
     cache_stats,
     cached_scenario_workload,
-    detach_artifacts,
     reset_cache_stats,
     workload_cache,
 )
@@ -222,8 +221,8 @@ def test_graph_tier_beats_the_agent_engine_20x_measured():
 
 def test_warm_cache_sampling_is_10x_under_the_recorded_cold_point():
     """The full n = 512 E10 grid (500 trials per scenario) through the
-    workload cache: the cold pass samples, the warm pass, with every
-    artifact handle detached first, only attaches.  The artifacts take
+    workload cache: the cold pass samples, the warm pass only attaches
+    (every fetch attaches afresh).  The artifacts take
     about 0.6 GB, so they go as soon as the test ends."""
 
     def grid() -> None:
@@ -237,12 +236,10 @@ def test_warm_cache_sampling_is_10x_under_the_recorded_cold_point():
                 reset_cache_stats()
                 grid()
                 cold_edges = cache_stats().sampled_edges
-                detach_artifacts()
                 reset_cache_stats()
                 warm_s = _seconds(grid)
                 warm_edges = cache_stats().sampled_edges
         finally:
-            detach_artifacts()
             reset_cache_stats()
     assert cold_edges > 0
     assert warm_edges == 0

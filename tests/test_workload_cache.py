@@ -37,7 +37,6 @@ from repro.workloads import (
     attach_artifact,
     cache_stats,
     cached_scenario_workload,
-    detach_artifacts,
     reset_cache_stats,
     set_workload_cache,
     workload_cache,
@@ -51,11 +50,9 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 @pytest.fixture(autouse=True)
 def clean_cache_state():
     reset_cache_stats()
-    detach_artifacts()
     yield
     set_workload_cache(None)
     reset_cache_stats()
-    detach_artifacts()
 
 
 class TestKeying:
@@ -107,7 +104,7 @@ class TestFetchAndStats:
         again = cache.fetch(spec)
         assert (cache_stats().misses, cache_stats().hits) == (1, 1)
         assert wl.seeds == again.seeds
-        # The hit attaches the same process-wide artifact.
+        # The hit attaches the same published artifact.
         assert again.ref is not None and wl.ref is not None
         assert again.ref.path == wl.ref.path
 
@@ -115,9 +112,8 @@ class TestFetchAndStats:
         cache = WorkloadCache(tmp_path)
         for scenario in ("ba", "ws", "torus", "regular8+churn"):
             spec = workload_spec(scenario, 16, 4, 1010)
-            got = cache.fetch(spec)
-            detach_artifacts()
-            got = cache.fetch(spec)  # force a re-attach from disk
+            cache.fetch(spec)
+            got = cache.fetch(spec)  # attached afresh from disk
             ref = sample_scenario_workload(scenario, 16, 4, 1010)
             assert got.seeds == ref.seeds
             assert tuple(got.faulty) == tuple(ref.faulty)
@@ -150,7 +146,6 @@ class TestRobustness:
         cache = WorkloadCache(tmp_path)
         spec = workload_spec("ba", 16, 4, 1010)
         first = cache.fetch(spec)
-        detach_artifacts()
         path = Path(first.ref.path)
         (path / "manifest.json").write_text('{"schema": "trunca')
         again = cache.fetch(spec)
@@ -158,14 +153,12 @@ class TestRobustness:
         assert path.with_name(path.name + ".corrupt").is_dir()
         assert again.seeds == first.seeds
         # The rebuilt artifact is attachable and complete.
-        detach_artifacts()
         assert cache.fetch(spec).ref is not None
 
     def test_truncated_array_quarantined(self, tmp_path):
         cache = WorkloadCache(tmp_path)
         spec = workload_spec("ws", 16, 4, 1010)
         wl = cache.fetch(spec)
-        detach_artifacts()
         path = Path(wl.ref.path)
         data = (path / "nbrs.npy").read_bytes()
         (path / "nbrs.npy").write_bytes(data[: len(data) // 2])
@@ -179,7 +172,6 @@ class TestRobustness:
         cache = WorkloadCache(tmp_path)
         spec = workload_spec("ba", 16, 4, 1010)
         wl = cache.fetch(spec)
-        detach_artifacts()
         mpath = Path(wl.ref.path) / "manifest.json"
         doc = json.loads(mpath.read_text())
         doc["spec"]["base_seed"] = 999
@@ -200,7 +192,6 @@ class TestRobustness:
         again = cache.fetch(spec)
         assert cache_stats().quarantined == 1
         assert again.ref is not None
-        detach_artifacts()
         assert cache.fetch(spec).ref is not None
 
 
