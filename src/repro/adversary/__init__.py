@@ -1,17 +1,12 @@
-"""The adversary: permanent fault patterns and coalition builders.
+"""The adversary: permanent fault patterns.
 
 The paper's fault model is *worst-case permanent*: before round 0 an
 adversary that knows the protocol crashes up to ``alpha * n`` agents; no
 further adversarial action is allowed.  :mod:`repro.adversary.faults`
-provides representative worst-case placements.  Coalitions (the rational
-adversary of Theorem 7) are built by :mod:`repro.adversary.coalitions`.
+provides representative worst-case placements.  The rational adversary
+of Theorem 7 is a coalition of supporters (``E7Options.members``).
 """
 
-from repro.adversary.coalitions import (
-    coalition_size_schedules,
-    color_coalition,
-    random_coalition,
-)
 from repro.adversary.faults import (
     color_targeted_faults,
     prefix_faults,
@@ -19,10 +14,7 @@ from repro.adversary.faults import (
 )
 
 __all__ = [
-    "coalition_size_schedules",
-    "color_coalition",
     "color_targeted_faults",
     "prefix_faults",
-    "random_coalition",
     "random_faults",
 ]

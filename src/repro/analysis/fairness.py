@@ -7,7 +7,7 @@ a batch of run outcomes we measure:
 * the empirical winning distribution (failures tracked separately),
 * its total-variation distance from the expected distribution,
 * a chi-square goodness-of-fit p-value — "not rejected at 5%" is the
-  reproduction criterion used in EXPERIMENTS.md.  :func:`chi_square_gof`
+  reproduction criterion E1 reports.  :func:`chi_square_gof`
   computes it from ``scipy.special.chdtrc`` and reproduces
   ``scipy.stats.chisquare`` bit for bit, so importing this module does
   not load ``scipy.stats`` (DESIGN.md §4).

@@ -14,7 +14,8 @@ election; the equilibrium proof (Theorem 7) uses each one:
 
 The full protocol runs with everything enabled (:data:`FULL_DEFENSES`).
 Ablations switch layers off to show that each one is necessary: the
-attack it guards against then succeeds (benchmarks/bench_e9).
+attack it guards against then succeeds (E9; its claims are checked in
+``tests/test_paper_claims.py``).
 """
 
 from __future__ import annotations

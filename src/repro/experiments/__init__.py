@@ -4,9 +4,9 @@ Every experiment registers itself via the :func:`experiment` decorator
 (binding its options dataclass to its runner) and exposes a
 ``run(options) -> ExperimentResult``: typed row sections plus run
 metadata, whose ``.tables()`` render matches the classic text report
-byte-for-byte.  Each experiment is wired to a benchmark in
-``benchmarks/``; EXPERIMENTS.md records the measured tables next to the
-paper's claims.  Discover experiments through
+byte-for-byte.  ``results/paper/`` archives every experiment at its
+defaults, and ``tests/test_paper_claims.py`` checks each claim against
+that archive.  Discover experiments through
 :func:`get_experiment`/:func:`iter_experiments`.
 
 ===========  ==============================================================

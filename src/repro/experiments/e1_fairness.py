@@ -16,6 +16,11 @@ fractions:
   count is the number of winners times its share of the n labels.  The
   groups have equal expected mass exactly when ``bins`` divides n.
 
+A cell with no successful trial (say, at a tiny γ) keeps its fail rate
+and its TV distance (0.5 against the empty distribution) and reports
+``-`` for the p-value and the fairness verdict: there is nothing to
+test.
+
 Trials run on the batched fastpath (``run_trials_fast``): one array pass
 per table cell, win tallies via a single bincount — no per-trial Python
 objects.
@@ -110,7 +115,9 @@ def run(opts: E1Options = E1Options()) -> Table:
                 empirical_distribution_from_counts(counts), expected
             )
             floor = tv_noise_floor(expected, opts.trials)
-            if workload == "leader_election":
+            if not counts:  # no successful trial: nothing to test
+                pvalue = None
+            elif workload == "leader_election":
                 pvalue = _binned_uniform_pvalue(
                     batch.winner[batch.winner >= 0], n
                 )
@@ -118,6 +125,6 @@ def run(opts: E1Options = E1Options()) -> Table:
                 pvalue = chi_square_from_counts(counts, expected)[1]
             table.add_row(
                 workload, n, opts.trials, batch.fail_rate(), tv, floor,
-                pvalue, pvalue > 0.05,
+                pvalue, None if pvalue is None else pvalue > 0.05,
             )
     return table

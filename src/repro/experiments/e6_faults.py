@@ -39,7 +39,7 @@ __all__ = ["E6Options", "run"]
 class E6Options:
     n: int = 256
     alphas: Sequence[float] = (0.0, 0.2, 0.4, 0.6, 0.8)
-    gammas: Sequence[float] = (2.0, 4.0)
+    gammas: Sequence[float] = (2.0, 4.0, 10.0)
     placements: Sequence[str] = ("random", "color_targeted")
     trials: int = 200
     seed: int = 6606

@@ -1,8 +1,9 @@
 """Plain-text table rendering for experiment reports.
 
-Benchmarks and EXPERIMENTS.md both print tables through this module so the
-output format matches everywhere: a title line, a header row, an ASCII rule
-and aligned columns.  Floats are rendered with a configurable format;
+Every experiment report prints through this module (the CLI's tables
+and an archived result's ``load_result(path).render()``), so the
+output format matches everywhere: a title line, a header row, an ASCII
+rule and aligned columns.  Floats are rendered with a configurable format;
 ``None`` renders as ``-``.
 """
 

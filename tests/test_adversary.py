@@ -1,4 +1,4 @@
-"""Tests for fault patterns and coalition builders."""
+"""Tests for the permanent fault patterns."""
 
 from __future__ import annotations
 
@@ -6,11 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.adversary.coalitions import (
-    coalition_size_schedules,
-    color_coalition,
-    random_coalition,
-)
 from repro.adversary.faults import (
     color_targeted_faults,
     prefix_faults,
@@ -62,46 +57,3 @@ class TestFaultPatterns:
         faults = prefix_faults(n, alpha)
         assert len(faults) < n
 
-
-class TestCoalitions:
-    def test_random_size_and_exclusion(self):
-        rng = SeedTree(2).generator()
-        excl = frozenset(range(10))
-        c = random_coalition(40, 5, rng, exclude=excl)
-        assert len(c) == 5
-        assert not (c & excl)
-
-    def test_random_too_large_rejected(self):
-        rng = SeedTree(3).generator()
-        with pytest.raises(ValueError):
-            random_coalition(10, 11, rng)
-
-    def test_color_coalition_members_support_color(self):
-        colors = ["r", "b", "r", "b", "b"]
-        c = color_coalition(colors, "b")
-        assert c == frozenset({1, 3, 4})
-
-    def test_color_coalition_truncates(self):
-        colors = ["b"] * 10
-        c = color_coalition(colors, "b", t=3)
-        assert c == frozenset({0, 1, 2})
-
-    def test_color_coalition_empty_rejected(self):
-        with pytest.raises(ValueError):
-            color_coalition(["r", "r"], "b")
-
-    def test_size_schedules_respect_theorem_regime(self):
-        import math
-        schedules = coalition_size_schedules()
-        for name, f in schedules.items():
-            for n in (64, 1024, 65536):
-                t = f(n)
-                assert 1 <= t, name
-                # t = o(n / log n): check t stays under n/log2(n) at scale.
-                assert t <= n / math.log2(n), (name, n)
-
-    def test_schedule_growth(self):
-        schedules = coalition_size_schedules()
-        assert schedules["single"](4096) == 1
-        assert schedules["sqrt"](4096) == 64
-        assert schedules["n_over_log2"](4096) == 4096 // 144

@@ -1,8 +1,9 @@
 """Smoke + correctness tests for the experiment harness (tiny scales).
 
 Each experiment must run end-to-end, produce a well-formed table, and
-show the *direction* of the paper's claim even at toy sizes.  Full-scale
-numbers live in benchmarks/ and EXPERIMENTS.md.
+show the *direction* of the paper's claim even at toy sizes.  The
+claims at the experiments' defaults are checked against the tracked
+``results/paper/`` archive in tests/test_paper_claims.py.
 """
 
 from __future__ import annotations
@@ -81,6 +82,18 @@ class TestE1:
         observed = np.bincount(np.minimum(7, winners * 8 // n), minlength=8)
         old = stats.chisquare(observed, [winners.size / 8] * 8).pvalue
         assert _binned_uniform_pvalue(winners, n) == float(old)
+
+    @pytest.mark.parametrize("workload", ["balanced", "leader_election"])
+    def test_cell_without_a_successful_trial_reports_no_test(self, workload):
+        # gamma = 0.05 passes the range check but every run fails: the
+        # row keeps its fail rate and TV and has no p-value to report.
+        table, = run_e1(E1Options(sizes=(64,), workloads=(workload,),
+                                  trials=4, gamma=0.05)).tables()
+        row, = table.records()
+        assert row["fail_rate"] == 1.0
+        assert row["TV distance"] == 0.5
+        assert row["chi2 p-value"] is None
+        assert row["fair at 5%?"] is None
 
 
 class TestE2:
