@@ -18,10 +18,15 @@ the service contract (DESIGN.md §11) through the public surfaces only
 5. **CLI round trip** — ``repro submit`` of the same cell prints the
    same payload and exercises the cache-hit path from the CLI.
 6. **Bridge** — compute a new cell locally with ``repro experiment
-   --out`` and ``repro migrate-archive`` it into the live store (a
-   second writer, safe in WAL mode): submitting that cell must be a
+   --out``, and another through a ``Study`` whose float field is
+   written as an int (``{"gamma": [3]}``), and ``repro migrate-archive``
+   both into the live store (a second writer, safe in WAL mode):
+   submitting either cell (the second as ``{"gamma": 3}``) must be a
    store answer with zero executions, and ``GET /results`` must serve
-   the archived document.
+   the archived documents.
+7. **Execution fields** — a submission naming ``options.jobs`` must be
+   refused with HTTP 400 naming ``repro serve --jobs``, creating no job:
+   the worker count is the server's.
 
 Usage::
 
@@ -46,6 +51,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
 
+from repro.study import Study  # noqa: E402  (needs SRC on the path)
+
 PORT = int(os.environ.get("REPRO_SMOKE_PORT", "18731"))
 URL = f"http://127.0.0.1:{PORT}"
 
@@ -57,6 +64,9 @@ CELL_FLAGS = ["--set", "trials=16", "--set", "sizes=16,32",
 # The bridge cell: archived by a local run, then migrated into the store.
 BRIDGE_CELL = {**CELL, "seed": 902}
 BRIDGE_FLAGS = [*CELL_FLAGS[:-1], "seed=902"]
+# The Study bridge cell: gamma written as an int, as Python callers do.
+STUDY_GRID = {"gamma": [3], "seed": [903]}
+STUDY_CELL = {**CELL, "gamma": 3, "seed": 903}
 
 
 def _env() -> dict:
@@ -200,36 +210,60 @@ def main(workdir: str | None = None) -> int:
         archived = sorted(loose.glob("e1-*.json"))
         if len(archived) != 1:
             sys.exit(f"FAIL: expected one archived cell, found {archived}")
+        sweep = Study("e1", STUDY_GRID, **{
+            k: v for k, v in CELL.items() if k != "seed"
+        }).run(out_dir=loose / "study")
         migrate = subprocess.run(
             [sys.executable, "-m", "repro", "migrate-archive", str(loose),
              "--store", str(store)],
             env=_env(), capture_output=True, text=True, timeout=60,
         )
-        if migrate.returncode != 0 or "imported=1" not in migrate.stdout:
-            sys.exit(f"FAIL: migrate-archive did not import the cell: "
+        if migrate.returncode != 0 or "imported=2" not in migrate.stdout:
+            sys.exit(f"FAIL: migrate-archive did not import both cells: "
                      f"{migrate.stdout}{migrate.stderr}")
         executed_before = _get("/stats")["daemon"]["executed"]
-        bridged = _post("/jobs", {"experiment": "e1",
-                                  "options": BRIDGE_CELL})
-        assert bridged["status"] == "done" and bridged["cached"] is True, \
-            bridged
-        assert bridged["id"] is None, bridged
+        for options, doc in (
+                (BRIDGE_CELL, json.loads(archived[0].read_text())),
+                (STUDY_CELL, sweep.cells[0].result.to_json_dict())):
+            bridged = _post("/jobs", {"experiment": "e1",
+                                      "options": options})
+            if not bridged["cached"]:
+                sys.exit(f"FAIL: migrated cell {options} missed the store "
+                         f"(key {bridged['key']}, archived as "
+                         f"{doc['key']})")
+            assert bridged["status"] == "done" and bridged["id"] is None, \
+                bridged
+            if _stripped(_get(f"/results/{bridged['key']}")) \
+                    != _stripped(doc):
+                sys.exit("FAIL: served document != archived file "
+                         "(meta stripped)")
         if _get("/stats")["daemon"]["executed"] != executed_before:
-            sys.exit("FAIL: the migrated cell was re-executed")
-        archived_doc = json.loads(archived[0].read_text())
-        if _stripped(_get(f"/results/{bridged['key']}")) \
-                != _stripped(archived_doc):
-            sys.exit("FAIL: served document != archived file "
-                     "(meta stripped)")
-        print("[smoke] bridge: migrated cell store-served, "
+            sys.exit("FAIL: a migrated cell was re-executed")
+        print("[smoke] bridge: migrated CLI and Study cells store-served, "
               f"executions stayed at {executed_before}")
+
+        # -- execution fields are the server's -------------------------
+        jobs_before = len(_get("/jobs")["jobs"])
+        try:
+            _post("/jobs", {"experiment": "e1",
+                            "options": {**CELL, "jobs": 2}})
+        except urllib.error.HTTPError as exc:
+            refusal = (exc.code, json.loads(exc.read())["error"])
+        else:
+            sys.exit("FAIL: a submission set options.jobs")
+        if refusal[0] != 400 or "repro serve --jobs" not in refusal[1]:
+            sys.exit(f"FAIL: options.jobs answered {refusal}")
+        if len(_get("/jobs")["jobs"]) != jobs_before:
+            sys.exit("FAIL: a refused submission created a job")
+        print("[smoke] options.jobs refused with 400, no job created")
     finally:
         serve.send_signal(signal.SIGINT)
         try:
             serve.wait(timeout=15)
         except subprocess.TimeoutExpired:
             serve.kill()
-    print("[smoke] OK: serve/submit/poll/fidelity/dedup/bridge all green")
+    print("[smoke] OK: serve/submit/poll/fidelity/dedup/bridge/jobs all "
+          "green")
     return 0
 
 

@@ -16,14 +16,14 @@ Service subcommands (:mod:`repro.service`; DESIGN.md §11)::
 
 The ``experiment`` subcommand is registry-driven
 (:mod:`repro.experiments.registry`): any field of an experiment's
-options dataclass can be overridden with ``--set field=value`` (values
-are coerced to the field's declared type; comma-separate sequence
-elements), results render as text tables or serialise as JSON/CSV, and
-``--out DIR`` archives the structured result under its content-hash
-resume key (see :mod:`repro.results`).  ``submit`` shares the ``--set``
-machinery: the same overrides, coerced the same way, produce the same
-content-hash key — so a cell computed by the daemon and one computed
-locally dedup against each other.
+options dataclass can be overridden with ``--set field=value``
+(comma-separate sequence elements), results render as text tables or
+serialise as JSON/CSV, and ``--out DIR`` archives the structured result
+under its content-hash resume key (see :mod:`repro.results`).  The CLI
+only splits ``--set`` text: ``registry.build_options`` types and checks
+it as it does ``POST /jobs`` and ``Study`` values, so one cell has one
+key whichever door it came through.  ``submit`` runs the server's own
+check before the network, which refuses ``--set jobs=N``.
 
 Examples::
 
@@ -50,7 +50,6 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import ast
 import collections.abc
 import contextlib
 import dataclasses
@@ -73,7 +72,7 @@ from repro.exec.backends import (
 from repro.experiments import workloads
 from repro.experiments.registry import (
     ExperimentSpec,
-    check_counts,
+    build_options,
     experiment_names,
     get_experiment,
     iter_experiments,
@@ -296,74 +295,31 @@ def _parse_overrides(pairs: Sequence[str]) -> dict[str, str]:
 
 
 def _coerce_value(text: str, hint: Any) -> Any:
-    """Coerce an override string to an options field's declared type."""
-    origin = typing.get_origin(hint)
-    if origin is typing.Union or origin is getattr(types, "UnionType", ()):
-        # Optional[T] / T | None: coerce to the first non-None member
-        # ("none" spells the null itself, e.g. --set jobs=none).
+    """Split ``--set`` text into the value ``hint``'s field takes.
+
+    A sequence field's text splits at commas into a list, ``none`` or
+    ``null`` spells an optional field's null, and an ``int`` or
+    ``float`` field's text becomes a number.  Text that does not parse
+    stays text, for :func:`~repro.experiments.registry.build_options`
+    to type like a JSON value and reject with the field's declared type.
+    """
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
         if text.strip().lower() in ("none", "null"):
             return None
-        elem = next(
-            (a for a in typing.get_args(hint) if a is not type(None)), None
-        )
-        return _coerce_value(text, elem)
-    if origin in (collections.abc.Sequence, tuple, list) or hint in (
-        tuple, list,
-    ):
-        args = [a for a in typing.get_args(hint) if a is not Ellipsis]
-        elem = args[0] if args else None
-        items = [t.strip() for t in text.split(",") if t.strip() != ""]
-        return tuple(_coerce_value(item, elem) for item in items)
-    if hint is int:
-        return int(text)
-    if hint is float:
-        return float(text)
-    if hint is str:
-        return text
-    # No usable hint (e.g. unparameterised field): best-effort literal.
+        (inner,) = (a for a in args if a is not type(None))
+        return _coerce_value(text, inner)
+    if origin is collections.abc.Sequence:
+        return [_coerce_value(item.strip(), args[0])
+                for item in text.split(",") if item.strip()]
     try:
-        return ast.literal_eval(text)
-    except (ValueError, SyntaxError):
-        return text
-
-
-def _coerce_overrides(
-    spec: ExperimentSpec,
-    raw: dict[str, str],
-    *,
-    skip_unknown: bool = False,
-) -> dict[str, Any]:
-    """Validate override names against the options dataclass and coerce.
-
-    Unknown fields raise :class:`_OverrideError` listing the valid
-    fields (exit 2), or are skipped with a note in ``all`` mode where
-    option schemas differ between experiments.
-    """
-    try:
-        hints = typing.get_type_hints(spec.options_cls)
-    except Exception:  # pragma: no cover - unresolvable annotations
-        hints = {}
-    valid = [f.name for f in spec.option_fields()]
-    out: dict[str, Any] = {}
-    for name, text in raw.items():
-        if name not in valid:
-            if skip_unknown:
-                print(
-                    f"note: {spec.name} has no option field {name!r}; "
-                    "skipped", file=sys.stderr,
-                )
-                continue
-            raise _OverrideError(
-                f"unknown option field {name!r} for {spec.name}; "
-                f"valid fields: {', '.join(valid)}"
-            )
-        try:
-            out[name] = _coerce_value(text, hints.get(name))
-        except (ValueError, SyntaxError) as exc:
-            raise _OverrideError(
-                f"bad value for {spec.name} option {name!r}: {exc}"
-            ) from exc
-    return out
+        if hint is int:
+            return int(text)
+        if hint is float:
+            return float(text)
+    except ValueError:
+        pass
+    return text
 
 
 def _checked_options(
@@ -372,11 +328,12 @@ def _checked_options(
     """``(spec, overrides, options)`` per named experiment.
 
     Folds ``--trials``/``--jobs`` (where the subcommand has them) into
-    the ``--set`` overrides, then coerces, builds and range-checks
-    (:func:`check_counts`) each experiment's options, so a bad value
-    raises :class:`_OverrideError` (exit 2) before anything runs,
-    archives or is submitted.  A ``sweep`` skips fields an experiment
-    lacks.
+    the ``--set`` overrides, splits their text per field and builds each
+    experiment's options through the one door
+    (:func:`~repro.experiments.registry.build_options`), so a bad field
+    or value raises :class:`_OverrideError` (exit 2) before anything
+    runs, archives or is submitted.  A ``sweep`` skips fields an
+    experiment lacks, with a note.
     """
     raw = _parse_overrides(args.overrides)
     for field in ("trials", "jobs"):
@@ -391,17 +348,18 @@ def _checked_options(
     checked = []
     for name in names:
         spec = get_experiment(name)
-        overrides = _coerce_overrides(spec, raw, skip_unknown=sweep)
+        hints = typing.get_type_hints(spec.options_cls)
+        overrides = {}
+        for field, text in raw.items():
+            if sweep and field not in hints:
+                print(f"note: {spec.name} has no option field {field!r}; "
+                      "skipped", file=sys.stderr)
+                continue
+            overrides[field] = _coerce_value(text, hints.get(field))
         try:
-            opts = spec.options_cls(**overrides)
-        except TypeError as exc:
-            raise _OverrideError(
-                f"cannot build {spec.options_cls.__name__}: {exc}"
-            ) from exc
-        try:
-            check_counts(spec.name, opts)
+            opts = build_options(spec.name, overrides)
         except ValueError as exc:
-            raise _OverrideError(str(exc)) from exc
+            raise _OverrideError(str(exc)) from None
         checked.append((spec, overrides, opts))
     return checked
 
@@ -527,11 +485,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
+    from repro.service.api import _resolve_submission
     from repro.service.client import ServiceClient, ServiceError
 
     try:
         [(spec, overrides, _)] = _checked_options(args, [args.name])
-    except _OverrideError as exc:
+        # The server's own check, before the network: it also refuses
+        # the execution fields (--set jobs=N) a submission cannot set.
+        _resolve_submission({"experiment": spec.name, "options": overrides})
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     client = ServiceClient(args.url)

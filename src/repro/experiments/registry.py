@@ -33,7 +33,7 @@ import time
 import types
 import typing
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.agents.plans import STRATEGY_NAMES
 from repro.exec.backends import ExecRecord, collect_execution
@@ -52,8 +52,9 @@ from repro.util.tables import Table
 __all__ = [
     "EXECUTION_FIELDS",
     "ExperimentSpec",
+    "build_options",
     "check_counts",
-    "check_types",
+    "check_fields",
     "experiment",
     "experiment_names",
     "get_experiment",
@@ -139,24 +140,25 @@ def _entries(value: Any) -> tuple[Any, ...]:
 def check_counts(name: str, opts: Any) -> None:
     """Reject counts below their minimum and values outside their range.
 
-    The one range check behind ``repro experiment``, ``POST /jobs`` and
-    every registered runner: ``trials`` must be >= 1, ``jobs`` None or
-    >= 1, ``seed`` >= 0, every entry of ``coalition_sizes`` >= 1 and
-    at most the coalition colour's supporters (E7), ``n``,
-    ``scaling_n`` and every entry of ``sizes`` and ``async_sizes``
-    >= 2, and all but ``scaling_n`` at most ``MAX_KEY_N`` (46340, the
-    int64 key limit), ``sizes`` at least two distinct values where the
-    experiment fits a curve across them, ``minority`` strictly between
-    0 and 1, every γ (``gamma``, ``gammas``, ``pooled_gammas``,
-    ``starvation_gamma``) finite and > 0, and every fault fraction in
-    ``alphas`` and the ``churn_rate`` in [0, 1), and ``chi`` finite and
-    >= 0.  Every entry of ``scenarios`` must be a graph kind with an
-    optional ``+churn``, and ``n`` >= 4 when there is one.  ``engine``
-    must be a tier of the experiment's kind (honest experiments, E10
-    included, take the honest tiers; deviation and mixed ones the
-    deviation tiers), and every entry of ``strategies``, ``workloads``
-    and ``placements`` a registered name.  The ``ValueError`` names the
-    experiment, the field and the limit or the valid values.
+    The range check of :func:`build_options`: ``trials`` must be >= 1,
+    ``jobs`` None or >= 1, ``seed`` >= 0 and every trial seed ``seed +
+    stride * i`` an int64 (``i < max(trials, 10)``, the most any row
+    draws), every entry of ``coalition_sizes`` >= 1 and at most the
+    coalition colour's supporters (E7), ``n``, ``scaling_n`` and every
+    entry of ``sizes`` and ``async_sizes`` >= 2, and all but
+    ``scaling_n`` at most ``MAX_KEY_N`` (46340, the int64 key limit),
+    ``sizes`` at least two distinct values where the experiment fits a
+    curve across them, ``minority`` strictly between 0 and 1, every γ
+    (``gamma``, ``gammas``, ``pooled_gammas``, ``starvation_gamma``)
+    finite and > 0, and every fault fraction in ``alphas`` and the
+    ``churn_rate`` in [0, 1), and ``chi`` finite and >= 0.  Every entry
+    of ``scenarios`` must be a graph kind with an optional ``+churn``,
+    and ``n`` >= 4 when there is one.  ``engine`` must be a tier of the
+    experiment's kind (honest experiments, E10 included, take the
+    honest tiers; deviation and mixed ones the deviation tiers), and
+    every entry of ``strategies``, ``workloads`` and ``placements`` a
+    registered name.  The ``ValueError`` names the experiment, the
+    field and the limit or the valid values.
     """
     for field, minimum in _COUNT_MINIMUMS:
         for v in _entries(getattr(opts, field, None)):
@@ -165,6 +167,16 @@ def check_counts(name: str, opts: Any) -> None:
                     f"{name}: option {field!r} must be >= {minimum}, "
                     f"got {v!r}"
                 )
+    seed = getattr(opts, "seed", None)
+    if isinstance(seed, numbers.Integral):
+        stride = max(get_experiment(name).seed_strides, default=0)
+        seeds = max(getattr(opts, "trials", 1), 10)
+        limit = 2**63 - 1 - stride * (seeds - 1)
+        if seed > limit:
+            raise ValueError(
+                f"{name}: option 'seed' must be <= {limit} (the int64 "
+                f"trial-seed limit), got {seed!r}"
+            )
     for field in ("n", "sizes", "async_sizes"):     # the int64 keys
         for v in _entries(getattr(opts, field, None)):
             if isinstance(v, numbers.Real) and v > MAX_KEY_N:
@@ -242,17 +254,20 @@ def check_counts(name: str, opts: Any) -> None:
 
 
 def _typed(value: Any, hint: Any) -> Any:
-    """``value`` (a decoded JSON value) in the form ``hint`` declares;
-    ``TypeError`` where it does not fit."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if hint is int and number and isinstance(value, int):
+    """``value`` in the form ``hint`` declares; ``TypeError`` where it
+    does not fit."""
+    if type(value) is hint:     # already typed: skips the ABC checks
         return value
+    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if hint is int and number and isinstance(value, numbers.Integral):
+        return int(value)
     if hint is float and number:
         return float(value)
     if hint in (str, bool) and isinstance(value, hint):
         return value
     origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin is collections.abc.Sequence and isinstance(value, list):
+    if (origin is collections.abc.Sequence
+            and isinstance(value, (list, tuple))):
         return tuple(_typed(v, args[0]) for v in value)
     if origin in (typing.Union, types.UnionType):
         if value is None and type(None) in args:
@@ -271,31 +286,61 @@ def _field_types(options_cls: type) -> tuple[dict[str, Any], dict[str, Any]]:
     return typing.get_type_hints(options_cls), declared
 
 
-def check_types(
-    name: str, options_cls: type, overrides: Mapping[str, Any]
-) -> dict[str, Any]:
-    """Check JSON option overrides against their fields' declared types.
+def check_fields(name: str, fields: Iterable[str]) -> None:
+    """Reject names that are no option field of experiment ``name``.
 
-    The type check behind ``POST /jobs``; the CLI parses ``--set`` text
-    into the same types itself.  ``int`` takes a JSON integer (not a
-    bool), ``float`` any JSON number, stored as ``float`` so ``3`` keys
-    the cell ``--set gamma=3`` keys; ``str`` and ``bool`` take a JSON
-    string and boolean, ``Sequence[T]`` an array of ``T`` (stored as a
-    tuple), and ``T | None`` also null.  Returns the overrides in that
-    form; a mismatch raises ``ValueError`` naming the experiment, the
-    field and the value.
+    The field check of :func:`build_options`, shared with
+    :class:`~repro.study.Study`'s grid; the ``ValueError`` names the
+    experiment, the field and the valid ones.
     """
-    hints, declared = _field_types(options_cls)
-    out: dict[str, Any] = {}
-    for field, value in overrides.items():
+    _, valid = _field_types(get_experiment(name).options_cls)
+    for field in fields:
+        if field not in valid:
+            raise ValueError(f"{name}: unknown option field {field!r}; "
+                             f"valid fields: {', '.join(valid)}")
+
+
+def build_options(
+    name: str,
+    overrides: Mapping[str, Any] | None = None,
+    *,
+    base: Any = None,
+) -> Any:
+    """Experiment ``name``'s options: ``overrides`` over ``base``.
+
+    The one way options are built — by the CLI, ``POST /jobs``,
+    :class:`~repro.study.Study`, the daemon and every registered
+    runner — so a cell has one key whichever door it came through.
+    ``base`` is an options instance (the defaults when ``None``).
+    Unknown fields are rejected (:func:`check_fields`), and every field
+    is typed as declared: ``int`` takes an integer and never a bool,
+    ``float`` any real number, stored as ``float`` (so ``3`` keys the
+    cell ``3.0`` keys); ``str`` and ``bool`` take a string and a bool,
+    ``Sequence[T]`` a list or tuple of ``T`` (stored as a tuple), and
+    ``T | None`` also ``None``.  A mismatch raises ``ValueError``
+    naming the experiment, the field and the value; the options are
+    then range-checked (:func:`check_counts`).
+    """
+    spec = get_experiment(name)
+    overrides = overrides or {}
+    check_fields(spec.name, overrides)
+    if base is None:
+        base = spec.options_cls()
+    hints, declared = _field_types(spec.options_cls)
+    typed: dict[str, Any] = {}
+    for field in declared:
+        value = (overrides[field] if field in overrides
+                 else getattr(base, field))
         try:
-            out[field] = _typed(value, hints[field])
-        except TypeError:
+            typed[field] = _typed(value, hints[field])
+        except (TypeError, OverflowError):
             raise ValueError(
-                f"{name}: option {field!r} must be {declared[field]}, "
+                f"{spec.name}: option {field!r} must be {declared[field]}, "
                 f"got {value!r}"
             ) from None
-    return out
+    opts = spec.options_cls(**typed)
+    check_counts(spec.name, opts)
+    return opts
 
 
 @dataclass(frozen=True)
@@ -375,11 +420,7 @@ def experiment(
     def decorate(fn: Callable) -> Callable[..., ExperimentResult]:
         @functools.wraps(fn)
         def run(opts: Any = None, /, **overrides: Any) -> ExperimentResult:
-            if opts is None:
-                opts = options(**overrides)
-            elif overrides:
-                opts = dataclasses.replace(opts, **overrides)
-            check_counts(name, opts)
+            opts = build_options(name, overrides, base=opts)
             start = time.perf_counter()
             with collect_execution() as exec_records:
                 out = fn(opts)

@@ -16,7 +16,8 @@ Dedup contract: ``POST /jobs`` computes the submission's content-hash
 ``result_key`` from the fully-resolved options, answers **immediately
 from the store** on a hit (no job is created), and otherwise enqueues —
 where an in-flight job with the same key coalesces the submission
-(DESIGN.md §11).  Execution-only fields (``jobs``) never enter the key.
+(DESIGN.md §11).  Execution-only fields (``jobs``) never enter the key,
+and a submission cannot set them: the server picks its own worker count.
 
 :class:`ExperimentService` wires the four layers together and runs the
 server on a ``ThreadingHTTPServer`` (one handler thread per client, a
@@ -34,8 +35,8 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from repro.experiments.registry import (
-    check_counts,
-    check_types,
+    EXECUTION_FIELDS,
+    build_options,
     get_experiment,
     options_dict,
 )
@@ -55,9 +56,11 @@ def _resolve_submission(body: Mapping[str, Any]) -> tuple[str, dict, str]:
     """Validate a POST /jobs body -> (experiment, options, result_key).
 
     ``options`` holds field overrides applied over the experiment's
-    defaults (exactly the CLI's ``--set`` semantics); the key is
-    computed from the fully-resolved options so a service-run cell and
-    a locally-run one share their identity.
+    defaults (exactly the CLI's ``--set`` semantics), built by the one
+    door (:func:`~repro.experiments.registry.build_options`) and
+    returned typed, so a service-run cell and a locally-run one share
+    their key.  ``jobs`` is the server's (``repro serve --jobs``): it
+    picks how many processes the server forks, so it is refused.
     """
     if not isinstance(body, Mapping):
         raise _BadRequest("request body must be a JSON object")
@@ -72,21 +75,18 @@ def _resolve_submission(body: Mapping[str, Any]) -> tuple[str, dict, str]:
     if not isinstance(overrides, Mapping):
         raise _BadRequest("'options' must be a JSON object of field "
                           "overrides")
-    valid = {f.name for f in spec.option_fields()}
-    unknown = sorted(set(overrides) - valid)
-    if unknown:
-        raise _BadRequest(
-            f"unknown option field(s) {unknown} for {spec.name}; "
-            f"valid fields: {sorted(valid)}"
-        )
-    # Typed as --set would type them, so both front doors key alike.
+    for field in EXECUTION_FIELDS:
+        if field in overrides:
+            raise _BadRequest(
+                f"{spec.name}: option {field!r} is the server's to set "
+                f"(repro serve --{field} N), not a submission's"
+            )
     try:
-        overrides = check_types(spec.name, spec.options_cls, overrides)
-        opts = spec.options_cls(**overrides)
-        check_counts(spec.name, opts)
+        opts = build_options(spec.name, overrides)
     except ValueError as exc:
         raise _BadRequest(str(exc)) from None
-    return spec.name, overrides, result_key(spec.name, options_dict(opts))
+    typed = {field: getattr(opts, field) for field in overrides}
+    return spec.name, typed, result_key(spec.name, options_dict(opts))
 
 
 class _Handler(BaseHTTPRequestHandler):

@@ -26,7 +26,6 @@ counters (``executed``, ``cache_hits``, ``failed``) served by
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 import traceback
 from typing import Any
@@ -132,13 +131,9 @@ class Daemon:
     def _execute(self, job: Job) -> Any:
         from repro.experiments.registry import get_experiment
 
-        spec = get_experiment(job.experiment)
-        opts = spec.options_cls(**dict(job.options))
-        if self.jobs is not None and any(
-            f.name == "jobs" for f in spec.option_fields()
-        ):
-            opts = dataclasses.replace(opts, jobs=self.jobs)
-        result = spec.run(opts)
+        execution = {} if self.jobs is None else {"jobs": self.jobs}
+        result = get_experiment(job.experiment).run(**job.options,
+                                                    **execution)
         if result.key != job.key:  # pragma: no cover - registry bug guard
             raise RuntimeError(
                 f"executed result key {result.key} != job key {job.key} "

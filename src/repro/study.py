@@ -64,8 +64,10 @@ from repro.exec.backends import (
     run_tasks,
 )
 from repro.experiments.registry import (
+    EXECUTION_FIELDS,
     ExperimentSpec,
-    check_counts,
+    build_options,
+    check_fields,
     get_experiment,
     options_dict,
 )
@@ -262,14 +264,16 @@ class Study:
         Registered experiment name (``"e1"`` .. ``"e10"``).
     grid:
         Mapping of options-field name to the values to sweep.  Field
-        names are validated against the options dataclass eagerly.
+        names are validated against the options dataclass eagerly;
+        ``jobs`` is no axis (it is :meth:`run`'s).
     seed:
         Study seed for per-cell seed derivation.  Defaults to the base
         options' own ``seed``; per-cell seeds derive from it unless the
         grid sweeps ``seed`` itself.
     base / **base_overrides:
-        The options shared by every cell: either a full options
-        instance, or field overrides applied to the defaults.
+        The options shared by every cell: an options instance (the
+        defaults when omitted) with field overrides applied, built by
+        :func:`~repro.experiments.registry.build_options`.
     """
 
     def __init__(
@@ -282,27 +286,22 @@ class Study:
         **base_overrides: Any,
     ):
         self.spec: ExperimentSpec = get_experiment(experiment)
-        if base is None:
-            base = self.spec.options_cls(**base_overrides)
-        elif base_overrides:
-            base = dataclasses.replace(base, **base_overrides)
-        self.base = base
-        field_names = {f.name for f in self.spec.option_fields()}
+        self.base = build_options(self.spec.name, base_overrides, base=base)
         grid = dict(grid or {})
-        unknown = sorted(set(grid) - field_names)
-        if unknown:
-            raise ValueError(
-                f"unknown option field(s) {unknown} for experiment "
-                f"{self.spec.name!r}; valid fields: {sorted(field_names)}"
-            )
+        check_fields(self.spec.name, grid)
+        for field in EXECUTION_FIELDS:
+            if field in grid:
+                raise ValueError(
+                    f"{self.spec.name}: {field!r} moves no result, so it "
+                    f"is no grid axis; pass Study.run({field}=...)")
         self.grid: dict[str, tuple[Any, ...]] = {
             k: tuple(v) for k, v in grid.items()
         }
         self._derive_seeds = (
-            "seed" in field_names and "seed" not in self.grid
+            hasattr(self.base, "seed") and "seed" not in self.grid
         )
         self.seed = (
-            seed if seed is not None else getattr(base, "seed", None)
+            seed if seed is not None else getattr(self.base, "seed", None)
         )
 
     def assignments(self) -> list[dict[str, Any]]:
@@ -316,22 +315,31 @@ class Study:
         ]
 
     def cell_options(self, assignment: Mapping[str, Any]) -> Any:
-        """The options instance of one cell (seed derived if applicable)."""
-        opts = dataclasses.replace(self.base, **assignment)
+        """The options instance of one cell, built by the one door
+        (:func:`~repro.experiments.registry.build_options`); unless the
+        grid pins ``seed``, its seed derives from the typed assignment,
+        so ``{"gamma": [2]}`` draws the seeds ``{"gamma": [2.0]}`` does."""
+        opts = build_options(self.spec.name, assignment, base=self.base)
         if self._derive_seeds and self.seed is not None:
+            typed = {field: getattr(opts, field) for field in assignment}
+            # A 31-bit seed; the run's own pass through the door checks
+            # it with the rest.
             opts = dataclasses.replace(
-                opts, seed=derive_cell_seed(self.seed, assignment)
-            )
+                opts, seed=derive_cell_seed(self.seed, typed))
         return opts
 
     def cells(self) -> list[StudyCell]:
-        """Every cell with its options and resume key, nothing run yet."""
+        """Every cell with its typed assignment, options and resume key,
+        nothing run yet."""
         out = []
         for assignment in self.assignments():
             opts = self.cell_options(assignment)
             key = result_key(self.spec.name, options_dict(opts))
-            out.append(StudyCell(assignment=assignment, options=opts,
-                                 key=key))
+            out.append(StudyCell(
+                assignment={field: getattr(opts, field)
+                            for field in assignment},
+                options=opts, key=key,
+            ))
         return out
 
     def run(
@@ -350,7 +358,8 @@ class Study:
         one — the content hash pins the *inputs*, the version gate pins
         the *code* — so a sweep resumed after an upgrade recomputes
         rather than silently mixing results from two implementations.
-        Every cell's options are checked (``check_counts``) before any
+        Every cell's options, and ``jobs``, pass the one door
+        (:func:`~repro.experiments.registry.build_options`) before any
         cell runs, so an invalid cell fails the study before it writes
         an archive.
 
@@ -359,9 +368,8 @@ class Study:
         such cell is one pool task that a worker runs whole and
         serially — the cell grain, which keeps every worker busy
         however small a cell's plans are.  With fewer, the cells run
-        one after another, each plan cut into trial shards over the
-        workers (``jobs`` is injected into options classes that expose
-        a ``jobs`` field).  Because ``jobs`` is an execution-only field
+        one after another at ``jobs``, each plan cut into trial shards
+        over the workers.  Because ``jobs`` is an execution-only field
         it never touches a cell's resume key — results computed at any
         worker count or grain interchange freely.
 
@@ -386,18 +394,10 @@ class Study:
         from repro import __version__
         from repro.workloads import active_cache, cache_stats
 
-        jobs_field = (
-            jobs is not None
-            and any(f.name == "jobs" for f in self.spec.option_fields())
-        )
         cells = self.cells()
-        run_opts = [
-            dataclasses.replace(c.options, jobs=jobs) if jobs_field
-            else c.options
-            for c in cells
-        ]
-        for opts in run_opts:
-            check_counts(self.spec.name, opts)
+        execution = {} if jobs is None else {"jobs": jobs}
+        # A bad ``jobs`` fails here, before any cell runs or archives.
+        build_options(self.spec.name, execution, base=self.base)
         wl_cache = active_cache()
         wl_before = cache_stats().as_dict() if wl_cache is not None else None
         quarantined: list[str] = []
@@ -450,15 +450,11 @@ class Study:
             else:
                 finish(idx, result, cached=True)
         if jobs is not None and jobs > 1 and len(todo) >= jobs:
-            self._run_cells(
-                todo,
-                [dataclasses.replace(run_opts[idx], jobs=None)
-                 if jobs_field else run_opts[idx] for idx in todo],
-                jobs, wl_cache, finish,
-            )
+            self._run_cells(todo, [cells[idx].options for idx in todo],
+                            jobs, wl_cache, finish)
         else:
             for idx in todo:
-                finish(idx, self.spec.run(run_opts[idx]))
+                finish(idx, self.spec.run(cells[idx].options, **execution))
         study_result = StudyResult(
             experiment=self.spec.name,
             cells=tuple(done[idx] for idx in range(len(cells))),
@@ -500,8 +496,8 @@ class Study:
         """The cell grain: cell ``todo[i]`` is one pool task, run with
         ``options[i]``.
 
-        A task carries the cell's options with ``jobs=None`` (so pools
-        never nest) and the active workload-cache root (pool workers do
+        A task runs the cell's options at ``jobs=None`` (so pools never
+        nest) with the active workload-cache root (pool workers do
         not inherit :func:`~repro.workloads.set_workload_cache`).  Its
         plan records and cache counters come back with its result and
         join this process's; its retries, failures and degradations go
@@ -566,7 +562,7 @@ def _run_cell(
     from repro.workloads import cache_scope
 
     with isolated_execution() as records, cache_scope(cache_root) as stats:
-        result = get_experiment(experiment).run(options)
+        result = get_experiment(experiment).run(options, jobs=None)
     return result, records, stats
 
 

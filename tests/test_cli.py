@@ -10,6 +10,7 @@ from golden_opts import GOLDEN_OPTS
 from repro.cli import build_parser, main
 from repro.experiments.registry import experiment_names
 from repro.results import load_result
+from repro.workloads import ENV_VAR
 
 
 def _set_args(name: str, *, exclude: tuple[str, ...] = ()) -> list[str]:
@@ -369,6 +370,34 @@ class TestOverrideValidation:
         assert rc == 2
         assert "e2: option 'sizes' must be <= 46340 (the int64 key limit), " \
             "got 50000" in capsys.readouterr().err
+        # The worker count is the server's (repro serve --jobs), not the
+        # submitter's: it picks how many processes the server forks.
+        rc = main(["submit", "e1", "--set", "jobs=2",
+                   "--url", "http://127.0.0.1:9"])
+        assert rc == 2
+        assert "e1: option 'jobs' is the server's to set " \
+            "(repro serve --jobs N)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cache", [False, True])
+    def test_trial_seeds_past_int64_exit_2(self, cache, capsys, tmp_path,
+                                           monkeypatch):
+        """E10's trial seeds run to ``seed + 43 * 9`` (ten sequential
+        seeds at two trials); past int64 the workload cache cannot
+        store them, so the cell fails the door, cache on or off, and
+        the largest seed the door accepts runs."""
+        if cache:
+            monkeypatch.setenv(ENV_VAR, str(tmp_path / "wl"))
+        cell = ["experiment", "e10", "--set", "n=24", "--set", "trials=2",
+                "--set", "async_sizes=16", "--set", "scenarios=er_dense"]
+        limit = 2**63 - 1 - 43 * 9
+        rc = main([*cell, "--set", "seed=9223372036854775800"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert (f"e10: option 'seed' must be <= {limit} (the int64 "
+                "trial-seed limit), got 9223372036854775800") in captured.err
+        assert captured.out == ""
+        assert main([*cell, "--set", f"seed={limit}"]) == 0
+        assert "er_dense" in capsys.readouterr().out
 
     def test_sequence_coercion(self, capsys):
         rc = main(["experiment", "e1", "--format", "json",

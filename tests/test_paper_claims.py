@@ -26,10 +26,13 @@ import dataclasses
 import functools
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
+from repro.analysis.fairness import expected_distribution
 from repro.experiments.registry import get_experiment, options_dict
+from repro.experiments.workloads import WORKLOADS
 from repro.results import ExperimentResult, load_result, result_path
 
 ARCHIVE = Path(__file__).resolve().parent.parent / "results" / "paper"
@@ -112,15 +115,31 @@ def test_defaults_rerun_to_the_archived_payload(cell):
 # The claims
 # ---------------------------------------------------------------------------
 
+def _fair_tv_quantile(expected: dict, draws: int, q: float = 0.999) -> float:
+    """The ``q`` quantile of the TV distance between a fair multinomial
+    sample of ``draws`` winners and ``expected``, over 10,000 seeded
+    simulated samples."""
+    p = np.fromiter(expected.values(), dtype=float)
+    counts = np.random.default_rng(0).multinomial(draws, p, size=10_000)
+    return float(np.quantile(0.5 * np.abs(counts / draws - p).sum(axis=1),
+                             q))
+
+
 def test_e1_fairness():
     """Theorem 4: Pr[color c wins] = its support fraction.  TV sits at
-    the fair-sampling noise floor, and chi-square does not reject at a
-    Bonferroni-corrected 5% over the family of rows."""
+    the fair-sampling noise floor, below the 99.9% quantile of a fair
+    sample's TV, and chi-square does not reject at a Bonferroni-corrected
+    5% over the family of rows.  The quantile is what binds on
+    many-category rows, where 3x the normal-approximation floor nears
+    1 (0.956 for leader election at n = 256, against about 0.37)."""
     table, = archived("e1").tables()
     rows = len(table.rows)
-    for tv, floor in zip(table.column("TV distance"),
-                         table.column("TV noise floor")):
-        assert tv < max(0.05, 3.0 * floor)
+    for workload, n, trials, fails, tv, floor in zip(*(
+            table.column(c) for c in ("workload", "n", "trials", "fail_rate",
+                                      "TV distance", "TV noise floor"))):
+        expected = expected_distribution(WORKLOADS[workload](n))
+        fair = _fair_tv_quantile(expected, round(trials * (1 - fails)))
+        assert tv < min(max(0.05, 3.0 * floor), fair), (workload, n)
     for fails in table.column("fail_rate"):
         assert fails < 0.02
     pvalues = table.column("chi2 p-value")

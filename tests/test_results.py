@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -109,6 +110,10 @@ class TestPerExperiment:
                 spec.run(opts, **{field: 0})
             assert str(err.value).startswith(
                 f"{name}: option {field!r} must be >= 1, got 0")
+        # Nor is ``True`` one trial: the runner types its options too.
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name}: option 'trials' must be int, got True")):
+            spec.run(opts, trials=True)
 
     def test_agent_counts_below_two_rejected(self, name):
         # A protocol needs two agents: ``n``, ``scaling_n`` and every
@@ -204,6 +209,13 @@ class TestStudy:
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="valid fields"):
             Study("e1", {"bogus": [1, 2]})
+        # A worker count moves no result: an axis over it would repeat
+        # one cell's work under one key, or (with derived seeds) draw
+        # different seeds for the same cell.
+        with pytest.raises(ValueError, match=re.escape(
+                "e1: 'jobs' moves no result, so it is no grid axis; pass "
+                "Study.run(jobs=...)")):
+            Study("e1", {"jobs": [1, 2]})
 
     def test_cells_and_derived_seeds(self):
         study = Study("e1", {"sizes": [(16,), (24,)]},

@@ -21,7 +21,9 @@ fixture, so nothing leaks into other tests.
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
+import functools
 import json
 import os
 import re
@@ -33,12 +35,16 @@ import urllib.request
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from golden_opts import GOLDEN_OPTS
 from repro import __version__
-from repro.cli import main
+from repro.cli import _checked_options, main
 from repro.experiments.registry import (
     _REGISTRY,
+    EXECUTION_FIELDS,
+    build_options,
     experiment,
     experiment_names,
     get_experiment,
@@ -56,7 +62,7 @@ from repro.service import (
 from repro.service.api import ExperimentService, _resolve_submission
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.store import STORE_FILENAME, locate_store
-from repro.study import Study
+from repro.study import Study, derive_cell_seed
 from repro.util.tables import Table
 from repro.workloads import ENV_VAR
 
@@ -453,20 +459,92 @@ class TestDaemon:
 # HTTP end to end
 # ---------------------------------------------------------------------------
 
+def _python_spelling(value):
+    """``value`` as Python code writes it: integral floats as ints,
+    lists in place of tuples."""
+    if isinstance(value, tuple):
+        return [_python_spelling(v) for v in value]
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return value
+
+
+def _set_text(value) -> str:
+    """``value`` as ``--set`` text."""
+    if value is None:
+        return "none"
+    if isinstance(value, (list, tuple)):
+        return ",".join(map(str, value))
+    return str(value)
+
+
+@functools.cache
+def _recording_run(name: str):
+    """The registry's runner wrapper around ``name``'s options class,
+    with a body that tabulates nothing: the options ``spec.run``
+    records, without the experiment's cost."""
+    spec = get_experiment(name)
+    try:
+        return experiment(name, options=spec.options_cls, kind=spec.kind,
+                          seed_strides=spec.seed_strides)(
+            lambda opts: Table(headers=["cell"]))
+    finally:
+        _REGISTRY[name] = spec
+
+
 class TestSubmissionTypes:
     @pytest.mark.parametrize("name", experiment_names())
-    def test_json_defaults_resolve_to_the_default_cell(self, name):
-        """Every option type in use has a JSON rule: each experiment's
-        defaults, sent as JSON, resolve to the default options object
-        (arrays as tuples, numbers as their field's type) and key the
-        default cell."""
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_json_defaults_resolve_to_the_default_cell(self, name, data):
+        """One cell, one key, whichever door (DESIGN.md §7): each
+        experiment's defaults, any subset of fields spelled as Python
+        writes them (``3`` for ``3.0``, lists for tuples), as their JSON
+        round trip or as ``--set`` text, build the default options and
+        key the default cell through ``build_options``, ``POST /jobs``,
+        the CLI, a one-cell ``Study`` grid and the options ``spec.run``
+        records; and a grid derives its cell seed from the typed values,
+        whatever their spelling."""
         spec = get_experiment(name)
-        defaults = options_dict(spec.default_options())
-        body = {"experiment": name,
-                "options": json.loads(json.dumps(defaults))}
-        _, overrides, key = _resolve_submission(body)
-        assert spec.options_cls(**overrides) == spec.default_options()
-        assert key == result_key(name, defaults)
+        defaults = spec.default_options()
+        key = result_key(name, options_dict(defaults))
+        fields = [f.name for f in spec.option_fields()]
+        chosen = data.draw(st.lists(st.sampled_from(fields), unique=True))
+        spelled = {
+            field: data.draw(st.sampled_from((
+                _python_spelling(getattr(defaults, field)),
+                json.loads(json.dumps(getattr(defaults, field))),
+            )))
+            for field in chosen
+        }
+        assert build_options(name, spelled) == defaults
+        recorded = _recording_run(name)(**spelled)
+        assert recorded.options == options_dict(defaults)
+        assert recorded.key == key
+        args = argparse.Namespace(overrides=[
+            f"{field}={_set_text(value)}" for field, value in spelled.items()])
+        [(_, _, opts)] = _checked_options(args, [name])
+        assert opts == defaults
+
+        # The remote door and a grid refuse ``jobs``: the server and
+        # ``Study.run`` set it.
+        remote = {f: v for f, v in spelled.items()
+                  if f not in EXECUTION_FIELDS}
+        _, overrides, submitted = _resolve_submission(
+            {"experiment": name, "options": remote})
+        assert build_options(name, overrides) == defaults
+        assert submitted == key
+        typed = {f: getattr(defaults, f) for f in remote}
+        [cell] = Study(name, {f: [v] for f, v in remote.items()}).cells()
+        [want] = Study(name, {f: [v] for f, v in typed.items()}).cells()
+        assert cell.assignment == typed
+        assert cell.options == want.options
+        assert cell.key == want.key
+        if "seed" in remote:
+            assert cell.options == defaults and cell.key == key
+        else:
+            assert cell.options.seed == derive_cell_seed(defaults.seed,
+                                                         typed)
 
 
 @pytest.fixture
@@ -648,6 +726,10 @@ class TestServiceHTTP:
             {"experiment": "e1", "options": {"trials": True}},
             {"experiment": "e1", "options": {"sizes": 64}},
             {"experiment": "e1", "options": {"gamma": "3"}},
+            # Trial seeds past int64, which the workload cache could
+            # not store, and a worker count, which is the server's:
+            {"experiment": "e10", "options": {"seed": 2**63}},
+            {"experiment": "e1", "options": {"jobs": 2}},
         ]
         for body in cases:
             with pytest.raises(ServiceError) as err:
@@ -684,6 +766,15 @@ class TestServiceHTTP:
         with pytest.raises(ServiceError, match=re.escape(
                 "e7: option 'strategies' entries must be one of")):
             client.submit("e7", {"strategies": ["bogus"]})
+        with pytest.raises(ServiceError, match=re.escape(
+                "e10: option 'seed' must be <= 9223372036854775420 (the "
+                "int64 trial-seed limit), got 9223372036854775800")):
+            client.submit("e10", {"trials": 2,
+                                  "seed": 9223372036854775800})
+        with pytest.raises(ServiceError, match=re.escape(
+                "e1: option 'jobs' is the server's to set "
+                "(repro serve --jobs N)")):
+            client.submit("e1", {"jobs": 2})
         # Malformed JSON body.
         req = urllib.request.Request(
             f"{service.url}/jobs", data=b"{oops",
