@@ -27,6 +27,12 @@ the service contract (DESIGN.md §11) through the public surfaces only
 7. **Execution fields** — a submission naming ``options.jobs`` must be
    refused with HTTP 400 naming ``repro serve --jobs``, creating no job:
    the worker count is the server's.
+8. **Keep-alive** — one ``ServiceClient`` resubmits the smoke cell 50
+   times and fetches each result over the one connection it opens:
+   every answer is ``cached`` and nothing executes.
+9. **Clean shutdown** — with that connection still open and idle,
+   SIGINT ``repro serve``: it must exit 0 within 15 s, and the client
+   must then get status 0, not an answer.
 
 Usage::
 
@@ -37,6 +43,8 @@ Exit status 0 on success, 1 on any divergence.
 
 from __future__ import annotations
 
+import contextlib
+import http.client
 import json
 import os
 import signal
@@ -51,7 +59,11 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
 
-from repro.study import Study  # noqa: E402  (needs SRC on the path)
+from repro.service.client import (  # noqa: E402  (needs SRC on the path)
+    ServiceClient,
+    ServiceError,
+)
+from repro.study import Study  # noqa: E402
 
 PORT = int(os.environ.get("REPRO_SMOKE_PORT", "18731"))
 URL = f"http://127.0.0.1:{PORT}"
@@ -101,6 +113,23 @@ def _wait_healthy(proc: subprocess.Popen, deadline_s: float = 30) -> None:
         except (urllib.error.URLError, ConnectionError):
             time.sleep(0.1)
     sys.exit("FAIL: service never became healthy")
+
+
+@contextlib.contextmanager
+def _counting_connects():
+    """Count the TCP connections ``http.client`` opens in the block."""
+    connects = []
+    connect = http.client.HTTPConnection.connect
+
+    def counting(conn):
+        connects.append(conn)
+        connect(conn)
+
+    http.client.HTTPConnection.connect = counting
+    try:
+        yield connects
+    finally:
+        http.client.HTTPConnection.connect = connect
 
 
 def _stripped(doc: dict) -> dict:
@@ -256,14 +285,51 @@ def main(workdir: str | None = None) -> int:
         if len(_get("/jobs")["jobs"]) != jobs_before:
             sys.exit("FAIL: a refused submission created a job")
         print("[smoke] options.jobs refused with 400, no job created")
+
+        # -- keep-alive: 50 store hits over one connection --------------
+        with _counting_connects() as connects, ServiceClient(URL) as client:
+            executed_before = client.stats()["daemon"]["executed"]
+            for _ in range(50):
+                hit = client.submit("e1", CELL)
+                if not hit["cached"] or hit["id"] is not None:
+                    sys.exit(f"FAIL: a resubmission was not cached: {hit}")
+                if _stripped(client.result(hit["key"])) \
+                        != _stripped(service_doc):
+                    sys.exit("FAIL: a kept-alive fetch served another "
+                             "document")
+            if client.stats()["daemon"]["executed"] != executed_before:
+                sys.exit("FAIL: a kept-alive resubmission executed")
+            if len(connects) != 1:
+                sys.exit(f"FAIL: 102 requests opened {len(connects)} "
+                         "connections, wanted 1")
+            print("[smoke] keep-alive: 50 resubmissions and fetches "
+                  "store-served over one connection")
+
+            # -- SIGINT with that connection open and idle --------------
+            serve.send_signal(signal.SIGINT)
+            try:
+                code = serve.wait(timeout=15)
+            except subprocess.TimeoutExpired:
+                sys.exit("FAIL: repro serve did not stop within 15 s of "
+                         "SIGINT while a client held an idle connection")
+            if code != 0:
+                sys.exit(f"FAIL: repro serve exited {code} on SIGINT: "
+                         f"{serve.stderr.read()}")
+            try:
+                client.health()
+            except ServiceError as exc:
+                if exc.status != 0:
+                    sys.exit(f"FAIL: a stopped service answered {exc}")
+            else:
+                sys.exit("FAIL: a stopped service answered /healthz")
+        print("[smoke] shutdown: SIGINT exit 0 with an idle client "
+              "connection, which then reaches no one")
     finally:
-        serve.send_signal(signal.SIGINT)
-        try:
-            serve.wait(timeout=15)
-        except subprocess.TimeoutExpired:
+        if serve.poll() is None:  # a failed step above left it running
             serve.kill()
-    print("[smoke] OK: serve/submit/poll/fidelity/dedup/bridge/jobs all "
-          "green")
+            serve.wait()
+    print("[smoke] OK: serve/submit/poll/fidelity/dedup/bridge/jobs/"
+          "keep-alive/shutdown all green")
     return 0
 
 

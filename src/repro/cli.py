@@ -522,6 +522,8 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     except TimeoutError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        client.close()
     result = ExperimentResult.from_json_dict(doc)
     _emit_result(result, args.fmt, None)
     return 0
@@ -531,7 +533,8 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
     from repro.service.client import ServiceClient, ServiceError
 
     try:
-        jobs = ServiceClient(args.url).jobs()
+        with ServiceClient(args.url) as client:
+            jobs = client.jobs()
     except ServiceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

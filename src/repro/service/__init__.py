@@ -20,7 +20,8 @@ daemon many clients can share:
 * :mod:`repro.service.api` / :mod:`repro.service.client` — a stdlib
   ``http.server`` JSON API (``POST /jobs``, ``GET /jobs/<id>``,
   ``GET /results/<key>``, ``GET /healthz``, ``GET /stats``) and the
-  ``urllib`` client behind ``repro submit`` / ``repro jobs``.
+  ``http.client`` client behind ``repro submit`` / ``repro jobs``, which
+  keeps one persistent connection per calling thread.
 
 At-most-once execution per key: the store is consulted before queueing
 and before running, in-flight submissions coalesce by key, and

@@ -12,6 +12,11 @@ Routes (all JSON)::
     GET  /healthz         {"ok": true, ...} liveness probe
     GET  /stats           store + queue + daemon + warm-pool counters
 
+A ``POST /jobs`` whose ``Content-Length`` is not a non-negative integer
+answers 400, one above :data:`MAX_BODY_BYTES` 413, and one without it
+but with a ``Transfer-Encoding`` 411; each of these closes the
+connection, since its body would otherwise be read as the next request.
+
 Dedup contract: ``POST /jobs`` computes the submission's content-hash
 ``result_key`` from the fully-resolved options, answers **immediately
 from the store** on a hit (no job is created), and otherwise enqueues —
@@ -20,14 +25,19 @@ where an in-flight job with the same key coalesces the submission
 and a submission cannot set them: the server picks its own worker count.
 
 :class:`ExperimentService` wires the four layers together and runs the
-server on a ``ThreadingHTTPServer`` (one handler thread per client, a
-single daemon worker draining the queue); it is what ``repro serve``,
-the tests and the load benchmark all drive.
+server on a ``ThreadingHTTPServer`` (one handler thread, and with it
+one sqlite connection, per client connection; a single daemon worker
+draining the queue); it is what ``repro serve``, the tests and the load
+benchmark all drive.  Client connections persist across requests
+(HTTP/1.1 keep-alive) until the client closes them, they sit idle for
+``_Handler.timeout`` seconds, or :meth:`ExperimentService.stop` closes
+them.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -45,7 +55,11 @@ from repro.service.daemon import Daemon
 from repro.service.queue import JobQueue, QueueFull
 from repro.service.store import ResultStore
 
-__all__ = ["ExperimentService"]
+__all__ = ["ExperimentService", "MAX_BODY_BYTES"]
+
+#: The largest ``POST /jobs`` body the server reads (413 above it); a
+#: real submission is an options object of a few KB.
+MAX_BODY_BYTES = 1 << 20
 
 
 class _BadRequest(ValueError):
@@ -90,10 +104,17 @@ def _resolve_submission(body: Mapping[str, Any]) -> tuple[str, dict, str]:
 
 
 class _Handler(BaseHTTPRequestHandler):
-    """One request; the service instance rides on the server object."""
+    """One client connection, one request after another; the service
+    instance rides on the server object."""
 
     server_version = "repro-service"
     protocol_version = "HTTP/1.1"
+    # A reply goes out as two sends (headers, then body); with Nagle on,
+    # a keep-alive client's next request waits out a delayed ACK.
+    disable_nagle_algorithm = True
+    # An idle connection closes after this many seconds without a
+    # request (socketserver applies it to every read and write).
+    timeout = 15.0
 
     @property
     def service(self) -> "ExperimentService":
@@ -111,13 +132,40 @@ class _Handler(BaseHTTPRequestHandler):
         finally:
             self.service.store.close_thread()
 
-    def _reply(self, status: int, doc: Any) -> None:
+    def _reply(self, status: int, doc: Any, *, close: bool = False) -> None:
         data = (json.dumps(doc) + "\n").encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        if close:  # also ends this handler's request loop
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(data)
+
+    def _body_length(self) -> int | None:
+        """The request's ``Content-Length``, or ``None`` once refused.
+
+        A refusal closes the connection: the unread body would
+        otherwise be parsed as the next request.
+        """
+        raw = self.headers.get("Content-Length")
+        if raw is None:
+            if self.headers.get("Transfer-Encoding") is None:
+                return 0
+            self._reply(411, {"error": "a request body needs a "
+                                       "Content-Length"}, close=True)
+            return None
+        raw = raw.strip()
+        if not (raw.isascii() and raw.isdigit()):
+            self._reply(400, {"error": f"bad Content-Length {raw!r}"},
+                        close=True)
+            return None
+        if int(raw) > MAX_BODY_BYTES:
+            self._reply(413, {"error": f"request body of {raw} bytes "
+                                       f"exceeds {MAX_BODY_BYTES}"},
+                        close=True)
+            return None
+        return int(raw)
 
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
         svc = self.service
@@ -147,10 +195,13 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802 (http.server API)
         svc = self.service
         if self.path.rstrip("/") != "/jobs":
-            self._reply(404, {"error": f"no route {self.path!r}"})
+            self._reply(404, {"error": f"no route {self.path!r}"},
+                        close=True)  # its body is left unread
+            return
+        length = self._body_length()
+        if length is None:
             return
         try:
-            length = int(self.headers.get("Content-Length") or 0)
             body = json.loads(self.rfile.read(length) or b"{}")
         except (ValueError, TypeError):
             self._reply(400, {"error": "request body is not valid JSON"})
@@ -168,7 +219,9 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class _Server(ThreadingHTTPServer):
-    """One handler thread per client; sized for concurrent load.
+    """One handler thread per client connection; sized for concurrent
+    load, and tracking its open connections so :meth:`close_connections`
+    can end them.
 
     ``socketserver``'s default listen backlog of 5 drops (resets)
     connections when more clients connect at once than the accept loop
@@ -177,6 +230,37 @@ class _Server(ThreadingHTTPServer):
 
     daemon_threads = True
     request_queue_size = 128
+
+    def __init__(self, *args: Any, **kwargs: Any):
+        self._open: set[socket.socket] = set()
+        self._open_changed = threading.Condition()
+        super().__init__(*args, **kwargs)
+
+    def process_request(self, request: Any, client_address: Any) -> None:
+        with self._open_changed:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request: Any) -> None:
+        super().shutdown_request(request)
+        with self._open_changed:
+            self._open.discard(request)
+            self._open_changed.notify_all()
+
+    def close_connections(self) -> None:
+        """End every open client connection and wait for its handler.
+
+        Shutting a socket down wakes its handler's blocked read with
+        EOF; the handler then closes its store connection and exits.
+        Call it after :meth:`shutdown`, so no new connection arrives.
+        """
+        with self._open_changed:
+            for sock in self._open:
+                try:
+                    sock.shutdown(socket.SHUT_RDWR)
+                except OSError:  # already closed by its peer
+                    pass
+            self._open_changed.wait_for(lambda: not self._open, timeout=5.0)
 
 
 class ExperimentService:
@@ -256,8 +340,11 @@ class ExperimentService:
             self.stop()
 
     def stop(self) -> None:
+        """Stop serving: once it returns, no client gets an answer, not
+        even over a connection it holds open."""
         self._httpd.shutdown()
         self._httpd.server_close()
+        self._httpd.close_connections()
         self.daemon.stop()
         self.store.close()
 

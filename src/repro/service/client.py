@@ -1,4 +1,4 @@
-"""The service's HTTP client (stdlib ``urllib``; no dependencies).
+"""The service's HTTP client (stdlib ``http.client``; no dependencies).
 
 :class:`ServiceClient` speaks the JSON API of
 :mod:`repro.service.api`: submit a job, poll it to completion, fetch
@@ -6,17 +6,24 @@ the stored result document.  ``repro submit`` / ``repro jobs`` are
 thin CLI skins over it; tests and the load benchmark drive it
 directly.
 
+Each calling thread keeps one persistent HTTP/1.1 connection, so a
+store hit (``POST /jobs`` then ``GET /results/<key>``) pays no TCP
+connect and the server keeps one handler thread and one sqlite
+connection per client connection (DESIGN.md §11).  :meth:`close` (or
+leaving a ``with`` block) closes every thread's connection.
+
 Every non-2xx response raises :class:`ServiceError` carrying the HTTP
 status and the server's error message — callers can branch on
-``err.status == 429`` for backpressure retries.
+``err.status == 429`` for backpressure retries.  A transport failure
+(refused, reset, timed out) raises it with status 0.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import threading
 import time
-import urllib.error
-import urllib.request
 from typing import Any, Mapping
 
 __all__ = ["ServiceClient", "ServiceError"]
@@ -31,11 +38,57 @@ class ServiceError(RuntimeError):
 
 
 class ServiceClient:
-    """A client for one service endpoint, e.g. ``http://127.0.0.1:8765``."""
+    """A client for one service endpoint, e.g. ``http://127.0.0.1:8765``.
+
+    The URL takes an ``http`` or ``https`` scheme, a host, an optional
+    port and an optional path prefix (``http://proxy/repro``).
+    """
 
     def __init__(self, url: str, *, timeout_s: float = 30.0):
         self.url = url.rstrip("/")
         self.timeout_s = timeout_s
+        scheme, sep, rest = self.url.partition("://")
+        if not sep or scheme.lower() not in ("http", "https"):
+            raise ValueError(f"service URL {url!r} must start with "
+                             "http:// or https://")
+        self._netloc, slash, prefix = rest.partition("/")
+        self._prefix = slash + prefix
+        self._connection_class = (http.client.HTTPSConnection
+                                  if scheme.lower() == "https"
+                                  else http.client.HTTPConnection)
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        self._connections: list[http.client.HTTPConnection] = []
+
+    # -- connection plumbing ------------------------------------------------
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """The calling thread's connection (it reconnects when closed)."""
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._connection_class(self._netloc,
+                                          timeout=self.timeout_s)
+            self._local.conn = conn
+            with self._lock:
+                self._connections.append(conn)
+        return conn
+
+    def close(self) -> None:
+        """Close every thread's connection (idempotent).
+
+        A later call opens a fresh connection.
+        """
+        with self._lock:
+            conns, self._connections = self._connections, []
+        for conn in conns:
+            conn.close()
+        self._local = threading.local()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc: Any) -> None:
+        self.close()
 
     # -- transport ----------------------------------------------------------
 
@@ -46,24 +99,39 @@ class ServiceClient:
         if body is not None:
             data = json.dumps(dict(body)).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        req = urllib.request.Request(
-            f"{self.url}{path}", data=data, headers=headers, method=method
-        )
+        conn = self._connection()
+        reused = conn.sock is not None
         try:
-            with urllib.request.urlopen(req, timeout=self.timeout_s) as resp:
-                return json.loads(resp.read().decode("utf-8"))
-        except urllib.error.HTTPError as exc:
             try:
-                message = json.loads(exc.read().decode("utf-8")).get(
-                    "error", exc.reason
-                )
-            except (ValueError, AttributeError):
-                message = str(exc.reason)
-            raise ServiceError(exc.code, message) from None
-        except urllib.error.URLError as exc:
-            raise ServiceError(
-                0, f"cannot reach {self.url}: {exc.reason}"
-            ) from None
+                conn.request(method, self._prefix + path, data, headers)
+                resp = conn.getresponse()
+            except (ConnectionResetError, BrokenPipeError):
+                # The server closed the reused connection (idle timeout,
+                # stop) before answering: retry once on a fresh one.
+                # Safe for POST /jobs too, since a submission is
+                # idempotent by key (DESIGN.md §11).
+                if not reused:
+                    raise
+                conn.close()
+                conn.request(method, self._prefix + path, data, headers)
+                resp = conn.getresponse()
+            raw = resp.read()
+        except BaseException as exc:
+            conn.close()  # its state is unknown: the next call reconnects
+            if isinstance(exc, (OSError, http.client.HTTPException)):
+                raise ServiceError(
+                    0, f"cannot reach {self.url}: {exc}"
+                ) from None
+            raise
+        if 200 <= resp.status < 300:
+            return json.loads(raw.decode("utf-8"))
+        try:
+            message = json.loads(raw.decode("utf-8")).get(
+                "error", resp.reason
+            )
+        except (ValueError, AttributeError):
+            message = resp.reason
+        raise ServiceError(resp.status, message)
 
     # -- API calls ----------------------------------------------------------
 

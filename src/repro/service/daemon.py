@@ -113,8 +113,7 @@ class Daemon:
                 traceback.print_exc()
 
     def _serve(self, job: Job) -> None:
-        cached = self.store.get_document(job.key) is not None
-        if cached:
+        if job.key in self.store:
             self.queue.complete(job, cached=True)
             with self._lock:
                 self.cache_hits += 1

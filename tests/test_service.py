@@ -13,6 +13,10 @@ Layer by layer, then end to end:
   by the service is payload-identical (meta stripped) to the same
   options run directly; N concurrent identical submissions execute
   exactly once (counted with a stub experiment).
+* **Connections** — one persistent connection per client thread, one
+  handler thread and sqlite connection per client connection, the
+  ``Content-Length`` refusals, the idle-timeout reconnect, and a
+  stopped service answering no one, not even a warm client.
 
 Stub experiments register straight into the registry (the decorator's
 ``_REGISTRY`` wins over the module table) and are removed again by the
@@ -24,9 +28,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import http.client
 import json
 import os
 import re
+import socket
 import sqlite3
 import threading
 import time
@@ -59,6 +65,7 @@ from repro.service import (
     ResultStore,
     StoreConflictError,
 )
+from repro.service import api
 from repro.service.api import ExperimentService, _resolve_submission
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.store import STORE_FILENAME, locate_store
@@ -554,6 +561,13 @@ def service(tmp_path):
         yield svc
 
 
+@pytest.fixture
+def client(service):
+    """A client of ``service``; its connections close with the test."""
+    with ServiceClient(service.url) as client:
+        yield client
+
+
 def _stripped(doc: dict) -> dict:
     out = dict(doc)
     out.pop("meta", None)
@@ -561,8 +575,7 @@ def _stripped(doc: dict) -> dict:
 
 
 class TestServiceHTTP:
-    def test_health_and_stats(self, service):
-        client = ServiceClient(service.url)
+    def test_health_and_stats(self, client):
         assert client.health()["ok"] is True
         stats = client.stats()
         assert stats["store"]["results"] == 0
@@ -571,7 +584,7 @@ class TestServiceHTTP:
         assert "warm_pool" in stats["daemon"]
 
     @pytest.mark.parametrize("name", ["e1", "e10"])
-    def test_byte_fidelity_vs_direct_run(self, service, name):
+    def test_byte_fidelity_vs_direct_run(self, service, client, name):
         """The determinism contract over HTTP (ISSUE acceptance).
 
         The service-computed document, meta stripped, equals the
@@ -579,7 +592,6 @@ class TestServiceHTTP:
         e1 (sync sweep) and e10 (graph/async tier) both.
         """
         opts = GOLDEN_OPTS[name]
-        client = ServiceClient(service.url)
         terminal, doc = client.submit_and_fetch(name, opts, timeout_s=300)
         assert terminal["state" if "state" in terminal else "status"] \
             == "done"
@@ -595,13 +607,12 @@ class TestServiceHTTP:
         assert client.result(again["key"]) == doc
         assert service.daemon.stats()["executed"] == executed_before
 
-    def test_row_of_another_version_is_recomputed(self, service):
+    def test_row_of_another_version_is_recomputed(self, service, client):
         """DESIGN.md §7's version gate holds in the store: a row another
         package version wrote is not a cache hit; resubmitting its cell
         executes, replaces the row, and only then is served cached."""
         fresh = tiny_e1(seed=13)
         service.store.put(with_version(fresh, "1.6.0"))
-        client = ServiceClient(service.url)
         first = client.submit("e1", {**E1_TINY, "seed": 13})
         assert first["key"] == fresh.key
         assert first["cached"] is False and first["id"] is not None
@@ -617,11 +628,10 @@ class TestServiceHTTP:
         assert service.daemon.stats()["executed"] == 1
 
     def test_concurrent_identical_submissions_execute_once(
-        self, service, stub
+        self, service, client, stub
     ):
         """N racing submissions of one cell -> exactly one execution."""
         stub.release.clear()  # hold the execution open mid-race
-        client = ServiceClient(service.url)
         n = 8
         replies, errors = [], []
         barrier = threading.Barrier(n)
@@ -659,9 +669,9 @@ class TestServiceHTTP:
     def test_backpressure_replies_429(self, tmp_path, stub):
         stub.release.clear()  # first job blocks the daemon
         with ExperimentService(tmp_path / "bp.sqlite3", port=0,
-                               queue_size=1) as svc:
+                               queue_size=1) as svc, \
+                ServiceClient(svc.url) as client:
             svc.daemon.poll_s = 0.02
-            client = ServiceClient(svc.url)
             running = client.submit("zz_stub", {"seed": 1})
             # Wait for the daemon to lease it so the pending slot frees.
             deadline = time.monotonic() + 5
@@ -681,8 +691,7 @@ class TestServiceHTTP:
             assert retry["status"] in ("queued", "running")
             client.wait(retry)
 
-    def test_bad_submissions_reply_400(self, service):
-        client = ServiceClient(service.url)
+    def test_bad_submissions_reply_400(self, service, client):
         cases = [
             {},                                        # no experiment
             {"experiment": "nope"},                    # unknown name
@@ -792,7 +801,7 @@ class TestServiceHTTP:
             in str(err.value)
         assert client.jobs() == []
 
-    def test_json_number_keys_like_cli_set(self, service, tmp_path):
+    def test_json_number_keys_like_cli_set(self, client, tmp_path):
         """DESIGN.md §11: a daemon cell and a CLI cell share their key.
         JSON ``3`` for a float field is the cell ``--set gamma=3`` is,
         not one of its own."""
@@ -801,49 +810,180 @@ class TestServiceHTTP:
                      "--trials", "6", "--format", "json",
                      "--out", str(tmp_path / "cli")]) == 0
         (archived,) = (tmp_path / "cli").glob("e1-*.json")
-        client = ServiceClient(service.url)
         sub = client.submit("e1", {"gamma": 3, "sizes": [16],
                                    "workloads": ["balanced"], "trials": 6})
         assert archived.name == f"e1-{sub['key']}.json"
         client.wait(sub)
 
-    def test_unknown_routes_reply_404(self, service):
-        client = ServiceClient(service.url)
+    def test_unknown_routes_reply_404(self, client):
         for path in ["/jobs/j999999", "/results/deadbeef", "/nope"]:
             with pytest.raises(ServiceError) as err:
                 client._request("GET", path)
             assert err.value.status == 404, path
         with pytest.raises(ServiceError) as err:
-            client._request("POST", "/results/x", {})
+            client._request("POST", "/results/x", {"experiment": "e1"})
         assert err.value.status == 404
+        # Its body was left unread, so the server closed the connection
+        # rather than parse the body as the next request.
+        assert client.health()["ok"] is True
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
                         reason="counts open fds through /proc")
     def test_store_connections_close_with_requests(self, service):
         """Every HTTP connection runs on a fresh handler thread, and the
         sqlite connection a handler opens must close with it: 300
-        store lookups may not grow the process's open fds."""
-        client = ServiceClient(service.url)
-
+        store lookups, each over a client connection of its own that
+        the client then closes, may not grow the process's open fds."""
         def open_fds() -> int:
             return len(os.listdir("/proc/self/fd"))
 
         def lookup() -> None:
-            with pytest.raises(ServiceError):
-                client.result("0" * 64)
+            with ServiceClient(service.url) as client:
+                with pytest.raises(ServiceError):
+                    client.result("0" * 64)
 
         lookup()
         before = open_fds()
         for _ in range(300):
             lookup()
-        # A handler thread finishes just after its reply is read.
+        # A handler thread finishes just after its client hangs up.
         deadline = time.monotonic() + 5
         while open_fds() - before > 16 and time.monotonic() < deadline:
             time.sleep(0.05)
         assert open_fds() - before <= 16
 
-    def test_jobs_listing(self, service, stub):
-        client = ServiceClient(service.url)
+    def test_one_connection_per_client_thread(self, service, monkeypatch):
+        """A client thread's requests share one connection: 50 store
+        hits and fetches run on one handler thread, which opens one
+        sqlite connection for all of them."""
+        cell = {**E1_TINY, "seed": 17}
+        service.store.put(tiny_e1(seed=17))
+        seen = []
+        connect = service.store._connection
+
+        def spy():
+            conn = connect()
+            seen.append((threading.current_thread(), conn))
+            return conn
+
+        monkeypatch.setattr(service.store, "_connection", spy)
+        with ServiceClient(service.url) as client:
+            for _ in range(25):
+                hit = client.submit("e1", cell)
+                assert hit["cached"] is True
+                client.result(hit["key"])
+                # Nagle is off: a reply goes out in two sends, and the
+                # second would otherwise wait out a delayed ACK.
+                [sock] = service._httpd._open
+                assert sock.getsockopt(socket.IPPROTO_TCP,
+                                       socket.TCP_NODELAY)
+        assert len(seen) == 50
+        assert len({id(thread) for thread, _ in seen}) == 1
+        assert len({id(conn) for _, conn in seen}) == 1
+
+    def test_timed_out_request_is_not_retried(self):
+        """Only a reused connection that fails before a status line is
+        retried: a request that timed out may have been served, so it
+        raises status 0 and opens no second connection.  The URL's path
+        prefix leads every request path."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        requests = []
+
+        def serve_one_reply() -> None:
+            conn, _ = listener.accept()
+            with conn:
+                requests.append(conn.recv(65536))
+                conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: 12\r\n"
+                             b"\r\n{\"ok\": true}")
+                requests.append(conn.recv(65536))  # never answered
+                while conn.recv(65536):  # until the client hangs up
+                    pass
+
+        server = threading.Thread(target=serve_one_reply, daemon=True)
+        server.start()
+        url = f"http://127.0.0.1:{listener.getsockname()[1]}/prefix/"
+        with listener, ServiceClient(url, timeout_s=0.5) as client:
+            assert client.health() == {"ok": True}
+            with pytest.raises(ServiceError) as err:
+                client.submit("e1", E1_TINY)
+            assert err.value.status == 0
+            assert "timed out" in str(err.value)
+            listener.settimeout(0.5)
+            with pytest.raises(TimeoutError):
+                listener.accept()
+        server.join(5)
+        assert not server.is_alive()
+        assert requests[0].startswith(b"GET /prefix/healthz HTTP/1.1")
+        assert requests[1].startswith(b"POST /prefix/jobs HTTP/1.1")
+
+    @pytest.mark.parametrize("header, status", [
+        ("Content-Length: -1", 400),
+        ("Content-Length: 20x", 400),
+        ("Content-Length: 2000000000", 413),
+        ("Transfer-Encoding: chunked", 411),
+    ])
+    def test_unframed_bodies_are_refused_and_close(self, service, header,
+                                                   status):
+        """A ``Content-Length`` the server cannot honour answers at
+        once and closes the connection, whose unread body would
+        otherwise be parsed as the next request; no job is created."""
+        body = b'{"experiment": "e1"}'
+        with socket.create_connection((service.host, service.port),
+                                      timeout=5) as sock:
+            sock.sendall(f"POST /jobs HTTP/1.1\r\nHost: test\r\n"
+                         f"{header}\r\n\r\n".encode("ascii") + body)
+            reply = b""
+            while chunk := sock.recv(65536):  # until the server closes
+                reply += chunk
+        assert reply.startswith(f"HTTP/1.1 {status} ".encode()), reply
+        assert b"Connection: close" in reply
+        assert service.queue.jobs() == []
+
+    def test_idle_connection_closes_and_client_reconnects(
+        self, tmp_path, stub, monkeypatch
+    ):
+        """The server closes a connection idle past ``_Handler.timeout``;
+        the client's next submission reconnects without the caller
+        noticing and creates exactly one job."""
+        monkeypatch.setattr(api._Handler, "timeout", 0.2)
+        connects = []
+        raw_connect = http.client.HTTPConnection.connect
+
+        def counting(conn):
+            connects.append(conn)
+            raw_connect(conn)
+
+        monkeypatch.setattr(http.client.HTTPConnection, "connect", counting)
+        with ExperimentService(tmp_path / "idle.sqlite3", port=0) as svc:
+            svc.daemon.poll_s = 0.02
+            with ServiceClient(svc.url) as client:
+                assert client.health()["ok"] is True
+                deadline = time.monotonic() + 5
+                while svc._httpd._open and time.monotonic() < deadline:
+                    time.sleep(0.02)
+                assert not svc._httpd._open, "idle connection stayed open"
+                sub = client.submit("zz_stub", {"seed": 5})
+                assert len(connects) == 2
+                assert client.wait(sub)["state"] == "done"
+            assert [j.id for j in svc.queue.jobs()] == [sub["id"]]
+            assert stub.runs == 1
+
+    def test_stopped_service_answers_no_one(self, tmp_path):
+        """After ``stop()`` a client holding a warm connection gets
+        status 0, and its submission creates no job."""
+        svc = ExperimentService(tmp_path / "stop.sqlite3", port=0).start()
+        with ServiceClient(svc.url) as client:
+            assert client.health()["ok"] is True
+            svc.stop()
+            for call in (client.health,
+                         lambda: client.submit("e1", E1_TINY)):
+                with pytest.raises(ServiceError) as err:
+                    call()
+                assert err.value.status == 0
+                assert "cannot reach" in str(err.value)
+        assert svc.queue.jobs() == []
+
+    def test_jobs_listing(self, client, stub):
         sub = client.submit("zz_stub", {"seed": 3})
         client.wait(sub)
         jobs = client.jobs()
@@ -852,8 +992,7 @@ class TestServiceHTTP:
         assert jobs[0]["key"] == stub_key(seed=3)
         assert client.job(sub["id"])["experiment"] == "zz_stub"
 
-    def test_failed_job_raises_on_wait(self, service, stub):
-        client = ServiceClient(service.url)
+    def test_failed_job_raises_on_wait(self, service, client, stub):
         sub = client.submit("zz_stub", {"fail": True})
         with pytest.raises(ServiceError, match="stub asked to fail"):
             client.wait(sub)
@@ -895,6 +1034,7 @@ def _fire(url: str, submissions: list[dict], clients: int = 16
         t.start()
     for t in threads:
         t.join()
+    client.close()
     return errors, sum(from_store)
 
 
