@@ -26,7 +26,10 @@ running the strategy — are evaluated on the same draws (common random
 numbers), which is what makes E7's gain estimates tight at scale.  The
 honest tensors are drawn before any strategy-specific extras, so the
 honest side of a pairing is identical across strategies for one seed
-list.
+list.  Every effect touches only the members' slots, so the deviant
+side's per-label tallies (votes, ``k``, pulls received) are the honest
+side's, corrected on those slots — exact, and memoised with the
+honest side per trial block (DESIGN.md §5).
 
 Fidelity contract (DESIGN.md §5): the strategy tier matches the agent
 engine in distribution — same mechanisms, same exact detection events —
@@ -44,7 +47,7 @@ owner (the agent engine reports the color with ``winner=None``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Hashable, Sequence
+from typing import Callable, ClassVar, Hashable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -91,12 +94,15 @@ _INT64_MAX = np.iinfo(np.int64).max
 # A block's honest side depends only on (colors, block seeds, gamma,
 # faulty, defenses) — never the strategy (shared tensors are drawn
 # before any strategy-specific extras) — so E7-style grids replay it
-# for every (strategy, coalition) cell.  Per-block keys let a pool
+# for every (strategy, coalition) cell, and each cell's deviant side
+# updates the entry's per-label tallies.  Per-block keys let a pool
 # worker replay every block it has seen, whatever shards it is handed
-# (shards are block-aligned).  Bounded in trials (~112 bytes each), not
-# entries: a grid cycles through its spine's blocks, so an entry cap
-# below the spine's block count would miss every block (DESIGN.md §5).
-_HONEST_MEMO_TRIALS = 1 << 17
+# (shards are block-aligned).  Bounded in bytes: an entry holds about
+# 112 + 32 n bytes per trial (four int64 (B, n) tallies), so the
+# paper-scale spine (n = 512, 2000 trials) takes about 33 MB.  Not an
+# entry cap: a grid cycles through its spine's blocks, so a cap below
+# the spine's block count would miss every block (DESIGN.md §5).
+_HONEST_MEMO_BYTES = 64 << 20
 _honest_memo: dict[tuple, dict] = {}
 
 
@@ -287,7 +293,7 @@ def simulate_strategy_fast_batch(
     n_trials = len(seeds)
     n_a = n - len(faulty)
     block = strategy_block_trials(n_a, q)
-    held = sum(len(key[1]) for key in _honest_memo)
+    held = sum(_side_nbytes(side) for side in _honest_memo.values())
     chunks = []
     for i in range(0, n_trials, block):
         block_seeds = tuple(seeds[i:i + block])
@@ -300,15 +306,13 @@ def simulate_strategy_fast_batch(
         chunks.append(out)
         if honest_side is None:
             honest_side = out["honest_side"]
-            for arr in (*honest_side["result"].values(),
-                        honest_side["detected"], honest_side["split"]):
+            for arr in _side_arrays(honest_side):
                 arr.setflags(write=False)
-            held += len(block_seeds)
+            held += _side_nbytes(honest_side)
         _honest_memo[key] = honest_side          # most recently used
-        while held > _HONEST_MEMO_TRIALS:
+        while held > _HONEST_MEMO_BYTES:
             oldest = next(iter(_honest_memo))
-            del _honest_memo[oldest]
-            held -= len(oldest[1])
+            held -= _side_nbytes(_honest_memo.pop(oldest))
 
     def side(name: str) -> FastBatchResult:
         return concat_batch(FastBatchResult, [c[name] for c in chunks],
@@ -325,40 +329,73 @@ def simulate_strategy_fast_batch(
 # Small vector helpers
 # ---------------------------------------------------------------------------
 
+class _Tallies(NamedTuple):
+    """Per-label (B, n) int64 tallies of one side of a block.
+
+    ``commit_recv``/``fm_recv`` count the Commitment/Find-Min pulls each
+    label received from that side's pulling agents.
+    """
+
+    counts: np.ndarray        # votes received
+    k: np.ndarray             # vote sum mod m
+    commit_recv: np.ndarray
+    fm_recv: np.ndarray
+
+
+def _side_arrays(side: dict) -> list[np.ndarray]:
+    """Every array an evaluated side holds (a memo entry's contents)."""
+    return [*side["result"].values(), side["detected"], side["split"],
+            *side["tallies"]]
+
+
+def _side_nbytes(side: dict) -> int:
+    return sum(arr.nbytes for arr in _side_arrays(side))
+
+
+def _flat_labels(targets: np.ndarray, n: int) -> np.ndarray:
+    """Flat int64 ``(trial, label)`` bin of every entry of ``targets``
+    (leading axis: trials) — where narrow peer indices widen."""
+    b_sz = targets.shape[0]
+    return (np.arange(b_sz)[:, None] * n + targets.reshape(b_sz, -1)).ravel()
+
+
+def _label_counts(targets: np.ndarray, n: int) -> np.ndarray:
+    """(B, n) int64: how many entries of each trial's ``targets`` hit
+    each label."""
+    b_sz = targets.shape[0]
+    return np.bincount(_flat_labels(targets, n),
+                       minlength=b_sz * n).reshape(b_sz, n)
+
+
 def _scatter_any(targets: np.ndarray, cond: np.ndarray, n: int
                  ) -> np.ndarray:
     """(B, n) bool: did any ``cond``-marked slot target each label?
 
     ``targets``/``cond`` are (B, q); slots with ``cond`` False are
-    parked on a scratch column that is dropped afterwards.
+    parked on a scratch column that is dropped afterwards.  Label ``n``
+    fits the peer dtype: ``check_key_n`` caps n at 46340 < 2**16.
     """
     b_sz = targets.shape[0]
     out = np.zeros((b_sz, n + 1), dtype=bool)
-    parked = np.where(cond, targets.astype(np.int64), n)
+    parked = np.where(cond, targets, n)
     out[np.arange(b_sz)[:, None], parked] = True
     return out[:, :n]
 
 
 def _vote_tally(
-    targets: np.ndarray,      # (B, n_a, q) int
-    values: np.ndarray,       # (B, n_a, q) int64
-    caster_cols: np.ndarray,  # (n_a,) bool
+    targets: np.ndarray,      # (B, c, q) peer labels
+    values: np.ndarray,       # (B, c, q) int64
     n: int,
     m: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact per-receiver vote counts and ``k`` values for a batch."""
+    """Exact (B, n) per-receiver vote counts and vote sums mod ``m``."""
     b_sz = targets.shape[0]
-    rows = np.arange(b_sz)
-    parked = np.where(caster_cols[None, :, None], targets.astype(np.int64), n)
-    flat = (rows[:, None, None] * (n + 1) + parked).ravel()
-    counts = np.bincount(flat, minlength=b_sz * (n + 1)).reshape(
-        b_sz, n + 1
-    )[:, :n]
-    k_acc = _exact_index_sums(
-        flat.astype(np.intp), values.ravel(), b_sz * (n + 1),
-        int(counts.max(initial=0)) + 1,
-    ).reshape(b_sz, n + 1)[:, :n]
-    return counts, k_acc % m
+    flat = _flat_labels(targets, n)
+    counts = np.bincount(flat, minlength=b_sz * n)
+    sums = _exact_index_sums(
+        flat, values.ravel(), b_sz * n, int(counts.max(initial=0)) + 1,
+    )
+    return counts.reshape(b_sz, n), sums.reshape(b_sz, n) % m
 
 
 def _propagate_findmin(
@@ -382,17 +419,21 @@ def _propagate_findmin(
     b_sz = score0.shape[0]
     rows = np.arange(b_sz)[:, None]
     cur = score0.copy()
+    every_label = act_idx.size == cur.shape[1]
+    adopt = adopt_cols[None, :]
+    if adopt_rows is not None:
+        adopt = adopt & adopt_rows
     conv = np.full(b_sz, -1, dtype=np.int64)
     eq = np.zeros(b_sz, dtype=bool)
     for rnd in range(1, q + 1):
-        tgt = pulls[:, rnd - 1, :].astype(np.int64)
+        tgt = pulls[:, rnd - 1, :]
         got = np.where(serve_mask[tgt], cur[rows, tgt], _INT64_MAX)
-        adopt = adopt_cols[None, :]
-        if adopt_rows is not None:
-            adopt = adopt & adopt_rows
-        cur[:, act_idx] = np.where(
-            adopt, np.minimum(cur[:, act_idx], got), cur[:, act_idx]
-        )
+        if every_label:     # no faulty agent: columns are labels
+            np.minimum(cur, got, out=cur, where=adopt)
+        else:
+            cur[:, act_idx] = np.where(
+                adopt, np.minimum(cur[:, act_idx], got), cur[:, act_idx]
+            )
         flw = cur[:, follower_idx]
         eq = (flw == flw[:, :1]).all(axis=1)
         conv = np.where(eq & (conv < 0), rnd, np.where(~eq, -1, conv))
@@ -411,8 +452,7 @@ def _coherence_detect(
 ) -> np.ndarray:
     """(B,) bool: some failing-capable receiver got a push whose
     certificate differs from its own final minimum."""
-    tgt = coh_push.astype(np.int64)
-    recv = final[rows[:, None, None], tgt]
+    recv = final[rows[:, None, None], coh_push]
     own = np.broadcast_to(final[:, None, act_idx], recv.shape)
     if bogus_cols is not None:
         own = np.where(
@@ -421,7 +461,7 @@ def _coherence_detect(
         pushing = push_cols | bogus_cols
     else:
         pushing = push_cols
-    mism = (recv != own) & receiver_mask[tgt] & pushing[None, None, :]
+    mism = (recv != own) & receiver_mask[coh_push] & pushing[None, None, :]
     return mism.any(axis=(1, 2))
 
 
@@ -512,24 +552,26 @@ def _simulate_strategy_chunk(
 
     # Shared draws in a fixed, strategy-independent order.  Axis
     # convention: (trial, agent, round) for per-agent phases,
-    # (trial, round, agent) for the pull/push rounds.
+    # (trial, round, agent) for the pull/push rounds.  Peer indices stay
+    # at their draw dtype; they widen only inside a flat bincount index
+    # (``_flat_labels``) or a (k, label) key.
     commit_targets = _offset_self(
         rng.integers(n - 1, size=(b_sz, n_a, q), dtype=dt),
         self_act[None, :, None],
-    ).astype(np.int64)
+    )
     vote_values = rng.integers(m, size=(b_sz, n_a, q), dtype=np.int64)
     vote_targets = _offset_self(
         rng.integers(n - 1, size=(b_sz, n_a, q), dtype=dt),
         self_act[None, :, None],
-    ).astype(np.int64)
+    )
     fm_pulls = _offset_self(
         rng.integers(n - 1, size=(b_sz, q, n_a), dtype=dt),
         self_act[None, None, :],
-    ).astype(np.int64)
+    )
     coh_push = _offset_self(
         rng.integers(n - 1, size=(b_sz, q, n_a), dtype=dt),
         self_act[None, None, :],
-    ).astype(np.int64)
+    )
     # Strategy-specific extras come last so they never perturb the
     # shared stream above.
     sw_values = sw_targets = alt_values = alt_targets = None
@@ -539,37 +581,42 @@ def _simulate_strategy_chunk(
         sw_targets = _offset_self(
             rng.integers(n - 1, size=(b_sz, t, q), dtype=dt),
             mem.astype(dt)[None, :, None],
-        ).astype(np.int64)
+        )
     if t and spec.equivocates:
         alt_values = rng.integers(m, size=(b_sz, t, q), dtype=np.int64)
         alt_targets = _offset_self(
             rng.integers(n - 1, size=(b_sz, t, q), dtype=dt),
             mem.astype(dt)[None, :, None],
-        ).astype(np.int64)
+        )
 
     all_cols = np.ones(n_a, dtype=bool)
 
     # ------------------------------------------------------------------
     # Honest side (the paired baseline): every active agent follows P.
     # Strategy-independent, so grid callers replay it from the memo.
-    honest = honest_side if honest_side is not None else _evaluate_side(
-        params, n, rows, act_idx, active, labels, color_idx,
-        vote_targets, vote_values, commit_targets, fm_pulls, coh_push,
-        caster_cols=all_cols,
-        serve_mask=active,
-        adopt_cols=all_cols,
-        adopt_rows=None,
-        commit_pull_cols=all_cols,
-        answer_mask=active,
-        fm_pull_cols=all_cols,
-        coh_push_cols=all_cols,
-        bogus_cols=None, bogus_score=None,
-        follower_idx=act_idx,
-        forced_scores=None,
-        hold_fail=None,
-        extra_fail=None,
-        defenses=defenses,
-    )
+    honest = honest_side
+    if honest is None:
+        honest = _evaluate_side(
+            params, n, rows, act_idx, active, labels, color_idx,
+            fm_pulls, coh_push,
+            _Tallies(*_vote_tally(vote_targets, vote_values, n, m),
+                     _label_counts(commit_targets, n),
+                     _label_counts(fm_pulls, n)),
+            serve_mask=active,
+            adopt_cols=all_cols,
+            adopt_rows=None,
+            answer_mask=active,
+            n_casters=n_a,
+            n_commit_pullers=n_a,
+            n_fm_pullers=n_a,
+            coh_push_cols=all_cols,
+            bogus_cols=None, bogus_score=None,
+            follower_idx=act_idx,
+            forced_scores=None,
+            hold_fail=None,
+            extra_fail=None,
+            defenses=defenses,
+        )
 
     if t == 0:
         return {
@@ -613,9 +660,6 @@ def _simulate_strategy_chunk(
     answer_mask = active.copy()
     if not spec.answers_commitment:
         answer_mask[mem] = False
-    fm_pull_cols = all_cols.copy()
-    if not spec.pulls_findmin:
-        fm_pull_cols[mem_cols] = False
     serve_mask = active.copy()
     if not spec.serves_findmin:
         serve_mask[mem] = False
@@ -623,40 +667,59 @@ def _simulate_strategy_chunk(
     if spec.coherence_push != "honest":
         coh_push_cols[mem_cols] = False
 
-    # Exposure (Lemma 6.1), exactly from the sampled pull pattern.
+    # The deviant side is the honest side with the members' slots
+    # changed: every effect rewrites, drops or adds members' votes and
+    # pulls only.  So each per-label tally is the honest one minus what
+    # the members contributed honestly plus what they contribute now:
+    # O(B t q) work, exact (each member sum is reduced mod m first, so
+    # k stays in (-m, 2m) before the final mod).
+    hon = honest["tallies"]
+    old_counts, old_k = _vote_tally(vote_targets[:, mem_cols, :],
+                                    vote_values[:, mem_cols, :], n, m)
+    counts_dev = hon.counts - old_counts
+    k_dev = hon.k - old_k
+    if spec.casts_votes:
+        new_counts, new_k = _vote_tally(dev_targets[:, mem_cols, :],
+                                        dev_values[:, mem_cols, :], n, m)
+        counts_dev += new_counts
+        k_dev += new_k
+    k_dev %= m
+    commit_recv = hon.commit_recv
+    fm_recv = hon.fm_recv
+    if not spec.pulls_findmin:
+        fm_recv = fm_recv - _label_counts(fm_pulls[:, :, mem_cols], n)
+
+    # Exposure (Lemma 6.1), exactly from the sampled pull pattern: the
+    # honest agents' Commitment pulls are everyone's minus the members'.
+    # Coverage reads ``commit_recv`` only when Commitment runs.
     commitment_on = defenses.commitment
     if commitment_on:
-        ct_hon = commit_targets[:, hon_cols, :]
-        flat = (rows[:, None, None] * n + ct_hon).ravel()
-        pulled_count = np.bincount(flat, minlength=b_sz * n).reshape(
-            b_sz, n
-        )
+        mem_pulls = _label_counts(commit_targets[:, mem_cols, :], n)
+        exposed = hon.commit_recv[:, mem] - mem_pulls[:, mem] > 0  # (B, t)
+        if not spec.pulls_commitment:
+            commit_recv = commit_recv - mem_pulls
     else:
-        ct_hon = None
-        pulled_count = np.zeros((b_sz, n), dtype=np.int64)
-    exposed = pulled_count[:, mem] > 0                      # (B, t)
+        exposed = np.zeros((b_sz, t), dtype=bool)
     exposed_members = exposed.sum(axis=1).astype(np.int64)
 
     def pulled_fixed(label: int) -> np.ndarray:
         """(B, n_h) bool: honest u pulled ``label`` in Commitment."""
-        if ct_hon is None:
+        if not commitment_on:
             return np.zeros((b_sz, n_h), dtype=bool)
-        return (ct_hon == label).any(axis=2)
+        return (commit_targets == label).any(axis=2)[:, hon_cols]
 
     def pulled_per_trial(lab: np.ndarray) -> np.ndarray:
         """(B, n_h) bool: honest u pulled per-trial label ``lab``."""
-        if ct_hon is None:
+        if not commitment_on:
             return np.zeros((b_sz, n_h), dtype=bool)
-        return (ct_hon == lab[:, None, None]).any(axis=2)
+        return (commit_targets == lab[:, None, None]).any(axis=2)[:, hon_cols]
 
     def pulled_in(mask: np.ndarray) -> np.ndarray:
         """(B, n_h) bool: honest u pulled any label in ``mask`` (B, n)."""
-        if ct_hon is None:
+        if not commitment_on:
             return np.zeros((b_sz, n_h), dtype=bool)
-        return mask[rows[:, None, None], ct_hon].any(axis=2)
-
-    counts_dev, k_dev = _vote_tally(dev_targets, dev_values, caster_cols,
-                                    n, m)
+        return mask[rows[:, None, None], commit_targets].any(axis=2)[
+            :, hon_cols]
 
     def first_vote_sender(owner: np.ndarray) -> np.ndarray:
         """Per-trial voter of the first vote received by ``owner``
@@ -827,14 +890,15 @@ def _simulate_strategy_chunk(
 
     deviant = _evaluate_side(
         params, n, rows, act_idx, active, labels, color_idx,
-        dev_targets, dev_values, commit_targets, fm_pulls, coh_push,
-        caster_cols=caster_cols,
+        fm_pulls, coh_push,
+        _Tallies(counts_dev, k_dev, commit_recv, fm_recv),
         serve_mask=serve_mask,
         adopt_cols=adopt_cols,
         adopt_rows=adopt_rows,
-        commit_pull_cols=commit_pull_cols,
         answer_mask=answer_mask,
-        fm_pull_cols=fm_pull_cols,
+        n_casters=int(caster_cols.sum()),
+        n_commit_pullers=int(commit_pull_cols.sum()),
+        n_fm_pullers=n_a - (0 if spec.pulls_findmin else t),
         coh_push_cols=coh_push_cols,
         bogus_cols=bogus_cols, bogus_score=bogus_score,
         follower_idx=hon_idx,
@@ -843,7 +907,6 @@ def _simulate_strategy_chunk(
         hold_fail=hold_fail if hold_fail else None,
         extra_fail=bad_owner_masks if bad_owner_masks else None,
         defenses=defenses,
-        counts_k=(counts_dev, k_dev),
     )
 
     return {
@@ -951,34 +1014,30 @@ def _alt_version_holders(
 
 def _evaluate_side(
     params: ProtocolParams, n, rows, act_idx, active, labels, color_idx,
-    vote_targets, vote_values, commit_targets, fm_pulls, coh_push,
-    *, caster_cols, serve_mask, adopt_cols, adopt_rows,
-    commit_pull_cols, answer_mask, fm_pull_cols, coh_push_cols,
+    fm_pulls, coh_push, tallies: _Tallies,
+    *, serve_mask, adopt_cols, adopt_rows, answer_mask,
+    n_casters, n_commit_pullers, n_fm_pullers, coh_push_cols,
     bogus_cols, bogus_score, follower_idx, forced_scores,
     hold_fail, extra_fail, defenses,
-    counts_k=None,
 ) -> dict:
     """Evaluate one behaviour assignment on a draw set.
 
-    ``forced_scores`` is ``((B, t) scores, (t,) member labels)`` for
-    members serving something other than their honest certificate;
-    ``hold_fail`` maps forged-owner labels to (B, n_h) fail-if-holder
-    masks (plus per-trial-owner entries); ``extra_fail`` is a list of
-    ``(verifier_mask (B, n_h), bad_owner_mask (B, n))`` refutation
-    pairs for honest certificates.
+    ``tallies`` are the side's per-label vote and pull tallies (the
+    returned side keeps them); ``forced_scores`` is ``((B, t) scores,
+    (t,) member labels)`` for members serving something other than
+    their honest certificate; ``hold_fail`` maps forged-owner labels to
+    (B, n_h) fail-if-holder masks (plus per-trial-owner entries);
+    ``extra_fail`` is a list of ``(verifier_mask (B, n_h),
+    bad_owner_mask (B, n))`` refutation pairs for honest certificates.
     """
-    q, m = params.q, params.m
-    b_sz = vote_targets.shape[0]
+    q = params.q
+    b_sz = rows.size
     n_a = act_idx.size
-    if counts_k is None:
-        counts, k = _vote_tally(vote_targets, vote_values, caster_cols, n, m)
-    else:
-        counts, k = counts_k
+    counts, k = tallies.counts, tallies.k
 
     score0 = np.where(active[None, :], k * n + labels[None, :], _INT64_MAX)
     if forced_scores is not None:
         fs, fs_labels = forced_scores
-        score0 = score0.copy()
         score0[:, fs_labels] = fs
 
     final, eq, conv = _propagate_findmin(
@@ -1032,30 +1091,15 @@ def _evaluate_side(
     max_votes = counts_flw.max(axis=1)
 
     # Commitment coverage over the followers (pulls received from every
-    # pulling agent).
+    # pulling agent), and the replies: each pull of a label that answers.
     if defenses.commitment:
-        parked = np.where(
-            commit_pull_cols[None, :, None], commit_targets, n
-        )
-        flat = (rows[:, None, None] * (n + 1) + parked).ravel()
-        received = np.bincount(flat, minlength=b_sz * (n + 1)).reshape(
-            b_sz, n + 1
-        )[:, :n]
-        min_pulls = received[:, follower_idx].min(axis=1)
-        commit_replies = (
-            answer_mask[commit_targets] & commit_pull_cols[None, :, None]
-        ).sum(axis=(1, 2), dtype=np.int64)
-        n_commit_pullers = int(commit_pull_cols.sum())
+        min_pulls = tallies.commit_recv[:, follower_idx].min(axis=1)
+        commit_replies = tallies.commit_recv[:, answer_mask].sum(axis=1)
     else:
         min_pulls = np.zeros(b_sz, dtype=np.int64)
         commit_replies = np.zeros(b_sz, dtype=np.int64)
         n_commit_pullers = 0
-
-    findmin_replies = (
-        serve_mask[fm_pulls] & fm_pull_cols[None, None, :]
-    ).sum(axis=(1, 2), dtype=np.int64)
-    n_fm_pullers = int(fm_pull_cols.sum())
-    n_casters = int(caster_cols.sum())
+    findmin_replies = tallies.fm_recv[:, serve_mask].sum(axis=1)
     n_coh = int(coh_push_cols.sum()) + (
         int(bogus_cols.sum()) if bogus_cols is not None else 0
     )
@@ -1107,4 +1151,5 @@ def _evaluate_side(
         "total_bits": np.asarray(total_bits, dtype=np.int64),
         "max_message_bits": max_message_bits,
     }
-    return {"result": result, "detected": detected, "split": split}
+    return {"result": result, "detected": detected, "split": split,
+            "tallies": tallies}

@@ -299,6 +299,7 @@ class ExperimentService:
         self._httpd.service = self  # type: ignore[attr-defined]
         self._server_thread: threading.Thread | None = None
         self._started_unix: float | None = None
+        self._serving = False  # a serve_forever loop has been started
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -327,6 +328,7 @@ class ExperimentService:
             target=self._httpd.serve_forever, name="repro-http",
             daemon=True,
         )
+        self._serving = True
         self._server_thread.start()
         return self
 
@@ -334,6 +336,7 @@ class ExperimentService:
         """Blocking variant for ``repro serve`` (Ctrl-C to stop)."""
         self._started_unix = time.time()
         self.daemon.start()
+        self._serving = True
         try:
             self._httpd.serve_forever()
         finally:
@@ -341,8 +344,13 @@ class ExperimentService:
 
     def stop(self) -> None:
         """Stop serving: once it returns, no client gets an answer, not
-        even over a connection it holds open."""
-        self._httpd.shutdown()
+        even over a connection it holds open.
+
+        Safe on a service that never started: ``shutdown()`` waits for
+        a serving loop to exit, so it runs only once one was started.
+        """
+        if self._serving:
+            self._httpd.shutdown()
         self._httpd.server_close()
         self._httpd.close_connections()
         self.daemon.stop()

@@ -100,17 +100,21 @@ class Daemon:
     # -- the loop -----------------------------------------------------------
 
     def _loop(self) -> None:
-        while not self._stop.is_set():
-            job = self.queue.lease(timeout=self.poll_s)
-            if job is None:
-                continue
-            try:
-                self._serve(job)
-            except Exception as exc:  # never kill the loop on one job
-                self.queue.fail(job, f"{type(exc).__name__}: {exc}")
-                with self._lock:
-                    self.failed += 1
-                traceback.print_exc()
+        try:
+            while not self._stop.is_set():
+                job = self.queue.lease(timeout=self.poll_s)
+                if job is None:
+                    continue
+                try:
+                    self._serve(job)
+                except Exception as exc:  # never kill the loop on one job
+                    self.queue.fail(job, f"{type(exc).__name__}: {exc}")
+                    with self._lock:
+                        self.failed += 1
+                    traceback.print_exc()
+        finally:
+            # Only this thread can close the sqlite connection it opened.
+            self.store.close_thread()
 
     def _serve(self, job: Job) -> None:
         if job.key in self.store:

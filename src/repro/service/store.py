@@ -154,8 +154,6 @@ class ResultStore:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._busy_timeout_s = float(busy_timeout_s)
         self._local = threading.local()
-        self._lock = threading.Lock()
-        self._connections: list[sqlite3.Connection] = []
         # Create the schema eagerly so concurrent openers see a valid
         # database instead of racing CREATE TABLE.
         self._connection()
@@ -184,8 +182,6 @@ class ResultStore:
             conn.execute("PRAGMA synchronous=NORMAL")
             conn.executescript(_SCHEMA)
             self._local.conn = conn
-            with self._lock:
-                self._connections.append(conn)
         return conn
 
     def _enable_wal(self, conn: sqlite3.Connection) -> None:
@@ -209,29 +205,24 @@ class ResultStore:
     def close_thread(self) -> None:
         """Close the calling thread's connection, if it opened one.
 
-        The HTTP server runs each client connection on a new thread;
-        each handler thread calls this as its connection ends, or its
-        sqlite connection (two fds) would stay open until :meth:`close`.
+        sqlite closes a connection only on the thread that opened it,
+        so each thread that used the store closes its own: an HTTP
+        handler thread as its client connection ends, the daemon's loop
+        as it exits, the owning thread through :meth:`close`.
         """
         conn = getattr(self._local, "conn", None)
-        if conn is None:
-            return
-        self._local.conn = None
-        with self._lock:
-            self._connections = [
-                c for c in self._connections if c is not conn
-            ]
-        conn.close()
+        if conn is not None:
+            self._local.conn = None
+            conn.close()
 
     def close(self) -> None:
-        """Close every thread's connection (idempotent)."""
-        with self._lock:
-            conns, self._connections = self._connections, []
-        for conn in conns:
-            try:
-                conn.close()
-            except sqlite3.Error:  # pragma: no cover - already closed
-                pass
+        """Close the calling thread's connection (idempotent).
+
+        It cannot close another thread's: sqlite refuses a close from
+        any thread but the opener's.  Other threads close theirs with
+        :meth:`close_thread`; the store forgets any they leave open.
+        """
+        self.close_thread()
         self._local = threading.local()
 
     def __enter__(self) -> "ResultStore":

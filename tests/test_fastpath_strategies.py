@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import itertools
+import random
 import re
 from dataclasses import replace
 
@@ -18,7 +21,9 @@ from repro.fastpath.strategies import (
     StrategyBatchResult,
     simulate_strategy_fast_batch,
 )
+from repro.util.bits import MAX_KEY_N
 from tests.conftest import two_color_split
+from tests.test_spec_agent import _lattice
 
 COLORS = two_color_split(48, 0.75)   # 36 red, 12 blue
 BLUES = [i for i, c in enumerate(COLORS) if c == "blue"]
@@ -115,10 +120,6 @@ class TestHonestMemo:
         res = run(*args, **kwargs)
         return res, len(calls) - before
 
-    @staticmethod
-    def memoised_trials():
-        return sum(len(key[1]) for key in strat._honest_memo)
-
     def test_replays_block_after_another_seed_list(self, sides):
         run("silent", BLUES[:2], seeds=self.SEEDS_A)
         run("silent", BLUES[:2], seeds=self.SEEDS_B)
@@ -160,12 +161,18 @@ class TestHonestMemo:
             a, b = getattr(warm, field), getattr(cold, field)
             assert a.dtype == b.dtype and np.array_equal(a, b), field
 
-    def test_bounded_by_trial_budget(self, sides, monkeypatch):
-        monkeypatch.setattr(strat, "_HONEST_MEMO_TRIALS", 100)
+    def test_bounded_by_byte_budget(self, sides, monkeypatch):
+        run("silent", BLUES[:2], seeds=self.SEEDS_A)
+        (entry,) = strat._honest_memo.values()
+        entry_bytes = strat._side_nbytes(entry)
+        strat._honest_memo.clear()
+        budget = entry_bytes * 5 // 2
+        monkeypatch.setattr(strat, "_HONEST_MEMO_BYTES", budget)
         lists = [list(range(1000 * k, 1000 * k + 40)) for k in range(5)]
         for seeds in lists:
             run("silent", BLUES[:2], seeds=seeds)
-            assert self.memoised_trials() <= 100
+            held = sum(map(strat._side_nbytes, strat._honest_memo.values()))
+            assert held <= budget
         assert len(strat._honest_memo) == 2
         _, n_eval = self.evaluations(
             sides, "griefing", BLUES[:2], seeds=lists[-1])
@@ -174,16 +181,96 @@ class TestHonestMemo:
             sides, "griefing", BLUES[:2], seeds=lists[0])
         assert n_eval == 2                  # evicted: evaluated again
 
+    def test_budget_holds_the_paper_spine(self):
+        """At most 64 MiB, and room for E7's paper-scale seed spine
+        (n = 512, 2000 trials), measured from a 2-trial entry."""
+        colors = two_color_split(512, 0.75)
+        simulate_strategy_fast_batch(colors, [0, 1], None)
+        (entry,) = strat._honest_memo.values()
+        per_trial = strat._side_nbytes(entry) / 2
+        assert per_trial > 32 * 512         # the four (B, n) tallies
+        assert 2000 * per_trial <= strat._HONEST_MEMO_BYTES <= 64 << 20
+
     def test_entries_read_only_results_writable(self):
         run("silent", BLUES[:2], seeds=self.SEEDS_A)
         res = run(None, (), seeds=self.SEEDS_A)      # replays the block
         (side,) = strat._honest_memo.values()
-        frozen = [*side["result"].values(), side["detected"], side["split"]]
+        assert len(side["tallies"]) == 4
+        frozen = strat._side_arrays(side)
         assert not any(a.flags.writeable for a in frozen)
         with pytest.raises(ValueError, match="read-only"):
             side["result"]["winner"][0] = 0
-        for arr in (res.honest.winner, res.deviant.winner, res.detected):
+        with pytest.raises(ValueError, match="read-only"):
+            side["tallies"].counts[0, 0] = 0
+        for arr in (res.honest.winner, res.deviant.winner, res.detected,
+                    res.honest.min_votes, res.deviant.total_bits):
             assert arr.flags.writeable
+
+
+#: sha256 of ``TestPinnedBytes.grid()``'s arrays, cold and warm memo.
+GRID_DIGEST = "8488b074de3961b1698d75f6a2b54847dddf5f2c249371650f94f884cb095a38"
+#: sha256 of the n = MAX_KEY_N pooled run's arrays.
+KEY_LIMIT_DIGEST = "1a3d5a5ae2acf1c6faed8e754f7293d991a3d2d6f7713c7f086221116fc8df09"
+
+
+def _digest(results) -> str:
+    """SHA-256 over every honest, deviant and observer array."""
+    h = hashlib.sha256()
+
+    def feed(obj, fields):
+        for field, _ in fields:
+            arr = getattr(obj, field)
+            h.update(f"{field}:{arr.dtype.str}".encode())
+            h.update(arr.tobytes())
+
+    for res in results:
+        feed(res.honest, FastBatchResult.ARRAY_FIELDS)
+        feed(res.deviant, FastBatchResult.ARRAY_FIELDS)
+        feed(res, StrategyBatchResult.ARRAY_FIELDS)
+    return h.hexdigest()
+
+
+class TestPinnedBytes:
+    """The strategy tier's arrays, pinned by digests recorded before
+    the deviant side became an update of the honest side's tallies.
+
+    The grid: every registered strategy plus a seeded sample of 40
+    lattice points outside the fence, x {no faults, three faults} x
+    four defence settings, at n = 48, 50 trials, t = 3 and gamma = 0.5.
+    At that gamma (q = 3) some members are pulled in Commitment by
+    members only, so exposure counted over every puller differs from
+    exposure over the honest ones.  (``tests/test_paper_claims.py``
+    pins E7-E9 at their own gammas.)
+    """
+
+    @staticmethod
+    def grid():
+        supported = [s for s in _lattice()
+                     if strat.unsupported_combination(s) is None]
+        specs = [EFFECT_SPECS[name] for name in STRATEGY_NAMES]
+        specs += random.Random(0).sample(supported, 40)
+        reds = [i for i, c in enumerate(COLORS) if c == "red"]
+        for spec, faulty, defenses in itertools.product(
+            specs, (frozenset(), frozenset(reds[:3])),
+            (Defenses(), Defenses(commitment=False),
+             Defenses(verify_omissions=False), Defenses(coherence=False)),
+        ):
+            yield run(StrategyPlan(frozenset(BLUES[:3]), spec), (),
+                      gamma=0.5, defenses=defenses, faulty=faulty,
+                      seeds=SEEDS[:50])
+
+    def test_grid_on_empty_then_warm_memo(self):
+        strat._honest_memo.clear()
+        assert _digest(self.grid()) == GRID_DIGEST
+        assert _digest(self.grid()) == GRID_DIGEST    # every replay
+
+    def test_key_limit(self):
+        """n = MAX_KEY_N: a slot parked at label n fits the peer dtype."""
+        assert np.iinfo(strat._peer_dtype(MAX_KEY_N)).max >= MAX_KEY_N
+        colors = two_color_split(MAX_KEY_N, 0.75)
+        members = {MAX_KEY_N - 1 - i for i in range(4)}     # blue
+        res = simulate_strategy_fast_batch(colors, [0, 1], "pooled", members)
+        assert _digest([res]) == KEY_LIMIT_DIGEST
 
 
 class TestValidation:

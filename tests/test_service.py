@@ -983,6 +983,44 @@ class TestServiceHTTP:
                 assert "cannot reach" in str(err.value)
         assert svc.queue.jobs() == []
 
+    def test_stop_on_unstarted_service_returns(self, tmp_path):
+        """A caller that fails between building a service and starting
+        it can still clean it up: ``stop()`` returns and closes the
+        listening socket."""
+        svc = ExperimentService(tmp_path / "idle.sqlite3", port=0)
+        stopper = threading.Thread(target=svc.stop, daemon=True)
+        stopper.start()
+        stopper.join(5.0)
+        assert not stopper.is_alive(), "stop() hung on an unstarted service"
+        assert svc._httpd.socket.fileno() == -1
+
+    def test_every_store_connection_closes_on_stop(self, tmp_path,
+                                                   monkeypatch, stub):
+        """The owner's, the handler thread's and the daemon thread's
+        sqlite connections are all closed once ``stop()`` returns."""
+        opened, closed = [], []
+
+        class Counting(sqlite3.Connection):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                opened.append(self)
+
+            def close(self):
+                super().close()
+                closed.append(self)
+
+        connect = sqlite3.connect
+        monkeypatch.setattr(sqlite3, "connect", lambda *a, **kw: connect(
+            *a, factory=Counting, **kw))
+        svc = ExperimentService(tmp_path / "conns.sqlite3", port=0)
+        svc.daemon.poll_s = 0.02
+        with svc, ServiceClient(svc.url) as client:
+            assert client.wait(client.submit("zz_stub", {"seed": 4})
+                               )["state"] == "done"
+            assert stub_key(seed=4) in svc.store
+        assert len(opened) >= 3
+        assert {id(c) for c in closed} == {id(c) for c in opened}
+
     def test_jobs_listing(self, client, stub):
         sub = client.submit("zz_stub", {"seed": 3})
         client.wait(sub)
