@@ -77,8 +77,9 @@ __all__ = [
 #: workload artifacts (:mod:`repro.workloads`) carry it in their
 #: content-hash key, so a bump invalidates every artifact instead of
 #: serving stale pre-change bytes.  Version 2: the numpy-native BA/WS
-#: specs replaced the networkx samplers.
-SAMPLER_VERSION = 2
+#: specs replaced the networkx samplers.  Version 3: CSR arrays are
+#: int32 (:func:`_csr_dtype`); the sampled values are unchanged.
+SAMPLER_VERSION = 3
 
 #: Scenario-matrix families, in canonical row order.
 GRAPH_KINDS = (
@@ -113,12 +114,13 @@ class GraphCSR:
 
     ``nbrs[indptr[u]:indptr[u+1]]`` are ``u``'s neighbours, sorted
     ascending — so a uniform neighbour draw is one gather, and neighbour
-    *indices* agree with the sorted lists the per-agent tier uses.
+    *indices* agree with the sorted lists the per-agent tier uses.  Both
+    arrays have dtype :func:`_csr_dtype` ``(n)``.
     """
 
     n: int
-    indptr: np.ndarray   # (n+1,) int64, monotone
-    nbrs: np.ndarray     # (2E,) int64
+    indptr: np.ndarray   # (n+1,) _csr_dtype(n), monotone
+    nbrs: np.ndarray     # (2E,) _csr_dtype(n)
 
     @property
     def degrees(self) -> np.ndarray:
@@ -151,21 +153,32 @@ class GraphSample:
     patched_edges: int
 
 
+def _csr_dtype(n: int) -> type[np.signedinteger]:
+    """The dtype of a CSR on ``n`` nodes: int32 while every offset fits
+    (``2E <= n * (n - 1) < 2**31``, so for every n the graph tier
+    accepts, up to ``MAX_KEY_N`` = 46340), int64 above."""
+    return np.int32 if n * (n - 1) < 1 << 31 else np.int64
+
+
 def _codes_to_csr(n: int, codes: np.ndarray) -> GraphCSR:
-    """CSR from unique undirected edge codes ``u * n + v`` with u < v.
+    """CSR from unique undirected edge codes ``u * n + v`` with u < v —
+    the one constructor every sampler and converter goes through.
 
     Each edge enters once per end as the key ``end * n + other``.  The
     keys are unique, so one sort orders the rows by end and each row by
     neighbour.  (``x - x // n * n`` is ``x % n``: numpy divides int64 by
-    a scalar far faster than it takes the remainder.)
+    a scalar far faster than it takes the remainder.)  The keys stay
+    int64; the CSR narrows to :func:`_csr_dtype`.
     """
     u = codes // n
     v = codes - u * n
     keys = np.concatenate([codes, v * n + u])
     keys.sort()
-    indptr = np.zeros(n + 1, dtype=np.int64)
+    dt = _csr_dtype(n)
+    indptr = np.zeros(n + 1, dtype=dt)
     indptr[1:] = np.searchsorted(keys, np.arange(1, n + 1) * n)
-    return GraphCSR(n=n, indptr=indptr, nbrs=keys - keys // n * n)
+    nbrs = (keys - keys // n * n).astype(dt)
+    return GraphCSR(n=n, indptr=indptr, nbrs=nbrs)
 
 
 def csr_from_edges(n: int, edges: np.ndarray) -> GraphCSR:

@@ -186,21 +186,33 @@ def _block_adjacency(
     ``b``.  The flat array is a copy only when it must be: when every
     trial shares one CSR object it is that CSR's ``nbrs``, and when the
     trials' ``nbrs`` lie back to back in one buffer (an artifact-backed
-    workload's do) it is one view of that buffer.
+    workload's do) it is one view of that buffer.  ``gbase`` and
+    ``flat`` come at the block's index dtype (:func:`_index_dtype`),
+    which every index the block forms uses; ``flat`` is cast only when
+    its CSRs' dtype differs from it.
     """
     first = csrs[0]
     if all(c is first for c in csrs):
         deg = np.broadcast_to(first.degrees, (len(csrs), n))
         gbase = np.broadcast_to(first.indptr[:-1], (len(csrs), n))
-        return deg, gbase, first.nbrs
-    deg = np.stack([c.degrees for c in csrs])
-    sizes = np.array([c.nbrs.size for c in csrs], dtype=np.int64)
-    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    gbase = np.stack([c.indptr[:-1] for c in csrs]) + starts[:, None]
-    flat = _contiguous_view([c.nbrs for c in csrs])
-    if flat is None:
-        flat = np.concatenate([c.nbrs for c in csrs])
-    return deg, gbase, flat
+        flat = first.nbrs
+    else:
+        deg = np.stack([c.degrees for c in csrs])
+        sizes = np.array([c.nbrs.size for c in csrs], dtype=np.int64)
+        starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+        gbase = np.stack([c.indptr[:-1] for c in csrs]) + starts[:, None]
+        flat = _contiguous_view([c.nbrs for c in csrs])
+        if flat is None:
+            flat = np.concatenate([c.nbrs for c in csrs])
+    dt = _index_dtype(max(flat.size, len(csrs) * n))
+    return deg, gbase.astype(dt, copy=False), flat.astype(dt, copy=False)
+
+
+def _index_dtype(size: int) -> type[np.signedinteger]:
+    """The block's index dtype: int32 while every index it forms — a
+    flat neighbour offset, a flat ``(trial, agent)`` bin — lies below
+    ``size`` < 2**31, else int64."""
+    return np.int32 if size < 1 << 31 else np.int64
 
 
 def _contiguous_view(arrays: Sequence[np.ndarray]) -> np.ndarray | None:
@@ -226,17 +238,31 @@ def _contiguous_view(arrays: Sequence[np.ndarray]) -> np.ndarray | None:
 
 
 def _draw_block_stat(
-    rng: np.random.Generator, deg: np.ndarray, active: np.ndarray,
-    q: int, m: int,
+    rng: np.random.Generator, deg: np.ndarray, q: int, m: int,
+    dt: np.dtype,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Block-stream draws: (vote values, intention idx, findmin idx,
-    coherence idx) — neighbour *indices*, resolved by the caller."""
+    coherence idx) — neighbour *indices*, resolved by the caller.
+
+    Values come at int32 when ``m <= 2**31`` and indices at the block's
+    index dtype ``dt``: below 2**31 numpy draws a bounded integer by the
+    same 32-bit Lemire step at every dtype, so the values and the
+    generator state equal an int64 draw's.  A block whose agents all
+    have one degree passes it as a scalar bound, which draws what the
+    all-equal array bound draws, about 3x faster.
+    ``tests/test_fastpath.py::TestStreamIdentity`` pins both.
+    """
     b_sz, n = deg.shape
     hi = np.maximum(deg, 1)  # faulty agents may be isolated; masked out
-    values = rng.integers(m, size=(b_sz, n, q), dtype=np.int64)
-    intention = rng.integers(hi[:, :, None], size=(b_sz, n, q))
-    findmin = rng.integers(hi[:, None, :], size=(b_sz, q, n))
-    coherence = rng.integers(hi[:, None, :], size=(b_sz, q, n))
+    if hi.min() == hi.max():
+        agent_hi = round_hi = int(hi.flat[0])
+    else:
+        agent_hi, round_hi = hi[:, :, None], hi[:, None, :]
+    vdt = np.int32 if m <= 1 << 31 else np.int64
+    values = rng.integers(m, size=(b_sz, n, q), dtype=vdt)
+    intention = rng.integers(agent_hi, size=(b_sz, n, q), dtype=dt)
+    findmin = rng.integers(round_hi, size=(b_sz, q, n), dtype=dt)
+    coherence = rng.integers(round_hi, size=(b_sz, q, n), dtype=dt)
     return values, intention, findmin, coherence
 
 
@@ -280,6 +306,7 @@ def _simulate_block(
     q, m = params.q, params.m
     b_sz = len(seeds)
     deg, gbase, flat = _block_adjacency(csrs, n)
+    dt = gbase.dtype
     active = active_matrix(n, faulty_list)
     n_a = active.sum(axis=1).astype(np.int64)
     if ((deg == 0) & active).any():
@@ -298,22 +325,27 @@ def _simulate_block(
         rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence(entropy=(_GRAPH_STREAM_SALT, *seeds))
         ))
-        draws = _draw_block_stat(rng, deg, active, q, m)
+        draws = _draw_block_stat(rng, deg, q, m, dt)
     values, intention_idx, findmin_idx, coherence_idx = draws
 
-    rows = np.arange(b_sz, dtype=np.int64) * n
+    # Flat (trial, agent) bins: trial b owns [b*n, (b+1)*n).  Every
+    # index below is at the block's dtype; the keys stay int64.
+    rows = np.arange(b_sz, dtype=dt) * n
 
     # ------------------------------------------------------------------
     # Voting phase: resolve intention targets through the CSR gather and
-    # accumulate per-receiver counts and exact int64 vote sums in one
-    # flattened pass (trial b owns bins [b*n, (b+1)*n)).
-    vote_targets = flat[gbase[:, :, None] + intention_idx]    # (B, n, q)
-    sender_active = np.broadcast_to(active[:, :, None], vote_targets.shape)
-    tgt_bins = (rows[:, None, None] + vote_targets)[sender_active]
+    # accumulate per-receiver counts and exact vote sums in one
+    # flattened pass.
+    tgt_bins = flat[gbase[:, :, None] + intention_idx]        # (B, n, q)
+    tgt_bins += rows[:, None, None]
+    if active.all():
+        tgt_bins, sent = tgt_bins.ravel(), values.ravel()
+    else:
+        sender_active = np.broadcast_to(active[:, :, None], tgt_bins.shape)
+        tgt_bins, sent = tgt_bins[sender_active], values[sender_active]
     counts = np.bincount(tgt_bins, minlength=b_sz * n).reshape(b_sz, n)
     k_acc = _exact_index_sums(
-        tgt_bins.astype(np.intp), values[sender_active], b_sz * n,
-        int(counts.max(initial=0)),
+        tgt_bins, sent, b_sz * n, int(counts.max(initial=0)),
     ).reshape(b_sz, n)
     k = k_acc % m
 
@@ -329,32 +361,40 @@ def _simulate_block(
     # before delivering any), so each round is gather-then-min.
     for rnd in range(q):
         tgt = flat[gbase + findmin_idx[:, rnd, :]]            # (B, n)
-        gathered = keys.ravel()[rows[:, None] + tgt]
-        keys = np.where(active, np.minimum(keys, gathered), keys)
+        tgt += rows[:, None]
+        gathered = keys.ravel()[tgt]
+        np.minimum(keys, gathered, out=keys, where=active)
+
+    # One key among the active agents: the trial's certificate is unique
+    # and no Coherence push can differ.
+    key_act = np.where(active, keys, _KEY_SENTINEL)
+    kmin = key_act.min(axis=1)
+    unique_key = ((key_act == kmin[:, None]) | ~active).all(axis=1)
 
     # ------------------------------------------------------------------
     # Coherence: every active agent pushes its final key to one random
     # neighbour per round; an active receiver of a *differing* key
     # enters the invalid state.  Rounds are independent given the final
-    # keys, so all q scatter in one bincount.
-    coh_targets = flat[gbase[:, None, :] + coherence_idx]     # (B, q, n)
-    recv_bins = rows[:, None, None] + coh_targets
-    recv_keys = keys.ravel()[recv_bins]
-    recv_active = active.ravel()[recv_bins]
-    differs = (
-        (recv_keys != keys[:, None, :]) & active[:, None, :] & recv_active
-    )
-    failed = (
-        np.bincount(recv_bins[differs], minlength=b_sz * n)
-        .reshape(b_sz, n) > 0
-    )
+    # keys, so all q scatter in one bincount — over the unsettled trials
+    # only, since a settled trial cannot fail.
+    failed = np.zeros((b_sz, n), dtype=bool)
+    open_ = np.flatnonzero(~unique_key)
+    if open_.size:
+        sel = slice(None) if open_.size == b_sz else open_
+        keys_o, active_o = keys[sel], active[sel]
+        recv_bins = flat[gbase[sel][:, None, :] + coherence_idx[sel]]
+        recv_bins += rows[:open_.size, None, None]            # (U, q, n)
+        differs = (
+            (keys_o.ravel()[recv_bins] != keys_o[:, None, :])
+            & active_o[:, None, :] & active_o.ravel()[recv_bins]
+        )
+        failed[sel] = np.bincount(
+            recv_bins[differs], minlength=open_.size * n
+        ).reshape(open_.size, n) > 0
 
     # ------------------------------------------------------------------
     # Decisions: Verification passes for every non-failed agent, so the
     # decision is the color of its key's owner.
-    key_act = np.where(active, keys, _KEY_SENTINEL)
-    kmin = key_act.min(axis=1)
-    unique_key = ((key_act == kmin[:, None]) | ~active).all(axis=1)
     owner_color = color_of_label[keys % n]
     col_min = np.where(active, owner_color, np.iinfo(np.int64).max).min(axis=1)
     col_max = np.where(active, owner_color, -1).max(axis=1)

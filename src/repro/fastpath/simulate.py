@@ -123,7 +123,8 @@ def _offset_self(raw: np.ndarray, self_ids: np.ndarray) -> np.ndarray:
 def _exact_index_sums(
     idx: np.ndarray, values: np.ndarray, length: int, max_bin_count: int
 ) -> np.ndarray:
-    """Exact int64 scatter-add of ``values`` (int64, >= 0) into bins.
+    """Exact int64 scatter-add of ``values`` (int32 or int64, >= 0)
+    into bins.
 
     ``np.bincount`` accumulates weights in float64, which is only exact
     while every bin total stays below 2^53.  Splitting each value into

@@ -451,18 +451,45 @@ def _coherence_detect(
     rows: np.ndarray,
 ) -> np.ndarray:
     """(B,) bool: some failing-capable receiver got a push whose
-    certificate differs from its own final minimum."""
-    recv = final[rows[:, None, None], coh_push]
-    own = np.broadcast_to(final[:, None, act_idx], recv.shape)
-    if bogus_cols is not None:
-        own = np.where(
-            bogus_cols[None, None, :], bogus_score[:, None, :], own
-        )
-        pushing = push_cols | bogus_cols
-    else:
-        pushing = push_cols
-    mism = (recv != own) & receiver_mask[coh_push] & pushing[None, None, :]
-    return mism.any(axis=(1, 2))
+    certificate differs from its own final minimum.
+
+    A trial is settled when its receivers and its pushers of their own
+    minimum all end Find-Min on one score: then only a bogus push can
+    differ.  So the full (B, q, n_a) push tensor is gathered for the
+    other trials only; on settled trials only the bogus columns'
+    (q, t) pushes are checked against the common score.
+    """
+    detected = np.zeros(rows.size, dtype=bool)
+    if not receiver_mask.any():     # no push can fail anyone
+        return detected
+    own_push = push_cols if bogus_cols is None else push_cols & ~bogus_cols
+    watched = receiver_mask.copy()
+    watched[act_idx[own_push]] = True
+    common = final[:, watched]
+    settled = (common == common[:, :1]).all(axis=1)
+    open_ = np.flatnonzero(~settled)
+    if open_.size:
+        pushing = push_cols if bogus_cols is None else push_cols | bogus_cols
+        sel = slice(None) if open_.size == rows.size else open_
+        push = coh_push[sel]
+        fin = final[sel]
+        recv = fin[rows[:open_.size, None, None], push]
+        own = np.broadcast_to(fin[:, None, act_idx], recv.shape)
+        if bogus_cols is not None:
+            own = np.where(
+                bogus_cols[None, None, :], bogus_score[sel][:, None, :], own
+            )
+        mism = (recv != own) & receiver_mask[push] & pushing[None, None, :]
+        detected[sel] = mism.any(axis=(1, 2))
+    if bogus_cols is not None and open_.size < rows.size:
+        done = np.flatnonzero(settled)
+        cols = np.flatnonzero(bogus_cols)
+        push = coh_push[:, :, cols][done]                     # (S, q, t)
+        differs = bogus_score[done][:, cols] != common[done, :1]
+        detected[done] = (
+            differs[:, None, :] & receiver_mask[push]
+        ).any(axis=(1, 2))
+    return detected
 
 
 def _outcome(
@@ -1001,9 +1028,11 @@ def _alt_version_holders(
         hit = (commit_targets == v) & commit_pull_cols[None, :, None]
         per_round = hit.sum(axis=1)                       # (B, q)
         prior = np.cumsum(per_round, axis=1) - per_round
-        rank = np.cumsum(hit, axis=1)                     # 1-based in rnd
-        arrival = prior[:, None, :] + rank                # (B, n_a, q)
-        got_b = hit & (arrival % 2 == 0)
+        # A pull's arrival number is prior + its 1-based rank in its
+        # round; version B answers the even ones, so only parities
+        # matter, and they stay bool: rank parity is a running xor.
+        odd_rank = np.logical_xor.accumulate(hit, axis=1)  # (B, n_a, q)
+        got_b = hit & (odd_rank == (prior % 2 == 1)[:, None, :])
         out.append(got_b[:, hon_cols, :].any(axis=2))
     return out
 

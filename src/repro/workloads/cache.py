@@ -16,8 +16,8 @@ Artifact layout (one directory per workload)::
     <root>/<scenario>-<key>/
         manifest.json     # schema, spec, shapes — written last, fsynced
         seeds.npy         # (T,) int64 trial seeds
-        indptr.npy        # (G, n+1) int64 CSR row offsets
-        nbrs.npy          # flat int64 neighbour arrays, concatenated
+        indptr.npy        # (G, n+1) int32 CSR row offsets
+        nbrs.npy          # flat int32 neighbour arrays, concatenated
         nbrs_offsets.npy  # (G+1,) int64 slice bounds into nbrs
         patched.npy       # (G,) int64 Hamiltonian-patch edge counts
         faulty.npy        # flat sorted fault labels
@@ -26,7 +26,10 @@ Artifact layout (one directory per workload)::
 ``G`` is 1 for the deterministic kinds (one graph shared by every
 trial — attachment replicates it *by reference*, preserving the object
 identity the batch tier's block-adjacency fast path keys on) and ``T``
-otherwise.
+otherwise.  The CSR arrays keep the samplers' dtype,
+:func:`repro.extensions.families._csr_dtype` (int32 for every n the
+graph tier accepts); an artifact whose CSR arrays have another dtype
+is corrupt.
 
 Publish protocol (crash-safe, multi-process): arrays and manifest are
 written into a pid-suffixed temp directory, each file fsynced, the
@@ -63,6 +66,7 @@ from repro.extensions.families import (
     GraphCSR,
     GraphSample,
     ScenarioWorkload,
+    _csr_dtype,
     sample_scenario_workload,
     split_scenario,
 )
@@ -233,6 +237,10 @@ class WorkloadArtifact:
             raise ValueError("nbrs_offsets array shape mismatch")
         if a["faulty_offsets"].shape != (trials + 1,):
             raise ValueError("faulty_offsets array shape mismatch")
+        for name in ("indptr", "nbrs"):
+            if a[name].dtype != _csr_dtype(n):
+                raise ValueError(f"{name} array dtype {a[name].dtype} "
+                                 f"is not {np.dtype(_csr_dtype(n))}")
         for name in ("nbrs_offsets", "faulty_offsets"):
             off = a[name]
             if off[0] != 0 or np.any(np.diff(off) < 0):
@@ -507,18 +515,18 @@ def _distinct_samples(wl: ScenarioWorkload) -> list[GraphSample]:
 
 
 def _encode_workload(wl: ScenarioWorkload) -> dict[str, np.ndarray]:
+    """The artifact's arrays; the CSR arrays keep the samples' dtype."""
     samples = _distinct_samples(wl)
     indptr = np.stack([s.csr.indptr for s in samples])
     nbrs_offsets = np.zeros(len(samples) + 1, dtype=np.int64)
     for i, s in enumerate(samples):
         nbrs_offsets[i + 1] = nbrs_offsets[i] + s.csr.nbrs.size
-    nbrs = (np.concatenate([s.csr.nbrs for s in samples])
-            if samples else np.zeros(0, dtype=np.int64))
+    nbrs = np.concatenate([s.csr.nbrs for s in samples])
     faulty, faulty_offsets = encode_fault_sets(list(wl.faulty))
     return {
         "seeds": np.array(wl.seeds, dtype=np.int64),
-        "indptr": np.asarray(indptr, dtype=np.int64),
-        "nbrs": np.asarray(nbrs, dtype=np.int64),
+        "indptr": indptr,
+        "nbrs": nbrs,
         "nbrs_offsets": nbrs_offsets,
         "patched": np.array([s.patched_edges for s in samples],
                             dtype=np.int64),

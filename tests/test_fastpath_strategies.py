@@ -273,6 +273,54 @@ class TestPinnedBytes:
         assert _digest([res]) == KEY_LIMIT_DIGEST
 
 
+def _coherence_full(coh_push, final, push_cols, act_idx, receiver_mask,
+                    bogus_cols, bogus_score, rows):
+    """``_coherence_detect`` as one gather of every trial's pushes."""
+    recv = final[rows[:, None, None], coh_push]
+    own = np.broadcast_to(final[:, None, act_idx], recv.shape)
+    pushing = push_cols
+    if bogus_cols is not None:
+        own = np.where(bogus_cols[None, None, :], bogus_score[:, None, :],
+                       own)
+        pushing = push_cols | bogus_cols
+    mism = (recv != own) & receiver_mask[coh_push] & pushing[None, None, :]
+    return mism.any(axis=(1, 2))
+
+
+class TestCoherenceRule:
+    """Settled trials (one final score over the receivers and the
+    agents pushing their own minimum) skip the full push gather, and
+    only bogus pushes are checked there; the verdicts equal one full
+    gather's on every trial."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_equals_full_gather(self, seed):
+        rng = np.random.default_rng(seed)
+        n, q, b_sz = 12, 4, 60
+        active = rng.random(n) < 0.85
+        active[:2] = True
+        act_idx = np.flatnonzero(active)
+        n_a = act_idx.size
+        # Scores from a small alphabet, so most trials are settled and
+        # the rest differ in a few labels only.
+        final = np.full((b_sz, n), strat._INT64_MAX)
+        final[:, act_idx] = 7
+        unsettled = rng.random(b_sz) < 0.4
+        noisy = rng.random((b_sz, n_a)) < 0.15
+        final[:, act_idx] = np.where(unsettled[:, None] & noisy, 3, 7)
+        coh_push = rng.integers(n, size=(b_sz, q, n_a)).astype(np.uint16)
+        push_cols = rng.random(n_a) < 0.8
+        receiver_mask = active & (rng.random(n) < 0.8)
+        bogus_cols = bogus_score = None
+        if seed % 2:
+            bogus_cols = ~push_cols & (rng.random(n_a) < 0.5)
+            bogus_score = rng.choice([7, 3, -1], size=(b_sz, n_a))
+        args = (coh_push, final, push_cols, act_idx, receiver_mask,
+                bogus_cols, bogus_score, np.arange(b_sz))
+        want = _coherence_full(*args)
+        assert np.array_equal(strat._coherence_detect(*args), want)
+
+
 class TestValidation:
     def test_member_label_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):

@@ -21,6 +21,7 @@ thousands of agent-engine runs.
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -35,6 +36,7 @@ from repro.extensions.families import (
     sample_scenario_workload,
 )
 from repro.extensions.topologies import run_graph_protocol
+from repro.fastpath.graphs import GraphBatchResult, simulate_graph_fast_batch
 
 N_SMALL = 24
 GAMMA = 3.0
@@ -159,6 +161,31 @@ def test_statistical_tier_rates_within_bounds(scenario):
         f"{scenario}: zero-vote means {par.zero_vote_mean():.3f} vs "
         f"{stat.zero_vote_mean():.3f}"
     )
+
+
+#: sha256 of the statistical tier's arrays over every scenario kind plus
+#: two churn scenarios (n = 48, 60 trials, gamma 1.5 and 3), recorded
+#: from the int64 kernel that ran Coherence on every trial.
+STAT_DIGEST = (
+    "a1064dcdc4271d38b387e0ab7ea5c769e79152149800de2b99e734280dc60732")
+
+
+def test_statistical_tier_bytes_pinned():
+    """Narrow index math and the settled-trial Coherence skip move no
+    byte: the grid mixes settled trials with ones that fail."""
+    h = hashlib.sha256()
+    for scenario in GRAPH_KINDS + ("regular8+churn", "torus+churn"):
+        wl = sample_scenario_workload(scenario, 48, 60, 1010,
+                                      churn_rate=CHURN_RATE)
+        for gamma in (1.5, 3.0):
+            res = simulate_graph_fast_batch(
+                wl.csrs, balanced(48), wl.seeds, gamma=gamma,
+                faulty=wl.faulty)
+            for field, _ in GraphBatchResult.ARRAY_FIELDS:
+                arr = getattr(res, field)
+                h.update(f"{field}:{arr.dtype.str}".encode())
+                h.update(arr.tobytes())
+    assert h.hexdigest() == STAT_DIGEST
 
 
 def test_shared_graph_broadcast_equals_per_trial_copies():

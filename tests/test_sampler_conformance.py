@@ -40,6 +40,7 @@ from repro.extensions.families import (
     sample_graph_reference,
     sample_scenario_workload,
 )
+from repro.util.bits import MAX_KEY_N
 from repro.util.faults import (
     decode_fault_sets,
     encode_fault_sets,
@@ -109,12 +110,14 @@ class TestScalarReferenceParity:
             sample_graph_reference("ba", 2, 1)
 
 
-#: sha256 over every byte :func:`sample_scenario_workload` emits on the
-#: grid below: each sample's ``indptr``/``nbrs`` dtypes and bytes, its
-#: ``patched_edges`` and its fault set.  Recorded from the samplers as
-#: they stood before the sorted-code kernels and the in-module regular8
-#: port (lexsort CSR, ``np.union1d`` patch, networkx's regular graphs).
-#: A change that moves it must bump ``SAMPLER_VERSION``.
+#: sha256 over every value :func:`sample_scenario_workload` emits on the
+#: grid below: each sample's ``indptr``/``nbrs`` widened to int64 (dtype
+#: tag and bytes), its ``patched_edges`` and its fault set.  Recorded
+#: from the samplers as they stood before the sorted-code kernels and
+#: the in-module regular8 port (lexsort CSR, ``np.union1d`` patch,
+#: networkx's regular graphs), when the CSR arrays were int64; the
+#: int32 arrays of ``SAMPLER_VERSION`` 3 widen back to those bytes.  A
+#: change that moves it must bump ``SAMPLER_VERSION``.
 SAMPLE_DIGEST = (
     "633e3e025894ee69b49850fc7d01cde0edacd5094ebc9c3ff8c00e4b4211f045")
 DIGEST_SCENARIOS = GRAPH_KINDS + ("regular8+churn", "er_dense+churn")
@@ -131,6 +134,8 @@ def workload_digest() -> str:
                 h.update(f"{scenario} {n} {seed}".encode())
                 for sample, faulty in zip(wl.samples, wl.faulty):
                     for a in (sample.csr.indptr, sample.csr.nbrs):
+                        assert a.dtype == np.int32
+                        a = a.astype(np.int64)
                         h.update(a.dtype.str.encode())
                         h.update(a.tobytes())
                     h.update(
@@ -160,7 +165,7 @@ class TestSampleBytes:
     """The sampled bytes themselves, and the kernels that make them."""
 
     def test_workload_digest_unchanged(self):
-        assert SAMPLER_VERSION == 2
+        assert SAMPLER_VERSION == 3
         assert workload_digest() == SAMPLE_DIGEST
 
     @settings(max_examples=60, deadline=None)
@@ -179,9 +184,22 @@ class TestSampleBytes:
         codes = data.draw(sorted_codes(n))
         csr = _codes_to_csr(n, codes)
         indptr, nbrs = lexsort_csr(n, codes)
-        assert csr.indptr.dtype == np.int64 and csr.nbrs.dtype == np.int64
+        assert csr.indptr.dtype == np.int32 and csr.nbrs.dtype == np.int32
         assert np.array_equal(csr.indptr, indptr)
         assert np.array_equal(csr.nbrs, nbrs)
+
+    def test_csr_dtype_widens_past_int32_offsets(self):
+        # int32 holds every offset while n * (n - 1) < 2**31: through
+        # n = 46341, one past MAX_KEY_N; a ring is cheap on both sides.
+        assert MAX_KEY_N * (MAX_KEY_N + 1) < 2**31 <= (MAX_KEY_N + 2) * (
+            MAX_KEY_N + 1)
+        for n, dtype in ((MAX_KEY_N, np.int32), (MAX_KEY_N + 1, np.int32),
+                         (MAX_KEY_N + 2, np.int64)):
+            csr = _codes_to_csr(n, _ring_codes(n))
+            assert csr.indptr.dtype == csr.nbrs.dtype == dtype, n
+            assert np.array_equal(csr.indptr, np.arange(0, 2 * n + 1, 2))
+            assert np.array_equal(csr.nbrs[:2], [1, n - 1])
+            assert np.array_equal(csr.nbrs[-2:], [0, n - 2])
 
     @settings(max_examples=40, deadline=None)
     @given(size=st.integers(0, 600), seed=st.integers(0, 2**32 - 1))

@@ -791,6 +791,7 @@ class TestServiceHTTP:
         )
         with pytest.raises(urllib.error.HTTPError) as raw:
             urllib.request.urlopen(req, timeout=10)
+        raw.value.close()           # its response holds the socket open
         assert raw.value.code == 400
         # Mis-typed values are refused at the front door, naming the
         # experiment, field and value; no job is created.

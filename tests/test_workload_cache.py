@@ -131,6 +131,16 @@ class TestFetchAndStats:
         with pytest.raises((ValueError, RuntimeError)):
             csr.nbrs[0] = 99
 
+    def test_csr_arrays_stored_at_int32(self, tmp_path):
+        cache = WorkloadCache(tmp_path)
+        for scenario in ("er_dense", "torus"):
+            wl = cache.fetch(workload_spec(scenario, 16, 3, 1010))
+            path = Path(wl.ref.path)
+            for name in ("indptr", "nbrs"):
+                arr = np.load(path / f"{name}.npy", mmap_mode="r")
+                assert arr.dtype == np.int32, (scenario, name)
+            assert all(c.nbrs.dtype == np.int32 for c in wl.csrs)
+
     def test_deterministic_kind_stores_one_graph_shared(self, tmp_path):
         cache = WorkloadCache(tmp_path)
         wl = cache.fetch(workload_spec("ring", 12, 6, 1010))
@@ -165,6 +175,24 @@ class TestRobustness:
         again = cache.fetch(spec)
         assert cache_stats().quarantined == 1
         assert again.ref is not None
+
+    @pytest.mark.parametrize("name", ["indptr", "nbrs"])
+    def test_int64_csr_array_quarantined_and_resampled(self, tmp_path, name):
+        # An artifact whose CSR arrays were stored wide (the layout
+        # before SAMPLER_VERSION 3) is corrupt: resampled, not served.
+        cache = WorkloadCache(tmp_path)
+        spec = workload_spec("ws", 16, 4, 1010)
+        wl = cache.fetch(spec)
+        apath = Path(wl.ref.path) / f"{name}.npy"
+        np.save(apath, np.load(apath).astype(np.int64))
+        again = cache.fetch(spec)
+        assert cache_stats().quarantined == 1
+        assert again.ref is not None
+        ref = sample_scenario_workload("ws", 16, 4, 1010)
+        for a, b in zip(again.csrs, ref.csrs):
+            assert a.nbrs.dtype == a.indptr.dtype == np.int32
+            assert np.array_equal(a.indptr, b.indptr)
+            assert np.array_equal(a.nbrs, b.nbrs)
 
     def test_mismatched_spec_quarantined(self, tmp_path):
         # An artifact squatting on a key it doesn't describe (manual
